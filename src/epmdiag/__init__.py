@@ -4,142 +4,46 @@ Compares a noisy controlled gate against its ideal through the coherence
 content of the outputs and through the statistics of local end-point
 energy measurements, including the measurement-only reconstruction of the
 coherence diagnostics from conditional outcome probabilities.
+
+The names below are the ones the `epmdiag` command and the README use;
+everything else is reached through its module.
 """
-from .energetics import (
-    CharFnValue,
-    EpmDistribution,
-    LocalHamiltonian,
-    StateSplit,
-    epm_char_fn,
-    epm_char_fn_component,
-    epm_distribution,
-    local_hamiltonian_2q,
-    split_state,
-)
+from .energetics import local_hamiltonian_2q
 from .errors import ParseError, ValidationError
-from .gates import (
-    KrausChannel,
-    WaveplateSettings,
-    g_gate,
-    phase_insensitive_distance,
-    r_gate,
-    unitary_channel,
-    v_angle,
-    v_axis,
-    waveplate_settings,
-)
-from .linalg import (
-    RngStream,
-    basis_state,
-    dm_from_pure,
-    haar_pure_state,
-    haar_pure_states,
-    haar_random_unitary,
-    plus_plus_state,
-    tensor,
-)
-from .merit import (
-    HaarAverage,
-    MeritKind,
-    haar_average,
-    kernel_coherence_fid,
-    kernel_eta,
-    kernel_fidelity,
-    kernel_values,
-    l1_coherence,
-)
-from .reconstruct import (
-    ProbabilityTable,
-    ProtocolPlan,
-    TransitionTensor,
-    char_fn_from_tensor,
-    chi_populations,
-    eta_kernel_from_tables,
-    g_chi_from_table,
-    gate_probability_table,
-    initial_exp_moment,
-    load_probability_table,
-    outcome_probabilities,
-    protocol_plan,
-    table_from_plan,
-    transition_tensor_from_tables,
-    transition_tensor_from_unitary,
-    write_probability_table,
-)
+from .gates import g_gate, v_angle, v_axis, waveplate_settings
+from .merit import MeritKind, haar_average
+from .reconstruct import load_probability_table, protocol_plan
 from .sweeps import (
-    Fig3Curves,
-    ReconstructionReport,
     SweepConfig,
-    SweepResult,
-    max_normalize,
     preset_fig1,
     preset_fig3,
     run_reconstruction,
     run_sweep,
+    write_fig3,
+    write_reconstruction,
+    write_sweep,
 )
 from .version import __version__
 
 __all__ = [
-    "CharFnValue",
-    "EpmDistribution",
-    "Fig3Curves",
-    "HaarAverage",
-    "KrausChannel",
-    "LocalHamiltonian",
     "MeritKind",
     "ParseError",
-    "ProbabilityTable",
-    "ProtocolPlan",
-    "ReconstructionReport",
-    "RngStream",
-    "StateSplit",
     "SweepConfig",
-    "SweepResult",
-    "TransitionTensor",
     "ValidationError",
-    "WaveplateSettings",
     "__version__",
-    "basis_state",
-    "char_fn_from_tensor",
-    "chi_populations",
-    "dm_from_pure",
-    "epm_char_fn",
-    "epm_char_fn_component",
-    "epm_distribution",
-    "eta_kernel_from_tables",
-    "g_chi_from_table",
     "g_gate",
-    "gate_probability_table",
     "haar_average",
-    "haar_pure_state",
-    "haar_pure_states",
-    "haar_random_unitary",
-    "initial_exp_moment",
-    "kernel_coherence_fid",
-    "kernel_eta",
-    "kernel_fidelity",
-    "kernel_values",
-    "l1_coherence",
     "load_probability_table",
     "local_hamiltonian_2q",
-    "max_normalize",
-    "outcome_probabilities",
-    "phase_insensitive_distance",
-    "plus_plus_state",
     "preset_fig1",
     "preset_fig3",
     "protocol_plan",
-    "r_gate",
     "run_reconstruction",
     "run_sweep",
-    "split_state",
-    "table_from_plan",
-    "tensor",
-    "transition_tensor_from_tables",
-    "transition_tensor_from_unitary",
-    "unitary_channel",
     "v_angle",
     "v_axis",
     "waveplate_settings",
-    "write_probability_table",
+    "write_fig3",
+    "write_reconstruction",
+    "write_sweep",
 ]

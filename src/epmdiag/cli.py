@@ -11,10 +11,9 @@ import math
 import sys
 from pathlib import Path
 
-from .energetics import local_hamiltonian_2q
 from .errors import ParseError, ValidationError
-from .gates import g_gate, waveplate_settings
-from .merit import MeritKind, haar_average
+from .gates import waveplate_settings
+from .merit import MeritKind
 from .reconstruct import load_probability_table, protocol_plan, schmidt_rank
 from .sweeps import (
     DEFAULT_RESOLUTION,
@@ -34,12 +33,13 @@ from .version import __version__
 _MERIT_NAMES = [kind.value for kind in MeritKind]
 
 
-def _add_common(parser: argparse.ArgumentParser, samples: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, samples: bool = True,
+                out_required: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     if samples:
         parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                             help="Haar samples per grid point")
-    parser.add_argument("--out", default=None, help="output file path")
+    parser.add_argument("--out", required=out_required, default=None, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="output_format", help="output format")
 
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--merit", action="append", choices=_MERIT_NAMES, default=None)
-    _add_common(p)
+    _add_common(p, out_required=False)
 
     return parser
 
@@ -119,20 +119,21 @@ def _emit(text: str, out: str | None) -> None:
         path.write_text(text, encoding="utf-8")
 
 
+def _merits(args) -> tuple[MeritKind, ...]:
+    return tuple(MeritKind.from_name(m) for m in (args.merit or
+                 ["coherence_fidelity", "eta_chi"]))
+
+
 def _cmd_sweep(args) -> None:
-    merits = tuple(MeritKind.from_name(m) for m in (args.merit or
-                   ["coherence_fidelity", "eta_chi"]))
     phi_lo, phi_hi = (args.phi_range if args.phi_range is not None else (None, None))
     config = SweepConfig(
         error_family=args.error,
         theta_lo=args.theta_range[0], theta_hi=args.theta_range[1],
         theta_points=args.resolution,
         phi_lo=phi_lo, phi_hi=phi_hi, phi_points=args.resolution,
-        merits=merits, n_samples=args.samples, master_seed=args.seed,
+        merits=_merits(args), n_samples=args.samples, master_seed=args.seed,
     )
     result = run_sweep(config, workers=args.workers)
-    if args.out is None:
-        raise ValidationError("sweep requires --out")
     for path in write_sweep(result, args.out, args.output_format):
         print(f"wrote {path}")
 
@@ -140,16 +141,12 @@ def _cmd_sweep(args) -> None:
 def _cmd_fig1(args) -> None:
     result = preset_fig1(args.panel, resolution=args.resolution,
                          n_samples=args.samples, seed=args.seed, workers=args.workers)
-    if args.out is None:
-        raise ValidationError("fig1 requires --out")
     for path in write_sweep(result, args.out, args.output_format):
         print(f"wrote {path}")
 
 
 def _cmd_fig3(args) -> None:
     curves = preset_fig3(theta_points=args.theta_points, phi=args.phi)
-    if args.out is None:
-        raise ValidationError("fig3 requires --out")
     for path in write_fig3(curves, args.out, args.output_format):
         print(f"wrote {path}")
 
@@ -186,8 +183,6 @@ def _cmd_reconstruct(args) -> None:
         phis = {t.metadata["phi"] for t in tables if "phi" in t.metadata}
         phi = phis.pop() if len(phis) == 1 else None
     report = run_reconstruction(measured, ideal=ideal, phi=phi, error_family=args.error)
-    if args.out is None:
-        raise ValidationError("reconstruct requires --out")
     for path in write_reconstruction(report, args.out, args.output_format):
         print(f"wrote {path}")
     for flag in report.flags:
@@ -219,23 +214,23 @@ def _cmd_protocol(args) -> None:
 
 
 def _cmd_haar_avg(args) -> None:
-    merits = [MeritKind.from_name(m) for m in (args.merit or ["coherence_fidelity", "eta_chi"])]
-    u = g_gate(args.theta)
-    v = ERROR_FAMILIES[args.error](args.theta, args.phi)
-    hamiltonian = local_hamiltonian_2q()
-    rows = []
-    for kind in merits:
-        avg = haar_average(kind, u, v, hamiltonian, n_samples=args.samples, seed=args.seed)
-        rows.append({"merit": kind.value, "mean": avg.mean, "std_error": avg.std_error,
-                     "n_samples": avg.n_samples, "seed": avg.master_seed})
+    """One grid point: a 1x1 sweep, so the values equal the sweep's at that point."""
+    config = SweepConfig(
+        error_family=args.error,
+        theta_lo=args.theta, theta_hi=args.theta, theta_points=1,
+        phi_lo=args.phi, phi_hi=args.phi, phi_points=1,
+        merits=_merits(args), n_samples=args.samples, master_seed=args.seed,
+    )
+    records = run_sweep(config).records
     if args.output_format == "json":
+        rows = [{"merit": r.merit, "mean": r.mean, "std_error": r.std_error,
+                 "n_samples": r.n_samples, "seed": args.seed} for r in records]
         text = json.dumps({"theta": args.theta, "phi": args.phi, "error_family": args.error,
                            "results": rows}, indent=2) + "\n"
     else:
         lines = ["merit,mean,std_error,n_samples,seed"]
-        for row in rows:
-            lines.append(f"{row['merit']},{row['mean']!r},{row['std_error']!r},"
-                         f"{row['n_samples']},{row['seed']}")
+        for r in records:
+            lines.append(f"{r.merit},{r.mean!r},{r.std_error!r},{r.n_samples},{args.seed}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
 

@@ -1,9 +1,12 @@
-"""Explicit basis-element summations of every merit kernel.
+"""Reference oracles for the merit kernels.
 
-These are deliberately slow, loop-based reference implementations that
+The element sums are deliberately slow, loop-based implementations that
 expand each kernel into sums over computational-basis matrix elements.
-They share no code with the vectorized kernels in `merit` and exist as an
-independent route for cross-checking them.
+`epm_char_fn` is the trace definition of the EPM characteristic function,
+whose coherence part at u = i is what eta_chi and G_chi measure. None of
+this shares code with the vectorized kernels in `merit` or the table
+pipeline in `reconstruct`; it exists as an independent route for
+cross-checking them.
 """
 from __future__ import annotations
 
@@ -68,27 +71,26 @@ def element_sum_coherence_fid(psi0: np.ndarray, u_ideal: np.ndarray, v_noisy: np
     return abs(l1_of(v_noisy) - l1_of(u_ideal))
 
 
-def coherence_fid_abs_inside(psi0: np.ndarray, u_ideal: np.ndarray, v_noisy: np.ndarray) -> float:
-    """Variant placing the absolute values inside the (m1, m2) sums.
+def epm_char_fn(
+    u: complex,
+    rho0: np.ndarray,
+    q: np.ndarray,
+    v: np.ndarray,
+    hamiltonian: LocalHamiltonian,
+) -> complex:
+    """EPM characteristic function term Tr[exp(-iuH) rho0] * Tr[exp(iuH) V q V^dag].
 
-    Not algebraically equal to element_sum_coherence_fid, because here each
-    basis-element product is rectified before the sums over m1, m2 run.
-    Kept as a diagnostic comparator; the discrepancy against the canonical
-    kernel is reported by callers, never silently absorbed.
+    q = rho0 gives the full characteristic function of the energy change;
+    q = diag(rho0) and q = chi = rho0 - diag(rho0) give the population and
+    coherence contributions, which sum to it. Evaluated through the
+    diagonal exponentials, so complex u (u = i throughout the diagnostics)
+    is exact.
     """
-    rho = _rho_elements(psi0)
-    dim = rho.shape[0]
-    total = 0.0
-    for n in range(dim):
-        for k in range(dim):
-            if n == k:
-                continue
-            for m1 in range(dim):
-                for m2 in range(dim):
-                    total += abs(rho[m1, m2] * v_noisy[n, m1] * np.conj(v_noisy[k, m2])) - abs(
-                        rho[m1, m2] * u_ideal[n, m1] * np.conj(u_ideal[k, m2])
-                    )
-    return abs(total)
+    rho0 = np.asarray(rho0, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    first = np.sum(hamiltonian.exp_diag(-1j * u) * np.diag(rho0))
+    second = np.sum(hamiltonian.exp_diag(1j * u) * np.diag(v @ q @ v.conj().T))
+    return complex(first * second)
 
 
 def _element_sum_eta_tpm(

@@ -1,10 +1,8 @@
-"""End-point-measurement (EPM) energy statistics.
+"""The local energy basis of the end-point-measurement (EPM) scheme.
 
 The EPM scheme assigns an energy change Delta E = E_fin - E_in from two
 independent projective energy measurements, one on the input state and one
-on the channel output, so the outcome distribution is a plain product of
-the two marginals and initial coherences survive in the output marginal.
-Everything here works with Hamiltonians that are diagonal in the
+on the gate output. Every Hamiltonian here is diagonal in the
 computational basis, so all exponentials are exact elementwise ones.
 """
 from __future__ import annotations
@@ -13,15 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .gates import KrausChannel
-
 
 @dataclass(frozen=True)
 class LocalHamiltonian:
     """Hamiltonian diagonal in the computational basis, stored as energies."""
 
-    dim: int
     energies: np.ndarray
 
     def exp_diag(self, factor: complex) -> np.ndarray:
@@ -36,112 +30,4 @@ def local_hamiltonian_2q() -> LocalHamiltonian:
     are degenerate but kept as separate rank-1 outcomes, matching a local
     measurement in the computational basis.
     """
-    return LocalHamiltonian(dim=4, energies=np.array([2.0, 0.0, 0.0, -2.0]))
-
-
-@dataclass(frozen=True)
-class StateSplit:
-    """Decomposition rho = diagonal part + traceless coherence part chi."""
-
-    diag_part: np.ndarray
-    chi: np.ndarray
-
-
-def split_state(rho0: np.ndarray, hamiltonian: LocalHamiltonian) -> StateSplit:
-    """Split rho0 into its energy-basis diagonal and the coherence remainder.
-
-    The Hamiltonian is diagonal in the computational basis by construction,
-    so the split is simply diagonal vs off-diagonal entries.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (hamiltonian.dim, hamiltonian.dim):
-        raise ValidationError(
-            f"state shape {rho0.shape} does not match Hamiltonian dim {hamiltonian.dim}"
-        )
-    diag_part = np.diag(np.diag(rho0))
-    return StateSplit(diag_part=diag_part, chi=rho0 - diag_part)
-
-
-@dataclass(frozen=True)
-class EpmDistribution:
-    """All (k, l) outcome pairs of the EPM scheme with their probabilities.
-
-    outcomes holds tuples (k, l, delta_e, probability) where k indexes the
-    initial and l the final energy eigenstate.
-    """
-
-    outcomes: list[tuple[int, int, float, float]]
-
-    def char_fn(self, u: complex) -> complex:
-        """Characteristic function sum_p p * exp(i u delta_e) over all outcomes."""
-        return sum(p * np.exp(1j * u * de) for _, _, de, p in self.outcomes)
-
-    def probability_matrix(self) -> np.ndarray:
-        """Probabilities as a (k, l) matrix."""
-        dim = int(np.sqrt(len(self.outcomes)))
-        mat = np.zeros((dim, dim))
-        for k, l, _, p in self.outcomes:
-            mat[k, l] = p
-        return mat
-
-
-def epm_distribution(
-    rho0: np.ndarray, channel: KrausChannel, hamiltonian: LocalHamiltonian
-) -> EpmDistribution:
-    """EPM outcome distribution p(k, l) = Tr[P_k rho0] Tr[P_l M(rho0)]."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    if channel.dim != hamiltonian.dim or rho0.shape != (hamiltonian.dim, hamiltonian.dim):
-        raise ValidationError("state, channel and Hamiltonian dimensions must agree")
-    p_in = np.diag(rho0).real
-    p_fin = np.diag(channel.apply(rho0)).real
-    energies = hamiltonian.energies
-    outcomes = [
-        (k, l, float(energies[l] - energies[k]), float(p_in[k] * p_fin[l]))
-        for k in range(hamiltonian.dim)
-        for l in range(hamiltonian.dim)
-    ]
-    return EpmDistribution(outcomes=outcomes)
-
-
-@dataclass(frozen=True)
-class CharFnValue:
-    """One evaluation of the EPM characteristic function at (complex) u."""
-
-    u: complex
-    value: complex
-
-
-def epm_char_fn(
-    u: complex, rho0: np.ndarray, channel: KrausChannel, hamiltonian: LocalHamiltonian
-) -> CharFnValue:
-    """Characteristic function Tr[exp(-iuH) rho0] * Tr[exp(iuH) M(rho0)].
-
-    Evaluated through the diagonal exponentials, so complex u (the u = i
-    point used throughout the diagnostics) is exact.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    first = np.sum(hamiltonian.exp_diag(-1j * u) * np.diag(rho0))
-    second = np.sum(hamiltonian.exp_diag(1j * u) * np.diag(channel.apply(rho0)))
-    return CharFnValue(u=u, value=complex(first * second))
-
-
-def epm_char_fn_component(
-    u: complex,
-    which: str,
-    rho0: np.ndarray,
-    channel: KrausChannel,
-    hamiltonian: LocalHamiltonian,
-) -> CharFnValue:
-    """Contribution of the diagonal part ("P") or coherences ("chi") to epm_char_fn.
-
-    Returns Tr[exp(-iuH) rho0] * Tr[exp(iuH) M(Q)] with Q one of the two
-    pieces of rho0 = P + chi; the two components sum to the full function.
-    """
-    if which not in ("P", "chi"):
-        raise ValidationError(f"unknown component {which!r}, expected 'P' or 'chi'")
-    rho0 = np.asarray(rho0, dtype=complex)
-    split = split_state(rho0, hamiltonian)
-    part = split.diag_part if which == "P" else split.chi
-    first = np.sum(hamiltonian.exp_diag(-1j * u) * np.diag(rho0))
-    second = np.sum(hamiltonian.exp_diag(1j * u) * np.diag(channel.apply(part)))
-    return CharFnValue(u=u, value=complex(first * second))
+    return LocalHamiltonian(energies=np.array([2.0, 0.0, 0.0, -2.0]))

@@ -1,4 +1,4 @@
-"""Ideal controlled gates, coherent error unitaries and channel wrappers.
+"""Ideal controlled gates, coherent error unitaries and waveplate settings.
 
 The single-qubit rotation is R(theta) = cos(2 theta) sz + sin(2 theta) sx,
 a pi rotation about the Bloch axis n = (sin 2theta, 0, cos 2theta). The
@@ -16,11 +16,10 @@ Both reduce exactly (bit for bit) to G(theta) at phi = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .linalg import (
     IDENTITY_2,
     PAULI_X,
@@ -28,7 +27,6 @@ from .linalg import (
     PAULI_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    is_unitary,
 )
 
 
@@ -70,43 +68,6 @@ def v_angle(theta: float, phi: float) -> np.ndarray:
     return np.kron(SIGMA_PLUS, IDENTITY_2) + np.kron(SIGMA_MINUS, block)
 
 
-@dataclass
-class KrausChannel:
-    """CPTP map given by Kraus operators; trace preservation is enforced."""
-
-    dim: int
-    kraus_ops: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.kraus_ops = [np.asarray(k, dtype=complex) for k in self.kraus_ops]
-        if not self.kraus_ops:
-            raise ValidationError("a Kraus channel needs at least one operator")
-        for k in self.kraus_ops:
-            if k.shape != (self.dim, self.dim):
-                raise ValidationError(
-                    f"Kraus operator of shape {k.shape} does not match dim {self.dim}"
-                )
-        total = sum(k.conj().T @ k for k in self.kraus_ops)
-        if float(np.max(np.abs(total - np.eye(self.dim)))) > 1e-12:
-            raise ValidationError("Kraus operators do not satisfy sum K^dag K = I")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the channel: rho -> sum_k K rho K^dagger."""
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for k in self.kraus_ops:
-            out += k @ rho @ k.conj().T
-        return out
-
-
-def unitary_channel(v: np.ndarray) -> KrausChannel:
-    """Wrap a unitary as the single-Kraus channel rho -> V rho V^dagger."""
-    v = np.asarray(v, dtype=complex)
-    if not is_unitary(v, atol=1e-10):
-        raise ValidationError("matrix is not unitary within 1e-10")
-    return KrausChannel(dim=v.shape[0], kraus_ops=[v])
-
-
 @dataclass(frozen=True)
 class WaveplateSettings:
     """Half- and quarter-waveplate angles realizing the axis-error gate."""
@@ -126,18 +87,3 @@ def waveplate_settings(theta: float, phi: float) -> WaveplateSettings:
         qwp_s1=phi / 2 + np.pi / 2,
         qwp_s2=phi / 2,
     )
-
-
-def phase_insensitive_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance between a and b minimized over a global phase.
-
-    Diagnostic comparator only; all identities in this package hold without
-    any phase freedom, so tests compare entrywise instead.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    overlap = complex(np.trace(a.conj().T @ b))
-    if overlap == 0:
-        return float(np.max(np.abs(a - b)))
-    phase = np.conj(overlap) / abs(overlap)
-    return float(np.max(np.abs(a - phase * b)))

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-ATOL = 1e-12
-
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -46,17 +44,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, left factor = control qubit."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValidationError(
-            f"tensor expects two 2x2 matrices, got {a.shape} and {b.shape}"
-        )
-    return np.kron(a, b)
-
-
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> of the given dimension."""
     if dim not in SUPPORTED_DIMS:
@@ -71,39 +58,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 def plus_plus_state() -> np.ndarray:
     """The product state (|0> + |1>)(|0> + |1>)/2 in the two-qubit basis."""
     return np.full(4, 0.5, dtype=complex)
-
-
-def check_pure_state(psi: np.ndarray, atol: float = ATOL) -> np.ndarray:
-    """Validate normalization of a state vector; returns it as complex ndarray."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or psi.size not in SUPPORTED_DIMS:
-        raise ValidationError(f"expected a state vector of dimension 2 or 4, got shape {psi.shape}")
-    norm_sq = float(np.sum(psi.real**2 + psi.imag**2))
-    if abs(norm_sq - 1.0) > atol:
-        raise ValidationError(f"state vector not normalized: sum |a_i|^2 = {norm_sq!r}")
-    return psi
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = ATOL) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in SUPPORTED_DIMS:
-        raise ValidationError(f"expected a 2x2 or 4x4 density matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        raise ValidationError("density matrix is not Hermitian")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > atol:
-        raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    eigenvalues = np.linalg.eigvalsh(rho)
-    if float(eigenvalues.min()) < -1e-10:
-        raise ValidationError(f"density matrix has negative eigenvalue {eigenvalues.min()!r}")
-    return rho
-
-
-def dm_from_pure(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi| of a normalized state vector."""
-    psi = check_pure_state(psi)
-    return np.outer(psi, psi.conj())
 
 
 def haar_pure_states(rng: RngStream, dim: int, n: int) -> np.ndarray:
@@ -142,12 +96,3 @@ def haar_random_unitary(rng: RngStream, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
-    """True when matrix @ matrix^dagger is the identity within atol (max norm)."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        return False
-    delta = matrix @ matrix.conj().T - np.eye(matrix.shape[0])
-    return float(np.max(np.abs(delta))) <= atol

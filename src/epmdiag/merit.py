@@ -167,11 +167,8 @@ def kernel_eta(
 class HaarAverage:
     """Monte Carlo estimate of a Haar-averaged merit kernel."""
 
-    kind: MeritKind
     mean: float
     std_error: float
-    n_samples: int
-    master_seed: int
 
 
 def haar_average(
@@ -195,10 +192,4 @@ def haar_average(
     states = haar_pure_states(RngStream(seed, 0), u_ideal.shape[0], n_samples)
     values = kernel_values(kind, states, u_ideal, v_noisy, hamiltonian)
     std_error = float(np.std(values, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return HaarAverage(
-        kind=kind,
-        mean=float(np.mean(values)),
-        std_error=std_error,
-        n_samples=n_samples,
-        master_seed=seed,
-    )
+    return HaarAverage(mean=float(np.mean(values)), std_error=std_error)

@@ -202,11 +202,13 @@ class TransitionTensor:
     entries[a, j, i] is Hermitian in (j, i) for each a, the diagonals are
     outcome probabilities of basis inputs and the tensor sums to the
     identity over a. `residual` is the worst least-squares residual norm
-    of the reconstruction (zero for exact synthetic data).
+    of the reconstruction (zero for exact synthetic data); `flags` names
+    entries the reconstruction could not pin down.
     """
 
     entries: np.ndarray
     residual: float = 0.0
+    flags: tuple[str, ...] = ()
 
 
 def transition_tensor_from_unitary(v: np.ndarray) -> TransitionTensor:
@@ -268,6 +270,7 @@ def transition_tensor_from_tables(plan: ProtocolPlan, table: ProbabilityTable) -
     real parts; the matching imaginary parts are completed through the
     rank-1 structure of unitary dynamics. Overdetermined or inconsistent
     tables are resolved by least squares and the residual is reported.
+    The input table is not modified.
     """
     missing = table.missing(plan.labels)
     if missing:
@@ -286,8 +289,7 @@ def transition_tensor_from_tables(plan: ProtocolPlan, table: ProbabilityTable) -
             _complete_rank_one(m, flags)
         # entries[a, j, i] = <j| M |i> = M[j, i]
         entries[alpha] = m
-    table.flags.extend(flags)
-    return TransitionTensor(entries=entries, residual=worst_residual)
+    return TransitionTensor(entries=entries, residual=worst_residual, flags=tuple(flags))
 
 
 def char_fn_from_tensor(
@@ -313,8 +315,9 @@ def load_probability_table(
     metadata. Rows with probabilities outside [0, 1] or sums off 1 beyond
     `sum_tolerance` are flagged (and renormalized when `renormalize` is
     set), never rejected: counting data is allowed to be noisy. Structural
-    problems (bad header, wrong field count, non-numeric values) raise
-    ParseError with the line number; duplicate labels raise ValidationError.
+    problems (bad header, wrong field count, non-numeric or non-finite
+    values) raise ParseError with the line number; duplicate labels raise
+    ValidationError.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
@@ -338,9 +341,12 @@ def load_probability_table(
             if "=" in body:
                 key, _, value = body.partition("=")
                 try:
-                    metadata[key.strip()] = float(value.strip())
+                    number = float(value.strip())
                 except ValueError:
-                    pass
+                    continue
+                if not math.isfinite(number):
+                    raise ParseError(f"non-finite metadata value {value.strip()!r}", line=line_no)
+                metadata[key.strip()] = number
             continue
         fields = [f.strip() for f in line.split(",")]
         if not header_seen:
@@ -360,7 +366,10 @@ def load_probability_table(
             values = np.array([float(f) for f in fields[1:]])
         except ValueError as exc:
             raise ParseError(f"non-numeric probability: {exc}", line=line_no) from None
-        if float(values.min()) < -1e-9 or float(values.max()) > 1 + 1e-9:
+        lo, hi = float(values.min()), float(values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # nan propagates through min/max
+            raise ParseError(f"non-finite probability in row {label!r}", line=line_no)
+        if lo < -1e-9 or hi > 1 + 1e-9:
             flags.append(f"row {label!r} has probabilities outside [0, 1]")
         row_sum = float(values.sum())
         if abs(row_sum - 1.0) > sum_tolerance:

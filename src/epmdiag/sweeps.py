@@ -27,11 +27,12 @@ from .reconstruct import (
     chi_populations,
     g_chi_from_table,
     gate_probability_table,
-    write_probability_table,
 )
 from .version import __version__
 
 ERROR_FAMILIES = {"axis": v_axis, "angle": v_angle}
+# Default sweep range of the error parameter: [0, pi] for axis, [0, 2 pi] for angle.
+DEFAULT_PHI_RANGES = {"axis": (0.0, math.pi), "angle": (0.0, 2 * math.pi)}
 
 DEFAULT_SAMPLES = 5000
 DEFAULT_RESOLUTION = 41
@@ -42,15 +43,6 @@ FIG1_PANELS = {
     "c": ("angle", MeritKind.COHERENCE_FIDELITY),
     "d": ("angle", MeritKind.ETA_CHI),
 }
-
-
-def default_phi_range(error_family: str) -> tuple[float, float]:
-    """Sweep range of the error parameter: [0, pi] for axis, [0, 2 pi] for angle."""
-    if error_family == "axis":
-        return (0.0, math.pi)
-    if error_family == "angle":
-        return (0.0, 2 * math.pi)
-    raise ValidationError(f"unknown error family {error_family!r}")
 
 
 @dataclass(frozen=True)
@@ -83,11 +75,9 @@ class SweepConfig:
         return self
 
     def phi_bounds(self) -> tuple[float, float]:
-        if self.phi_lo is None or self.phi_hi is None:
-            lo, hi = default_phi_range(self.error_family)
-            return (self.phi_lo if self.phi_lo is not None else lo,
-                    self.phi_hi if self.phi_hi is not None else hi)
-        return (self.phi_lo, self.phi_hi)
+        lo, hi = DEFAULT_PHI_RANGES[self.error_family]
+        return (lo if self.phi_lo is None else self.phi_lo,
+                hi if self.phi_hi is None else self.phi_hi)
 
     def thetas(self) -> np.ndarray:
         return np.linspace(self.theta_lo, self.theta_hi, self.theta_points)
@@ -312,6 +302,9 @@ def run_reconstruction(
     """
     if error_family not in ERROR_FAMILIES:
         raise ValidationError(f"unknown error family {error_family!r}")
+    angles = [theta for theta, _ in measured] + ([] if phi is None else [phi])
+    if not all(math.isfinite(x) for x in angles):
+        raise ValidationError("theta and phi must be finite")
     hamiltonian = local_hamiltonian_2q()
     psi_pp = plus_plus_state()
     measured = sorted(measured, key=lambda pair: pair[0])
@@ -346,25 +339,6 @@ def run_reconstruction(
     return ReconstructionReport(rows=rows, error_family=error_family, phi=phi, flags=flags)
 
 
-def write_synthetic_tables(directory, thetas, phi: float, error_family: str = "axis") -> list[Path]:
-    """Write one five-row CSV per theta for the noisy gate; returns the paths.
-
-    Each file carries ``# theta`` / ``# phi`` metadata comments so that the
-    reconstruction runner can recover the sweep variable.
-    """
-    if error_family not in ERROR_FAMILIES:
-        raise ValidationError(f"unknown error family {error_family!r}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, theta in enumerate(thetas):
-        table = gate_probability_table(ERROR_FAMILIES[error_family](theta, phi))
-        path = directory / f"table_{i:03d}.csv"
-        write_probability_table(table, path, metadata={"theta": float(theta), "phi": float(phi)})
-        paths.append(path)
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Writers. Floats are rendered with repr() so identical results produce
 # byte-identical files.
@@ -374,46 +348,50 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_text(path, text: str) -> None:
+def _json_text(doc: dict) -> str:
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValidationError("refusing to write a non-finite value as JSON") from None
+
+
+def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body) -> list[Path]:
+    """Write one result as CSV plus a `.meta.json` sidecar, or as one JSON file.
+
+    `csv_lines()` yields the CSV lines, header first; `json_body()` returns
+    the JSON document's entries after "metadata". Only the one the format
+    needs is called, and every text is built before any file is written.
+    """
     path = Path(path)
+    if output_format == "json":
+        texts = {path: _json_text({"metadata": metadata, **json_body()})}
+    elif output_format == "csv":
+        texts = {path: "\n".join(csv_lines()) + "\n",
+                 path.with_name(path.stem + ".meta.json"): _json_text(metadata)}
+    else:
+        raise ValidationError(f"unknown output format {output_format!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _sidecar_path(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.stem + ".meta.json")
-
-
-def sweep_records_json(result: SweepResult) -> dict:
-    return {
-        "metadata": result.metadata(),
-        "records": [
-            {"theta": r.theta, "phi": r.phi, "merit": r.merit, "mean": r.mean,
-             "std_error": r.std_error, "n_samples": r.n_samples}
-            for r in result.records
-        ],
-    }
+    for target, text in texts.items():
+        target.write_text(text, encoding="utf-8")
+    return list(texts)
 
 
 def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[Path]:
     """Write a sweep as long-format CSV (+ JSON sidecar) or as one JSON file."""
-    path = Path(path)
-    if output_format == "json":
-        _write_text(path, json.dumps(sweep_records_json(result), indent=2) + "\n")
-        return [path]
-    if output_format != "csv":
-        raise ValidationError(f"unknown output format {output_format!r}")
-    lines = ["theta,phi,merit,mean,std_error,n_samples"]
-    for r in result.records:
-        lines.append(
-            f"{_fmt(r.theta)},{_fmt(r.phi)},{r.merit},{_fmt(r.mean)},"
-            f"{_fmt(r.std_error)},{r.n_samples}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
-    sidecar = _sidecar_path(path)
-    _write_text(sidecar, json.dumps(result.metadata(), indent=2) + "\n")
-    return [path, sidecar]
+    def csv_lines():
+        yield "theta,phi,merit,mean,std_error,n_samples"
+        for r in result.records:
+            yield (f"{_fmt(r.theta)},{_fmt(r.phi)},{r.merit},{_fmt(r.mean)},"
+                   f"{_fmt(r.std_error)},{r.n_samples}")
+
+    def json_body():
+        return {"records": [
+            {"theta": r.theta, "phi": r.phi, "merit": r.merit, "mean": r.mean,
+             "std_error": r.std_error, "n_samples": r.n_samples}
+            for r in result.records
+        ]}
+
+    return _write_output(path, output_format, result.metadata(), csv_lines, json_body)
 
 
 def fig3_series(curves: Fig3Curves) -> list[tuple[str, np.ndarray]]:
@@ -431,43 +409,56 @@ def fig3_series(curves: Fig3Curves) -> list[tuple[str, np.ndarray]]:
 
 def write_fig3(curves: Fig3Curves, path, output_format: str = "csv") -> list[Path]:
     """Write the fig3 curves as long-format theta,series,value rows."""
-    path = Path(path)
     metadata = {"tool": "epmdiag", "version": __version__, "kind": "fig3",
                 "phi": curves.phi, "theta_points": int(curves.thetas.size)}
     series = fig3_series(curves)
-    if output_format == "json":
-        doc = {
-            "metadata": metadata,
+
+    def csv_lines():
+        yield "theta,series,value"
+        for i, theta in enumerate(curves.thetas):
+            for name, values in series:
+                yield f"{_fmt(theta)},{name},{_fmt(values[i])}"
+
+    def json_body():
+        return {
             "thetas": [float(t) for t in curves.thetas],
             "series": {name: [float(v) for v in values] for name, values in series},
         }
-        _write_text(path, json.dumps(doc, indent=2) + "\n")
-        return [path]
-    if output_format != "csv":
-        raise ValidationError(f"unknown output format {output_format!r}")
-    lines = ["theta,series,value"]
-    for i, theta in enumerate(curves.thetas):
-        for name, values in series:
-            lines.append(f"{_fmt(theta)},{name},{_fmt(values[i])}")
-    _write_text(path, "\n".join(lines) + "\n")
-    sidecar = _sidecar_path(path)
-    _write_text(sidecar, json.dumps(metadata, indent=2) + "\n")
-    return [path, sidecar]
+
+    return _write_output(path, output_format, metadata, csv_lines, json_body)
 
 
 def write_reconstruction(report: ReconstructionReport, path, output_format: str = "csv") -> list[Path]:
     """Write a reconstruction report; empty coherence column when phi unknown."""
-    path = Path(path)
     metadata = {"tool": "epmdiag", "version": __version__, "kind": "reconstruction",
                 "error_family": report.error_family, "phi": report.phi,
                 "theta_points": len(report.rows), "flags": report.flags}
     eta_norm = max_normalize(report.eta_curve())
     coh_curve = report.coherence_curve()
     coh_norm = max_normalize(np.nan_to_num(coh_curve)) if report.phi is not None else coh_curve
-    if output_format == "json":
-        doc = {"metadata": metadata, "rows": []}
+
+    def csv_lines():
+        yield ("theta,p_chi_00,p_chi_01,p_chi_10,p_chi_11,g_chi_measured,g_chi_ideal,"
+               "eta_chi_kernel,eta_chi_kernel_max_norm,coherence_kernel,"
+               "coherence_kernel_max_norm,max_row_sum_error")
         for i, row in enumerate(report.rows):
-            doc["rows"].append({
+            coherence = "" if row.coherence_kernel is None else _fmt(row.coherence_kernel)
+            coherence_n = "" if report.phi is None else _fmt(coh_norm[i])
+            yield ",".join([
+                _fmt(row.theta),
+                *(_fmt(p) for p in row.chi_pops),
+                _fmt(row.g_chi_measured),
+                _fmt(row.g_chi_ideal),
+                _fmt(row.eta_kernel),
+                _fmt(eta_norm[i]),
+                coherence,
+                coherence_n,
+                _fmt(row.max_row_sum_error),
+            ])
+
+    def json_body():
+        return {"rows": [
+            {
                 "theta": row.theta,
                 "chi_populations": [float(p) for p in row.chi_pops],
                 "g_chi_measured": row.g_chi_measured,
@@ -477,29 +468,8 @@ def write_reconstruction(report: ReconstructionReport, path, output_format: str 
                 "coherence_kernel": row.coherence_kernel,
                 "coherence_kernel_max_norm": None if report.phi is None else float(coh_norm[i]),
                 "max_row_sum_error": row.max_row_sum_error,
-            })
-        _write_text(path, json.dumps(doc, indent=2) + "\n")
-        return [path]
-    if output_format != "csv":
-        raise ValidationError(f"unknown output format {output_format!r}")
-    lines = ["theta,p_chi_00,p_chi_01,p_chi_10,p_chi_11,g_chi_measured,g_chi_ideal,"
-             "eta_chi_kernel,eta_chi_kernel_max_norm,coherence_kernel,"
-             "coherence_kernel_max_norm,max_row_sum_error"]
-    for i, row in enumerate(report.rows):
-        coherence = "" if row.coherence_kernel is None else _fmt(row.coherence_kernel)
-        coherence_n = "" if report.phi is None else _fmt(coh_norm[i])
-        lines.append(",".join([
-            _fmt(row.theta),
-            *(_fmt(p) for p in row.chi_pops),
-            _fmt(row.g_chi_measured),
-            _fmt(row.g_chi_ideal),
-            _fmt(row.eta_kernel),
-            _fmt(eta_norm[i]),
-            coherence,
-            coherence_n,
-            _fmt(row.max_row_sum_error),
-        ]))
-    _write_text(path, "\n".join(lines) + "\n")
-    sidecar = _sidecar_path(path)
-    _write_text(sidecar, json.dumps(metadata, indent=2) + "\n")
-    return [path, sidecar]
+            }
+            for i, row in enumerate(report.rows)
+        ]}
+
+    return _write_output(path, output_format, metadata, csv_lines, json_body)

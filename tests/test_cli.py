@@ -1,13 +1,15 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import epmdiag
 from epmdiag.reconstruct import gate_probability_table, write_probability_table
 from epmdiag.gates import v_axis
-from epmdiag.sweeps import write_synthetic_tables
 
 
 def run_cli(*args, **kwargs):
@@ -66,7 +68,10 @@ def test_fig3_output(tmp_path):
 
 def test_reconstruct_from_synthetic_tables(tmp_path):
     thetas = np.linspace(0.0, math.pi / 4, 6)
-    paths = write_synthetic_tables(tmp_path / "tables", thetas, math.pi / 9)
+    paths = [tmp_path / f"table_{i:03d}.csv" for i in range(len(thetas))]
+    for theta, path in zip(thetas, paths):
+        write_probability_table(gate_probability_table(v_axis(theta, math.pi / 9)), path,
+                                metadata={"theta": float(theta), "phi": math.pi / 9})
     out = tmp_path / "report.csv"
     result = run_cli(
         "reconstruct", "--measured", *[str(p) for p in paths], "--out", str(out),
@@ -168,3 +173,69 @@ def test_haar_avg_command():
 def test_sweep_requires_out(tmp_path):
     result = run_cli("sweep", "--resolution", "1", "--samples", "10")
     assert result.returncode == 2
+    # rejected while parsing arguments, before any grid point is computed
+    for args in (("sweep", "--resolution", "2001"), ("fig1", "--panel", "b"), ("fig3",),
+                 ("reconstruct", "--measured", str(tmp_path / "t.csv"))):
+        result = run_cli(*args, timeout=10)
+        assert result.returncode == 2, args
+        assert "--out" in result.stderr
+
+
+OTHER_ROWS = "01,0,1,0,0\n10,1,0,0,0\n11,0,0,0,1\n++,0.25,0.25,0.25,0.25\n"
+
+
+def test_reconstruct_nan_value_exit_code(tmp_path):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("# theta = 0.1\ninput,p00,p01,p10,p11\n00,0.5,nan,0.3,0.2\n" + OTHER_ROWS)
+    out = tmp_path / "r.json"
+    result = run_cli("reconstruct", "--measured", str(bad), "--format", "json",
+                     "--out", str(out))
+    assert result.returncode == 4
+    assert "line 3" in result.stderr and "non-finite" in result.stderr
+    assert not out.exists()
+
+
+def test_reconstruct_inf_value_exit_code(tmp_path):
+    bad = tmp_path / "inf.csv"
+    bad.write_text("input,p00,p01,p10,p11\n00,0.5,0.0,inf,0.5\n" + OTHER_ROWS)
+    out = tmp_path / "r.csv"
+    result = run_cli("reconstruct", "--measured", str(bad), "--thetas", "0.1",
+                     "--out", str(out))
+    assert result.returncode == 4
+    assert "line 2" in result.stderr and "non-finite" in result.stderr
+    assert not out.exists()
+
+
+def test_non_finite_angle_exit_code(tmp_path):
+    table = tmp_path / "t.csv"
+    write_probability_table(gate_probability_table(v_axis(0.2, 0.3)), table,
+                            metadata={"theta": 0.2})
+    out = tmp_path / "out.csv"
+    for args in (("fig3", "--theta-points", "3", "--phi", "nan", "--format", "json"),
+                 ("reconstruct", "--measured", str(table), "--phi", "nan"),
+                 ("reconstruct", "--measured", str(table), "--thetas", "nan")):
+        result = run_cli(*args, "--out", str(out))
+        assert result.returncode == 2, args
+        assert not out.exists()
+
+
+def test_haar_avg_equals_one_point_sweep(tmp_path):
+    point = ("--seed", "3", "--samples", "200", "--merit", "eta_chi",
+             "--merit", "coherence_fidelity", "--merit", "eta_tpm")
+    avg = run_cli("haar-avg", "--error", "angle", "--theta", "0.4", "--phi", "0.7", *point)
+    assert avg.returncode == 0, avg.stderr
+    out = tmp_path / "point.csv"
+    sweep = run_cli("sweep", "--error", "angle", "--theta-range", "0.4", "0.4",
+                    "--phi-range", "0.7", "0.7", "--resolution", "1", *point, "--out", str(out))
+    assert sweep.returncode == 0, sweep.stderr
+    from_avg = [line.split(",")[:3] for line in avg.stdout.splitlines()[1:]]
+    from_sweep = [line.split(",")[2:5] for line in out.read_text().splitlines()[1:]]
+    assert from_avg == from_sweep
+    assert [row[0] for row in from_avg] == ["eta_chi", "coherence_fidelity", "eta_tpm"]
+
+
+def test_public_api_is_what_cli_or_readme_uses():
+    root = Path(__file__).resolve().parents[1]
+    used = (root / "src" / "epmdiag" / "cli.py").read_text() + (root / "README.md").read_text()
+    unused = [name for name in epmdiag.__all__ if not re.search(rf"\b{name}\b", used)]
+    assert unused == []

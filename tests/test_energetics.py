@@ -1,22 +1,23 @@
 import math
 
 import numpy as np
-import pytest
 
-from epmdiag.energetics import (
-    epm_char_fn,
-    epm_char_fn_component,
-    epm_distribution,
-    local_hamiltonian_2q,
-    split_state,
-)
-from epmdiag.errors import ValidationError
-from epmdiag.gates import g_gate, unitary_channel, v_angle, v_axis
-from epmdiag.linalg import RngStream, basis_state, dm_from_pure, haar_pure_state, plus_plus_state
+from epmdiag.element_sums import epm_char_fn
+from epmdiag.energetics import local_hamiltonian_2q
+from epmdiag.gates import g_gate, v_angle, v_axis
+from epmdiag.linalg import RngStream, haar_pure_state, plus_plus_state
+
+IDENTITY_4 = np.eye(4, dtype=complex)
 
 
-def identity_channel():
-    return unitary_channel(np.eye(4))
+def random_rho(seed, index):
+    psi = haar_pure_state(RngStream(seed, index), 4)
+    return np.outer(psi, psi.conj())
+
+
+def diag_and_chi(rho):
+    diag = np.diag(np.diag(rho))
+    return diag, rho - diag
 
 
 def test_local_hamiltonian_energies():
@@ -30,84 +31,33 @@ def test_exponentials_are_exact():
     assert list(h.exp_diag(1.0)) == [math.exp(2), 1.0, 1.0, math.exp(-2)]
 
 
-def test_split_diagonal_state_has_no_chi():
-    h = local_hamiltonian_2q()
-    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    split = split_state(rho, h)
-    assert np.array_equal(split.chi, np.zeros((4, 4)))
-    assert np.array_equal(split.diag_part, rho)
-
-
-def test_split_plus_plus():
-    h = local_hamiltonian_2q()
-    split = split_state(dm_from_pure(plus_plus_state()), h)
-    assert np.allclose(split.diag_part, np.eye(4) / 4, atol=1e-15)
-    off = split.chi[~np.eye(4, dtype=bool)]
-    assert off.size == 12
-    assert np.allclose(off, 0.25, atol=1e-15)
-
-
-def test_split_reconstructs_exactly():
-    h = local_hamiltonian_2q()
-    for i in range(10):
-        rho = dm_from_pure(haar_pure_state(RngStream(31, i), 4))
-        split = split_state(rho, h)
-        assert np.array_equal(split.diag_part + split.chi, rho)
-        assert abs(np.trace(split.chi)) == 0.0
-
-
-def test_epm_distribution_basis_state_identity_channel():
-    h = local_hamiltonian_2q()
-    dist = epm_distribution(dm_from_pure(basis_state(4, 0)), identity_channel(), h)
-    probs = dist.probability_matrix()
-    assert probs[0, 0] == 1.0
-    assert np.sum(probs) == 1.0
-    assert np.count_nonzero(probs) == 1
-    deltas = {(k, l): de for k, l, de, _ in dist.outcomes}
-    assert deltas[(0, 3)] == -4.0 and deltas[(3, 0)] == 4.0 and deltas[(1, 2)] == 0.0
-
-
-def test_epm_distribution_plus_plus_uniform():
-    h = local_hamiltonian_2q()
-    dist = epm_distribution(dm_from_pure(plus_plus_state()), identity_channel(), h)
-    assert np.allclose(dist.probability_matrix(), np.full((4, 4), 1 / 16), atol=1e-15)
-
-
-def test_epm_distribution_normalized_and_factorized():
-    h = local_hamiltonian_2q()
-    for i in range(20):
-        rho = dm_from_pure(haar_pure_state(RngStream(37, i), 4))
-        channel = unitary_channel(v_axis(0.1 * i, 0.05 * i))
-        dist = epm_distribution(rho, channel, h)
-        probs = dist.probability_matrix()
-        assert abs(np.sum(probs) - 1.0) < 1e-12
-        assert np.max(np.abs(probs.sum(axis=1) - np.diag(rho).real)) < 1e-12
-        assert np.max(np.abs(probs.sum(axis=0) - np.diag(channel.apply(rho)).real)) < 1e-12
-
-
 def test_char_fn_at_zero_is_one():
     h = local_hamiltonian_2q()
     for i in range(5):
-        rho = dm_from_pure(haar_pure_state(RngStream(41, i), 4))
-        channel = unitary_channel(v_angle(0.3 * i, 0.2 * i))
-        assert abs(epm_char_fn(0.0, rho, channel, h).value - 1.0) < 1e-14
+        rho = random_rho(41, i)
+        v = v_angle(0.3 * i, 0.2 * i)
+        assert abs(epm_char_fn(0.0, rho, rho, v, h) - 1.0) < 1e-14
 
 
 def test_char_fn_matches_distribution_sum_for_real_u():
+    # the EPM outcome distribution is the product p(k, l) = p_in[k] p_fin[l]
     h = local_hamiltonian_2q()
     gen = np.random.default_rng(43)
     for i in range(20):
-        rho = dm_from_pure(haar_pure_state(RngStream(47, i), 4))
-        channel = unitary_channel(v_axis(gen.uniform(0, np.pi), gen.uniform(0, np.pi)))
+        rho = random_rho(47, i)
+        v = v_axis(gen.uniform(0, np.pi), gen.uniform(0, np.pi))
         u = gen.uniform(-3, 3)
-        trace_form = epm_char_fn(u, rho, channel, h).value
-        sum_form = epm_distribution(rho, channel, h).char_fn(u)
-        assert abs(trace_form - sum_form) < 1e-12
+        p_in = np.diag(rho).real
+        p_fin = np.diag(v @ rho @ v.conj().T).real
+        delta_e = h.energies[None, :] - h.energies[:, None]
+        sum_form = np.sum(np.outer(p_in, p_fin) * np.exp(1j * u * delta_e))
+        assert abs(epm_char_fn(u, rho, rho, v, h) - sum_form) < 1e-12
 
 
 def test_char_fn_imaginary_u_analytic_value():
     h = local_hamiltonian_2q()
-    value = epm_char_fn(1j, dm_from_pure(plus_plus_state()), identity_channel(), h).value
+    rho = np.outer(plus_plus_state(), plus_plus_state().conj())
+    value = epm_char_fn(1j, rho, rho, IDENTITY_4, h)
     assert abs(value - math.cosh(1.0) ** 4) < 1e-12
     assert abs(value.imag) < 1e-15
 
@@ -115,44 +65,41 @@ def test_char_fn_imaginary_u_analytic_value():
 def test_chi_component_zero_for_diagonal_state():
     h = local_hamiltonian_2q()
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    _, chi = diag_and_chi(rho)
     for theta in (0.0, 0.5, 1.3):
         for phi in (0.0, 0.4, 2.5):
             for family in (v_axis, v_angle):
-                channel = unitary_channel(family(theta, phi))
+                v = family(theta, phi)
                 for u in (0.3, 1j, 2.0 - 0.5j):
-                    comp = epm_char_fn_component(u, "chi", rho, channel, h)
-                    assert abs(comp.value) == 0.0
+                    assert abs(epm_char_fn(u, rho, chi, v, h)) == 0.0
 
 
 def test_chi_component_zero_at_u_i_for_identity_channel():
     h = local_hamiltonian_2q()
     for i in range(10):
-        rho = dm_from_pure(haar_pure_state(RngStream(53, i), 4))
-        comp = epm_char_fn_component(1j, "chi", rho, identity_channel(), h)
-        assert abs(comp.value) < 1e-14
+        rho = random_rho(53, i)
+        _, chi = diag_and_chi(rho)
+        assert abs(epm_char_fn(1j, rho, chi, IDENTITY_4, h)) < 1e-14
 
 
 def test_component_decomposition_completeness():
     h = local_hamiltonian_2q()
     gen = np.random.default_rng(59)
     for i in range(200):
-        rho = dm_from_pure(haar_pure_state(RngStream(61, i), 4))
+        rho = random_rho(61, i)
         family = v_axis if gen.random() < 0.5 else v_angle
-        channel = unitary_channel(family(gen.uniform(0, np.pi), gen.uniform(0, 2 * np.pi)))
+        v = family(gen.uniform(0, np.pi), gen.uniform(0, 2 * np.pi))
         u = complex(gen.uniform(-2, 2), gen.uniform(-2, 2))
-        total = epm_char_fn(u, rho, channel, h).value
-        parts = sum(
-            epm_char_fn_component(u, which, rho, channel, h).value for which in ("P", "chi")
-        )
+        total = epm_char_fn(u, rho, rho, v, h)
+        parts = sum(epm_char_fn(u, rho, q, v, h) for q in diag_and_chi(rho))
         assert abs(total - parts) < 1e-12
 
 
 def test_chi_component_cross_checked_against_element_sum():
     # brute-force sum over n and m1 != m2 of the evolved coherence part
     h = local_hamiltonian_2q()
-    rho = dm_from_pure(plus_plus_state())
+    rho = np.outer(plus_plus_state(), plus_plus_state().conj())
     v = g_gate(np.pi / 8)
-    channel = unitary_channel(v)
     expected = 0.0 + 0.0j
     w_minus = h.exp_diag(-1.0)
     for n in range(4):
@@ -162,11 +109,5 @@ def test_chi_component_cross_checked_against_element_sum():
                     continue
                 expected += w_minus[n] * rho[m1, m2] * v[n, m1] * np.conj(v[n, m2])
     expected *= math.cosh(1.0) ** 2
-    value = epm_char_fn_component(1j, "chi", rho, channel, h).value
-    assert abs(value - expected) < 1e-12
-
-
-def test_component_rejects_unknown_label():
-    h = local_hamiltonian_2q()
-    with pytest.raises(ValidationError):
-        epm_char_fn_component(1j, "diag", dm_from_pure(plus_plus_state()), identity_channel(), h)
+    _, chi = diag_and_chi(rho)
+    assert abs(epm_char_fn(1j, rho, chi, v, h) - expected) < 1e-12

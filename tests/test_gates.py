@@ -1,17 +1,6 @@
 import numpy as np
-import pytest
 
-from epmdiag.errors import ValidationError
-from epmdiag.gates import (
-    KrausChannel,
-    g_gate,
-    phase_insensitive_distance,
-    r_gate,
-    unitary_channel,
-    v_angle,
-    v_axis,
-    waveplate_settings,
-)
+from epmdiag.gates import g_gate, r_gate, v_angle, v_axis, waveplate_settings
 from epmdiag.linalg import (
     IDENTITY_2,
     PAULI_X,
@@ -19,7 +8,6 @@ from epmdiag.linalg import (
     PAULI_Z,
     SIGMA_PLUS,
     basis_state,
-    dm_from_pure,
 )
 
 
@@ -114,37 +102,6 @@ def test_errors_leave_control_one_block_alone():
             assert np.array_equal(v[:, 2:4], raising_block)
 
 
-def test_unitary_channel_identity():
-    channel = unitary_channel(np.eye(4))
-    rho = dm_from_pure(basis_state(4, 1))
-    assert np.array_equal(channel.apply(rho), rho)
-
-
-def test_unitary_channel_pure_output():
-    v = g_gate(0.2)
-    channel = unitary_channel(v)
-    rho_out = channel.apply(dm_from_pure(basis_state(4, 0)))
-    expected = dm_from_pure(v @ basis_state(4, 0))
-    assert np.max(np.abs(rho_out - expected)) < 1e-14
-
-
-def test_unitary_channel_trace_preserving():
-    channel = unitary_channel(v_axis(0.4, 0.9))
-    total = sum(k.conj().T @ k for k in channel.kraus_ops)
-    assert np.max(np.abs(total - np.eye(4))) < 1e-12
-
-
-def test_unitary_channel_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        unitary_channel(np.diag([1.0, 1.0, 1.0, 0.5]))
-
-
-def test_kraus_channel_validates_completeness():
-    with pytest.raises(ValidationError):
-        KrausChannel(dim=2, kraus_ops=[0.5 * np.eye(2)])
-    KrausChannel(dim=2, kraus_ops=[np.eye(2) / np.sqrt(2), PAULI_Z / np.sqrt(2)])
-
-
 def test_waveplate_settings_values():
     s = waveplate_settings(0.0, 0.0)
     assert s.hwp_s1 == 0.0 and s.hwp_s2 == 0.0
@@ -157,9 +114,3 @@ def test_waveplate_settings_values():
     for theta in (0.0, 0.3, 1.2):
         s = waveplate_settings(theta, 0.0)
         assert abs((s.qwp_s1 - s.qwp_s2) - np.pi / 2) < 1e-15
-
-
-def test_phase_insensitive_distance():
-    v = v_axis(0.3, 0.4)
-    assert phase_insensitive_distance(v, np.exp(0.7j) * v) < 1e-12
-    assert phase_insensitive_distance(v, g_gate(0.3)) > 0.1

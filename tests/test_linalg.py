@@ -3,86 +3,11 @@ import pytest
 
 from epmdiag.errors import ValidationError
 from epmdiag.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
     RngStream,
-    basis_state,
-    check_density_matrix,
-    check_pure_state,
-    dm_from_pure,
     haar_pure_state,
     haar_pure_states,
     haar_random_unitary,
-    plus_plus_state,
-    tensor,
 )
-
-
-def test_tensor_sz_identity():
-    assert np.allclose(tensor(PAULI_Z, IDENTITY_2), np.diag([1, 1, -1, -1]), atol=1e-15)
-
-
-def test_tensor_identity_identity():
-    assert np.allclose(tensor(IDENTITY_2, IDENTITY_2), np.eye(4), atol=1e-15)
-
-
-def test_tensor_sx_sx():
-    expected = np.zeros((4, 4))
-    expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1.0
-    assert np.allclose(tensor(PAULI_X, PAULI_X), expected, atol=1e-15)
-
-
-def test_tensor_rejects_wrong_dims():
-    with pytest.raises(ValidationError):
-        tensor(np.eye(4), np.eye(2))
-
-
-def test_tensor_mixed_product_property():
-    gen = np.random.default_rng(11)
-    for _ in range(20):
-        a, b, c, d = (gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)) for _ in range(4))
-        lhs = tensor(a, b) @ tensor(c, d)
-        rhs = tensor(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_dm_from_pure_basis():
-    assert np.allclose(dm_from_pure(basis_state(4, 0)), np.diag([1, 0, 0, 0]), atol=1e-15)
-
-
-def test_dm_from_pure_plus_plus():
-    rho = dm_from_pure(plus_plus_state())
-    assert np.allclose(rho, np.full((4, 4), 0.25), atol=1e-15)
-
-
-def test_dm_from_pure_plus_dim2():
-    plus = np.array([1, 1]) / np.sqrt(2)
-    assert np.allclose(dm_from_pure(plus), np.full((2, 2), 0.5), atol=1e-14)
-
-
-def test_dm_trace_and_purity():
-    for i in range(20):
-        psi = haar_pure_state(RngStream(5, i), 4)
-        rho = dm_from_pure(psi)
-        assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert np.max(np.abs(rho @ rho - rho)) < 1e-12
-        check_density_matrix(rho)
-
-
-def test_pure_state_validation():
-    check_pure_state(np.array([1.0, 0.0]))
-    with pytest.raises(ValidationError):
-        check_pure_state(np.array([1.0, 1.0]))
-
-
-def test_density_matrix_validation_errors():
-    with pytest.raises(ValidationError):
-        check_density_matrix(np.array([[1, 1j], [1j, 0]], dtype=complex))  # not Hermitian
-    with pytest.raises(ValidationError):
-        check_density_matrix(np.diag([0.7, 0.7]).astype(complex))  # trace 1.4
-    with pytest.raises(ValidationError):
-        check_density_matrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
 
 
 def test_haar_state_normalized():

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from epmdiag.element_sums import (
-    coherence_fid_abs_inside,
-    element_sum_coherence_fid,
-    element_sum_kernel,
-)
+from epmdiag.element_sums import element_sum_coherence_fid, element_sum_kernel
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import (
     RngStream,
     basis_state,
-    dm_from_pure,
     haar_pure_state,
     haar_pure_states,
     haar_random_unitary,
@@ -44,8 +39,8 @@ def random_tuple(index, gen):
 def test_l1_coherence_examples():
     assert l1_coherence(np.diag([0.25] * 4)) == 0.0
     plus = np.array([1, 1]) / np.sqrt(2)
-    assert abs(l1_coherence(dm_from_pure(plus)) - 1.0) < 1e-12
-    assert abs(l1_coherence(dm_from_pure(plus_plus_state())) - 3.0) < 1e-12
+    assert abs(l1_coherence(np.outer(plus, plus.conj())) - 1.0) < 1e-12
+    assert abs(l1_coherence(np.outer(plus_plus_state(), plus_plus_state().conj())) - 3.0) < 1e-12
 
 
 def test_coherence_kernel_zero_for_equal_gates():
@@ -58,6 +53,10 @@ def test_coherence_kernel_zero_for_equal_gates():
 def test_coherence_kernel_analytic_point():
     value = kernel_coherence_fid(basis_state(4, 0), g_gate(np.pi / 8), v_axis(np.pi / 8, np.pi / 2))
     assert abs(value - 1.0) < 1e-12
+    # the |++> input of the fig3 curves, against the element-sum oracle
+    psi = plus_plus_state()
+    u, v = g_gate(np.pi / 8), v_axis(np.pi / 8, np.pi / 9)
+    assert abs(kernel_coherence_fid(psi, u, v) - element_sum_coherence_fid(psi, u, v)) < 1e-12
 
 
 def test_coherence_kernel_closed_form_grid():
@@ -74,8 +73,8 @@ def test_coherence_kernel_closed_form_grid():
             - abs(np.sin(4 * theta))
         )
         brute = abs(
-            l1_coherence(v @ dm_from_pure(psi) @ v.conj().T)
-            - l1_coherence(u @ dm_from_pure(psi) @ u.conj().T)
+            l1_coherence(v @ np.outer(psi, psi.conj()) @ v.conj().T)
+            - l1_coherence(u @ np.outer(psi, psi.conj()) @ u.conj().T)
         )
         value = kernel_coherence_fid(psi, u, v)
         assert abs(value - closed) < 1e-12
@@ -93,7 +92,7 @@ def test_fidelity_kernel_matches_trace_form():
     gen = np.random.default_rng(79)
     for i in range(30):
         psi, u, v = random_tuple(i, gen)
-        rho = dm_from_pure(psi)
+        rho = np.outer(psi, psi.conj())
         trace_form = float(
             np.real(np.trace((v @ rho @ v.conj().T) @ (u @ rho @ u.conj().T)))
         )
@@ -212,25 +211,3 @@ def test_merit_kind_lookup():
     assert MeritKind.from_name("eta_chi") is MeritKind.ETA_CHI
     with pytest.raises(ValidationError):
         MeritKind.from_name("eta_zeta")
-
-
-def test_abs_inside_variant_agrees_on_basis_inputs():
-    # single-term input states leave nothing for the inner sums to cancel,
-    # so the two coherence summation orders coincide there
-    for i in range(4):
-        psi = basis_state(4, i)
-        u, v = g_gate(0.31), v_axis(0.31, 0.52)
-        assert abs(coherence_fid_abs_inside(psi, u, v) - element_sum_coherence_fid(psi, u, v)) < 1e-12
-
-
-def test_abs_inside_variant_differs_in_general():
-    # the summation-order variant is NOT the coherence kernel for
-    # superposed inputs; record the size of the discrepancy
-    psi = plus_plus_state()
-    u, v = g_gate(np.pi / 8), v_axis(np.pi / 8, np.pi / 9)
-    canonical = element_sum_coherence_fid(psi, u, v)
-    variant = coherence_fid_abs_inside(psi, u, v)
-    assert abs(kernel_coherence_fid(psi, u, v) - canonical) < 1e-12
-    discrepancy = abs(variant - canonical)
-    print(f"abs-inside coherence variant discrepancy at (pi/8, pi/9), |++>: {discrepancy:.6f}")
-    assert discrepancy > 1e-3

@@ -4,17 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from epmdiag.energetics import (
-    epm_char_fn_component,
-    local_hamiltonian_2q,
-    split_state,
-)
+from epmdiag.element_sums import epm_char_fn
+from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ParseError, ValidationError
-from epmdiag.gates import g_gate, unitary_channel, v_axis
+from epmdiag.gates import g_gate, v_axis
 from epmdiag.linalg import (
     RngStream,
     basis_state,
-    dm_from_pure,
     haar_pure_state,
     haar_random_unitary,
     plus_plus_state,
@@ -39,6 +35,8 @@ from epmdiag.reconstruct import (
 )
 
 H = local_hamiltonian_2q()
+RHO_PP = np.outer(plus_plus_state(), plus_plus_state().conj())
+CHI_PP = RHO_PP - np.diag(np.diag(RHO_PP))
 
 
 def test_outcome_probabilities_axis_error_analytic():
@@ -68,8 +66,7 @@ def test_chi_populations_identity_channel():
 def test_chi_populations_match_matrix_oracle():
     v = v_axis(np.pi / 8, np.pi / 9)
     pops = chi_populations(gate_probability_table(v))
-    chi = split_state(dm_from_pure(plus_plus_state()), H).chi
-    direct = np.diag(unitary_channel(v).apply(chi)).real
+    direct = np.diag(v @ CHI_PP @ v.conj().T).real
     assert np.max(np.abs(pops - direct)) < 1e-12
 
 
@@ -97,9 +94,7 @@ def test_g_chi_identity_channel_is_zero():
 def test_g_chi_matches_char_fn_component():
     v = v_axis(np.pi / 8, np.pi / 9)
     from_table = g_chi_from_table(gate_probability_table(v), H)
-    component = epm_char_fn_component(
-        1j, "chi", dm_from_pure(plus_plus_state()), unitary_channel(v), H
-    ).value
+    component = epm_char_fn(1j, RHO_PP, CHI_PP, v, H)
     assert abs(from_table - component) < 1e-12
 
 
@@ -203,6 +198,16 @@ def test_transition_tensor_missing_rows():
         transition_tensor_from_tables(plan, table)
 
 
+def test_transition_tensor_returns_flags_and_leaves_table_alone():
+    # identity gate: outcome 00 has no weight on the pivots of entry (0, 3)
+    plan = protocol_plan("separable")
+    table = table_from_plan(np.eye(4), plan)
+    tensor = transition_tensor_from_tables(plan, table)
+    assert table.flags == []
+    assert tensor.flags
+    assert all("pivot populations vanish" in flag for flag in tensor.flags)
+
+
 def test_transition_tensor_least_squares_residual_on_noisy_table():
     w = haar_random_unitary(RngStream(887, 0), 4)
     plan = protocol_plan("straightforward")
@@ -233,7 +238,7 @@ def test_char_fn_from_tensor_matches_trace():
     for i in range(100):
         psi = haar_pure_state(RngStream(911, i), 4)
         value = char_fn_from_tensor(psi, tensor, H)
-        rho_out = w @ dm_from_pure(psi) @ w.conj().T
+        rho_out = w @ np.outer(psi, psi.conj()) @ w.conj().T
         reference = float(np.real(np.sum(H.exp_diag(-1.0) * np.diag(rho_out))))
         assert abs(value - reference) < 1e-9
 
@@ -300,6 +305,17 @@ def test_load_rejects_wrong_field_count():
 def test_load_rejects_non_numeric():
     text = "input,p00,p01,p10,p11\n00,1.0,zero,0.0,0.0\n"
     with pytest.raises(ParseError, match="line 2"):
+        load_probability_table(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("input,p00,p01,p10,p11\n00,nan,0.0,0.0,1.0\n", 2),
+    ("input,p00,p01,p10,p11\n00,1.0,0.0,0.0,0.0\n01,0.0,inf,0.0,0.0\n", 3),
+    ("input,p00,p01,p10,p11\n00,1.0,0.0,-inf,0.0\n", 2),
+    ("# theta = nan\ninput,p00,p01,p10,p11\n00,1.0,0.0,0.0,0.0\n", 1),
+])
+def test_load_rejects_non_finite(text, line):
+    with pytest.raises(ParseError, match=f"line {line}: non-finite"):
         load_probability_table(io.StringIO(text))
 
 

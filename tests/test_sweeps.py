@@ -7,7 +7,11 @@ import pytest
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_axis
 from epmdiag.merit import MeritKind
-from epmdiag.reconstruct import gate_probability_table, load_probability_table
+from epmdiag.reconstruct import (
+    gate_probability_table,
+    load_probability_table,
+    write_probability_table,
+)
 from epmdiag.sweeps import (
     SweepConfig,
     max_normalize,
@@ -19,7 +23,6 @@ from epmdiag.sweeps import (
     write_fig3,
     write_reconstruction,
     write_sweep,
-    write_synthetic_tables,
 )
 
 
@@ -218,8 +221,10 @@ def test_write_reconstruction_csv(tmp_path):
 
 def test_synthetic_table_files_round_trip(tmp_path):
     thetas = np.linspace(0.0, math.pi / 4, 5)
-    paths = write_synthetic_tables(tmp_path, thetas, math.pi / 9)
-    assert len(paths) == 5
+    paths = [tmp_path / f"table_{i:03d}.csv" for i in range(len(thetas))]
+    for theta, path in zip(thetas, paths):
+        write_probability_table(gate_probability_table(v_axis(theta, math.pi / 9)), path,
+                                metadata={"theta": float(theta), "phi": math.pi / 9})
     tables = [load_probability_table(p, sum_tolerance=1e-9) for p in paths]
     for theta, table in zip(thetas, tables):
         assert abs(table.metadata["theta"] - theta) < 1e-15
