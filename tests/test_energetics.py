@@ -20,6 +20,19 @@ def diag_and_chi(rho):
     return diag, rho - diag
 
 
+def delta_e_distribution(rho, v, h):
+    """p(dE) recovered from epm_char_fn by a discrete Fourier inversion.
+
+    The energies are 2, 0, 0, -2, so dE = 2m with m in -2..2 and the
+    characteristic function sampled at u = pi j / 5, j = 0..4, fixes p(m).
+    """
+    samples = [epm_char_fn(np.pi * j / 5, rho, rho, v, h) for j in range(5)]
+    return {
+        2 * m: sum(g * np.exp(-2j * np.pi * j * m / 5) for j, g in enumerate(samples)) / 5
+        for m in range(-2, 3)
+    }
+
+
 def test_local_hamiltonian_energies():
     h = local_hamiltonian_2q()
     assert list(h.energies) == [2.0, 0.0, 0.0, -2.0]
@@ -29,6 +42,45 @@ def test_exponentials_are_exact():
     h = local_hamiltonian_2q()
     assert list(h.exp_diag(-1.0)) == [math.exp(-2), 1.0, 1.0, math.exp(2)]
     assert list(h.exp_diag(1.0)) == [math.exp(2), 1.0, 1.0, math.exp(-2)]
+
+
+def test_epm_distribution_basis_state_identity_channel():
+    h = local_hamiltonian_2q()
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    dist = delta_e_distribution(rho, IDENTITY_4, h)
+    assert abs(dist[0] - 1.0) < 1e-12
+    assert all(abs(p) < 1e-12 for de, p in dist.items() if de != 0)
+    # |00> (E = 2) sent to |11> (E = -2): dE = E_final - E_initial = -4
+    flip = np.fliplr(IDENTITY_4)
+    dist = delta_e_distribution(rho, flip, h)
+    assert abs(dist[-4] - 1.0) < 1e-12
+    assert all(abs(p) < 1e-12 for de, p in dist.items() if de != -4)
+
+
+def test_epm_distribution_plus_plus_uniform():
+    # p(k, l) = 1/16 for every pair of outcomes, so p(dE) is binomial(4)/16
+    h = local_hamiltonian_2q()
+    rho = np.outer(plus_plus_state(), plus_plus_state().conj())
+    dist = delta_e_distribution(rho, IDENTITY_4, h)
+    for de, count in zip((-4, -2, 0, 2, 4), (1, 4, 6, 4, 1)):
+        assert abs(dist[de] - count / 16) < 1e-12
+
+
+def test_epm_distribution_normalized_and_factorized():
+    h = local_hamiltonian_2q()
+    for i in range(20):
+        rho = random_rho(37, i)
+        v = v_axis(0.1 * i, 0.05 * i)
+        dist = delta_e_distribution(rho, v, h)
+        assert abs(sum(dist.values()) - 1.0) < 1e-12
+        p_in = np.diag(rho).real
+        p_fin = np.diag(v @ rho @ v.conj().T).real
+        expected = dict.fromkeys(dist, 0.0)
+        for k in range(4):
+            for l in range(4):
+                expected[h.energies[l] - h.energies[k]] += p_in[k] * p_fin[l]
+        for de, p in dist.items():
+            assert abs(p - expected[de]) < 1e-12
 
 
 def test_char_fn_at_zero_is_one():
