@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from .sweeps import (
     DEFAULT_SAMPLES,
     ERROR_FAMILIES,
     SweepConfig,
+    _json_text,
     preset_fig1,
     preset_fig3,
     run_reconstruction,
@@ -190,6 +190,9 @@ def _cmd_reconstruct(args) -> None:
 
 
 def _cmd_protocol(args) -> None:
+    angles = [args.phase_theta] + [x for x in (args.theta, args.phi) if x is not None]
+    if not all(math.isfinite(x) for x in angles):
+        raise ValidationError("--phase-theta, --theta and --phi must be finite")
     plan = protocol_plan(args.kind, phase_theta=args.phase_theta)
     doc = {
         "kind": plan.kind,
@@ -210,7 +213,7 @@ def _cmd_protocol(args) -> None:
             "hwp_s1": settings.hwp_s1, "hwp_s2": settings.hwp_s2,
             "qwp_s1": settings.qwp_s1, "qwp_s2": settings.qwp_s2,
         }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
 
 
 def _cmd_haar_avg(args) -> None:
@@ -225,8 +228,8 @@ def _cmd_haar_avg(args) -> None:
     if args.output_format == "json":
         rows = [{"merit": r.merit, "mean": r.mean, "std_error": r.std_error,
                  "n_samples": r.n_samples, "seed": args.seed} for r in records]
-        text = json.dumps({"theta": args.theta, "phi": args.phi, "error_family": args.error,
-                           "results": rows}, indent=2) + "\n"
+        text = _json_text({"theta": args.theta, "phi": args.phi, "error_family": args.error,
+                           "results": rows})
     else:
         lines = ["merit,mean,std_error,n_samples,seed"]
         for r in records:

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-)
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 
 
 def r_gate(theta: float) -> np.ndarray:
@@ -35,23 +28,37 @@ def r_gate(theta: float) -> np.ndarray:
     return np.cos(2 * theta) * PAULI_Z + np.sin(2 * theta) * PAULI_X
 
 
+def _controlled(block: np.ndarray) -> np.ndarray:
+    """s+ (x) I + s- (x) block, written out without np.kron.
+
+    s+ (x) I puts ones at (0, 2) and (1, 3); s- (x) block fills the
+    lower-left 2x2 corner. Adding 0.0 turns every -0.0 of the block into
+    +0.0, as adding the zeros of the other Kronecker term does, so the
+    result equals the kron sum bit for bit.
+    """
+    gate = np.zeros((4, 4), dtype=complex)
+    gate[0, 2] = gate[1, 3] = 1.0
+    gate[2:, :2] = block + 0.0
+    return gate
+
+
 def g_gate(theta: float) -> np.ndarray:
     """Ideal conditional two-qubit gate s+ (x) I + s- (x) R(theta)."""
-    return np.kron(SIGMA_PLUS, IDENTITY_2) + np.kron(SIGMA_MINUS, r_gate(theta))
+    return _controlled(r_gate(theta))
 
 
 def v_axis(theta: float, phi: float) -> np.ndarray:
     """Rotation-axis error unitary: the target rotation axis is tilted by phi.
 
-    Returns s+ (x) I + i s- (x) (-i)(n~ . sigma). Equals g_gate(theta)
-    when phi = 0.
+    Returns s+ (x) I + i s- (x) (-i)(n~ . sigma); the phases i (-i)
+    cancel exactly, so the block is built as n~ . sigma. Equals
+    g_gate(theta) when phi = 0.
     """
     cos_phi = np.cos(phi)
     nx = np.sin(2 * theta) * cos_phi
     ny = np.sin(phi)
     nz = np.cos(2 * theta) * cos_phi
-    tilted = -1j * (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z)
-    return np.kron(SIGMA_PLUS, IDENTITY_2) + 1j * np.kron(SIGMA_MINUS, tilted)
+    return _controlled(nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z)
 
 
 def v_angle(theta: float, phi: float) -> np.ndarray:
@@ -65,7 +72,7 @@ def v_angle(theta: float, phi: float) -> np.ndarray:
     cos_alpha = -np.sin(phi / 2)
     sin_alpha = np.cos(phi / 2)
     block = 1j * cos_alpha * IDENTITY_2 + sin_alpha * r_gate(theta)
-    return np.kron(SIGMA_PLUS, IDENTITY_2) + np.kron(SIGMA_MINUS, block)
+    return _controlled(block)
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,18 @@ def haar_pure_states(rng: RngStream, dim: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
     gauss = rng.generator().standard_normal((n, 2 * dim))
-    z = gauss[:, :dim] + 1j * gauss[:, dim:]
-    norms = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=1))
-    return z / norms[:, None]
+    squares = gauss * gauss
+    # |z_0|^2 + |z_1|^2 + ... summed left to right, as np.sum does along a row.
+    norms_sq = squares[:, 0] + squares[:, dim]
+    for k in range(1, dim):
+        norms_sq += squares[:, k] + squares[:, dim + k]
+    # Dividing a complex array by a real one multiplies by the reciprocal, so
+    # scaling the two real halves by 1/norm gives the same bits as z / norm.
+    scale = (1.0 / np.sqrt(norms_sq))[:, None]
+    states = np.empty((n, dim), dtype=complex)
+    np.multiply(gauss[:, :dim], scale, out=states.real)
+    np.multiply(gauss[:, dim:], scale, out=states.imag)
+    return states
 
 
 def haar_pure_state(rng: RngStream, dim: int) -> np.ndarray:

@@ -63,15 +63,88 @@ def l1_coherence(rho: np.ndarray) -> float:
     return float(np.sum(magnitudes) - np.sum(np.diag(magnitudes)))
 
 
-def _pure_l1(amplitudes: np.ndarray) -> np.ndarray:
-    """l1 coherence of |phi><phi| per batch row: (sum|phi_i|)^2 - sum|phi_i|^2."""
-    mags = np.abs(amplitudes)
-    return np.sum(mags, axis=1) ** 2 - np.sum(mags**2, axis=1)
+def _total(arrays: list[np.ndarray], n: int) -> np.ndarray:
+    """Sum of same-shape arrays, left to right; zeros(n) when there are none."""
+    if not arrays:
+        return np.zeros(n)
+    total = arrays[0]
+    for array in arrays[1:]:
+        total = total + array
+    return total
 
 
-def _diag_weights(v: np.ndarray, w_minus: np.ndarray) -> np.ndarray:
-    """Per-column weights W_m = sum_n w_minus[n] |v[n, m]|^2."""
-    return (v.real**2 + v.imag**2).T @ w_minus
+def _weighted_sum(pairs, n: int) -> np.ndarray:
+    """Sum of coef * column over (coef, column) pairs.
+
+    Zero coefficients are skipped and unit ones are not multiplied, which
+    leaves the result unchanged but keeps structured gates cheap.
+    """
+    return _total([column if coef == 1 else coef * column
+                   for coef, column in pairs if coef != 0], n)
+
+
+def _output_rows(
+    states: np.ndarray, u_ideal: np.ndarray, v_noisy: np.ndarray
+) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """Output amplitudes (U psi)_m and (V psi)_m per batch row, one array per m.
+
+    Returns the amplitudes of the rows m where U and V are equal, computed
+    once, and the ((U psi)_m, (V psi)_m) pairs of the rows where they
+    differ. Each amplitude is an elementwise sum over the non-zero entries
+    of the gate row: no matrix product, so no BLAS.
+    """
+    n = len(states)
+    columns = [states[:, k] for k in range(states.shape[1])]
+    shared, differing = [], []
+    for u_row, v_row in zip(u_ideal.tolist(), v_noisy.tolist()):
+        a = _weighted_sum(zip(u_row, columns), n)
+        if v_row == u_row:
+            shared.append(a)
+        else:
+            differing.append((a, _weighted_sum(zip(v_row, columns), n)))
+    return shared, differing
+
+
+def _norm_sq(a: np.ndarray) -> np.ndarray:
+    """|a|^2 elementwise, in real arithmetic."""
+    return a.real * a.real + a.imag * a.imag
+
+
+def _form_difference(u_ideal: np.ndarray, v_noisy: np.ndarray,
+                     hamiltonian: LocalHamiltonian) -> dict[tuple[int, int], complex]:
+    """Non-zero entries M_kl, k <= l, of M = V^dag e^-H V - U^dag e^-H U.
+
+    M_kl = sum_m e^-E_m (conj(V_mk) V_ml - conj(U_mk) U_ml). Rows m where V
+    and U are equal add nothing and are skipped, so M is empty when V
+    equals U, and for the controlled gates only the control-0 block is left.
+    """
+    form: dict[tuple[int, int], complex] = {}
+    weights = hamiltonian.exp_diag(-1.0).tolist()
+    for w, u_row, v_row in zip(weights, u_ideal.tolist(), v_noisy.tolist()):
+        if v_row == u_row:
+            continue
+        cols = [k for k, (x, y) in enumerate(zip(u_row, v_row)) if x != 0 or y != 0]
+        for i, k in enumerate(cols):
+            for l in cols[i:]:
+                term = w * (v_row[k].conjugate() * v_row[l] - u_row[k].conjugate() * u_row[l])
+                form[k, l] = form.get((k, l), 0) + term
+    return {kl: value for kl, value in form.items() if value != 0}
+
+
+def _s_p(form: dict[tuple[int, int], complex], pops: np.ndarray) -> np.ndarray:
+    """sum_k |psi_k|^2 M_kk over the non-zero diagonal entries of M."""
+    return _weighted_sum(((m.real, pops[:, k]) for (k, l), m in form.items() if k == l),
+                         len(pops))
+
+
+def _s_chi(form: dict[tuple[int, int], complex], states: np.ndarray) -> np.ndarray:
+    """2 Re sum_{k<l} conj(psi_k) psi_l M_kl over the non-zero entries of M."""
+    terms = []
+    for (k, l), m in form.items():
+        if k < l:
+            t = (2 * m) * states[:, l]
+            terms.append(states[:, k].real * t.real + states[:, k].imag * t.imag)
+    return _total(terms, len(states))
 
 
 def eta_signed_traces(
@@ -84,16 +157,16 @@ def eta_signed_traces(
 
     Each entry is Tr[e^-H (V Q V^dag - U Q U^dag)] before any absolute
     value, with Q the diagonal part, the coherence part and the full rho.
-    The chi entry is the exact difference of the other two.
+    With M = V^dag e^-H V - U^dag e^-H U they are the quadratic forms
+    s_p = sum_k |psi_k|^2 M_kk, s_chi = 2 Re sum_{k<l} conj(psi_k) psi_l M_kl
+    and s_p + s_chi. When V equals U all three are exactly 0.
     """
     states = np.atleast_2d(np.asarray(states, dtype=complex))
-    w_minus = hamiltonian.exp_diag(-1.0)
-    a = states @ u_ideal.T
-    b = states @ v_noisy.T
-    pops0 = states.real**2 + states.imag**2
-    s_epm = (b.real**2 + b.imag**2) @ w_minus - (a.real**2 + a.imag**2) @ w_minus
-    s_p = pops0 @ (_diag_weights(v_noisy, w_minus) - _diag_weights(u_ideal, w_minus))
-    return s_p, s_epm - s_p, s_epm
+    form = _form_difference(np.asarray(u_ideal, dtype=complex),
+                            np.asarray(v_noisy, dtype=complex), hamiltonian)
+    s_p = _s_p(form, _norm_sq(states))
+    s_chi = _s_chi(form, states)
+    return s_p, s_chi, s_p + s_chi
 
 
 def kernel_values(
@@ -103,39 +176,60 @@ def kernel_values(
     v_noisy: np.ndarray,
     hamiltonian: LocalHamiltonian | None = None,
 ) -> np.ndarray:
-    """Evaluate one merit kernel on a batch of pure states (rows of `states`)."""
+    """Evaluate one merit kernel on a batch of pure states (rows of `states`).
+
+    Every kernel is elementwise arithmetic on the amplitude columns; none
+    calls a matrix product, so none wakes the BLAS threads.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=complex))
     u_ideal = np.asarray(u_ideal, dtype=complex)
     v_noisy = np.asarray(v_noisy, dtype=complex)
+    n = len(states)
 
     if kind is MeritKind.FIDELITY:
-        a = states @ u_ideal.T
-        b = states @ v_noisy.T
-        overlap = np.einsum("ij,ij->i", a.conj(), b)
-        norm_a = np.einsum("ij,ij->i", a.conj(), a).real
-        norm_b = np.einsum("ij,ij->i", b.conj(), b).real
-        fid = (overlap.real**2 + overlap.imag**2) / (norm_a * norm_b)
+        # |<a|b>|^2 / (|a|^2 |b|^2) in real arithmetic. The rows U and V
+        # share add the same sum to the overlap and to both norms, so V
+        # equal to U gives exactly 1.
+        shared, differing = _output_rows(states, u_ideal, v_noisy)
+        common = _total([_norm_sq(a) for a in shared], n)
+        overlap_re = _total([common] + [a.real * b.real + a.imag * b.imag
+                                        for a, b in differing], n)
+        overlap_im = _total([a.real * b.imag - a.imag * b.real for a, b in differing], n)
+        norm_a = _total([common] + [_norm_sq(a) for a, _ in differing], n)
+        norm_b = _total([common] + [_norm_sq(b) for _, b in differing], n)
+        fid = (overlap_re * overlap_re + overlap_im * overlap_im) / (norm_a * norm_b)
         return np.minimum(fid, 1.0)
 
     if kind is MeritKind.COHERENCE_FIDELITY:
-        a = states @ u_ideal.T
-        b = states @ v_noisy.T
-        return np.abs(_pure_l1(b) - _pure_l1(a))
+        # C_l1 = (sum_m |phi_m|)^2 - sum_m |phi_m|^2. With S the sum of |a_m|
+        # over the shared rows and S_x, Q_x the sums of |x_m| and |x_m|^2 over
+        # the rows where the gates differ, the shared rows drop out of the
+        # squared norms: C_l1(b) - C_l1(a) = (S_b - S_a)(2 S + S_a + S_b) - (Q_b - Q_a).
+        shared, differing = _output_rows(states, u_ideal, v_noisy)
+        common = _total([np.abs(a) for a in shared], n)
+        mags = [(np.abs(a), np.abs(b)) for a, b in differing]
+        s_a = _total([m_a for m_a, _ in mags], n)
+        s_b = _total([m_b for _, m_b in mags], n)
+        q_diff = _total([m_b * m_b - m_a * m_a for m_a, m_b in mags], n)
+        return np.abs((s_b - s_a) * (2 * common + s_a + s_b) - q_diff)
 
     if kind in ETA_KINDS:
         if hamiltonian is None:
             raise ValidationError(f"merit {kind.value} requires a Hamiltonian")
+        form = _form_difference(u_ideal, v_noisy, hamiltonian)
+        pops = _norm_sq(states)
+        w_plus = hamiltonian.exp_diag(1.0).tolist()
         if kind is MeritKind.ETA_TPM:
-            w_minus = hamiltonian.exp_diag(-1.0)
-            w_plus = hamiltonian.exp_diag(1.0)
-            pops0 = states.real**2 + states.imag**2
-            delta = _diag_weights(v_noisy, w_minus) - _diag_weights(u_ideal, w_minus)
-            return np.abs(pops0 @ (w_plus * delta))
-        pops0 = states.real**2 + states.imag**2
-        mean_exp_h = pops0 @ hamiltonian.exp_diag(1.0)
-        s_p, s_chi, s_epm = eta_signed_traces(states, u_ideal, v_noisy, hamiltonian)
-        signed = {MeritKind.ETA_P: s_p, MeritKind.ETA_CHI: s_chi, MeritKind.ETA_EPM: s_epm}
-        return mean_exp_h * np.abs(signed[kind])
+            return np.abs(_weighted_sum(((w_plus[k] * m.real, pops[:, k])
+                                         for (k, l), m in form.items() if k == l), n))
+        mean_exp_h = _weighted_sum(((w, pops[:, k]) for k, w in enumerate(w_plus)), n)
+        if kind is MeritKind.ETA_P:
+            signed = _s_p(form, pops)
+        elif kind is MeritKind.ETA_CHI:
+            signed = _s_chi(form, states)
+        else:
+            signed = _s_p(form, pops) + _s_chi(form, states)
+        return mean_exp_h * np.abs(signed)
 
     raise ValidationError(f"unknown merit kind {kind!r}")
 

@@ -317,8 +317,10 @@ def load_probability_table(
     set), never rejected: counting data is allowed to be noisy. Structural
     problems (bad header, wrong field count, non-numeric or non-finite
     values) raise ParseError with the line number; duplicate labels raise
-    ValidationError.
+    ValidationError, as does a non-finite or negative `sum_tolerance`.
     """
+    if not (math.isfinite(sum_tolerance) and sum_tolerance >= 0):
+        raise ValidationError(f"sum tolerance must be finite and >= 0, got {sum_tolerance!r}")
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     elif isinstance(source, bytes):

@@ -157,6 +157,22 @@ def test_protocol_command(tmp_path):
     assert not all(state["separable"] for state in doc["states"])
 
 
+def test_protocol_non_finite_phase_theta_exit_code():
+    result = run_cli("protocol", "--kind", "separable", "--phase-theta", "nan")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr and "finite" in result.stderr
+    assert result.stdout == ""
+
+
+def test_protocol_non_finite_waveplate_angle_exit_code(tmp_path):
+    out = tmp_path / "plan.json"
+    result = run_cli("protocol", "--kind", "separable", "--theta", "inf", "--phi", "0",
+                     "--out", str(out))
+    assert result.returncode == 2
+    assert "finite" in result.stderr
+    assert not out.exists()
+
+
 def test_haar_avg_command():
     result = run_cli(
         "haar-avg", "--theta", "0.4", "--phi", "0.0", "--merit", "eta_chi",
@@ -239,3 +255,22 @@ def test_public_api_is_what_cli_or_readme_uses():
     used = (root / "src" / "epmdiag" / "cli.py").read_text() + (root / "README.md").read_text()
     unused = [name for name in epmdiag.__all__ if not re.search(rf"\b{name}\b", used)]
     assert unused == []
+
+
+def test_reconstruct_bad_sum_tolerance_exit_code(tmp_path):
+    # the ++ row sums to 0.9: the default tolerance flags it; nan would flag
+    # nothing and -1 every row, so both are refused before any output
+    table = tmp_path / "t.csv"
+    table.write_text("# theta = 0.1\ninput,p00,p01,p10,p11\n00,0,0,1,0\n01,0,0,0,1\n"
+                     "10,1,0,0,0\n11,0,1,0,0\n++,0.2,0.2,0.25,0.25\n")
+    out = tmp_path / "r.csv"
+    result = run_cli("reconstruct", "--measured", str(table), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert "'++' sums to" in result.stderr
+    out.unlink()
+    for tolerance in ("nan", "-1"):
+        result = run_cli("reconstruct", "--measured", str(table), "--sum-tolerance", tolerance,
+                         "--out", str(out))
+        assert result.returncode == 2, tolerance
+        assert "sum tolerance" in result.stderr
+        assert not out.exists()

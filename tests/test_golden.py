@@ -21,32 +21,32 @@ NUMPY_VERSION = "2.4.6"
 
 GOLDEN = {
     "sweep-axis-csv": {
-        "out.csv": "89aaea503b08439da17dc06041c8e664643b064d6ca4cd55faae8d4375e19b9d",
+        "out.csv": "aad3a863cfe25f75b039108c2075833c35a8ce11f980f390c0104e884eb1396e",
         "out.meta.json": "eb0fb84c8dc2c36803ec74a07fe1edecdb7debe445b6d8a03e97bbf8bb49a66c",
     },
     "sweep-axis-json": {
-        "out.json": "ab79494e8e88796c336f6e37d68bce74cc4acefba8f973b4845a3ae2300d8c65",
+        "out.json": "fc888cdd4393ae91f1bd62100505fc657a20da4557bf7db50aa67102e1592bbb",
     },
     "sweep-angle-csv": {
-        "out.csv": "768bab7e40a47398d2ac95871bb64a2dcbfcf99955586468f4eb76fab589dcc7",
+        "out.csv": "ad76b90fc1919fe4f11c3345b0630871d2de08bc56f5a181abde8002584306d9",
         "out.meta.json": "e714cf03ccb7e97c7788bb7451cc0208cd225a91db9b37492dc3a43920d86a10",
     },
     "sweep-angle-json": {
-        "out.json": "5a9aa697da11166c39f9b5ee75482df09a1bcc6322ee085d37672554bab5033c",
+        "out.json": "6c19eaff4488a335d4ee4cf0a20a5e62d78331965d7273fd5d1ee6fb63332ad9",
     },
     "fig3-csv": {
-        "out.csv": "11b70ef8ecedc72a2332605c7b687343022fe0087d3b4cb072376491956cafd6",
+        "out.csv": "e3b7c90a7a17bed9c0a019c1739f5f17a1aab1744c192c74d36bd07bc4c4bf49",
         "out.meta.json": "7c91f5c7e6d6f46e1a07c06fb7cbc28b5460a53bcc62f4ebc8e18675b714a5a6",
     },
     "fig3-json": {
-        "out.json": "918ae71e1c977b904744d71c212843c2cce8bd03b7b3eb0a5d5a3e67a033d3e5",
+        "out.json": "6cdb7a79e9b714ae426cdea06aa66750fc98abb11ce9c2c445a16fa302491731",
     },
     "reconstruct-phi-csv": {
-        "out.csv": "d46578694f3a7ec21c6ff21145f2608f02ce85bc7d1e8f6a8a46660c742626fc",
+        "out.csv": "dc41460942d05b4fab0d0cca7c7f716db0ea04463e78cece181756736c3f203b",
         "out.meta.json": "9721d97e59cc08416176b5d594b7d6c22f35be4b8d281c552f26880461035a03",
     },
     "reconstruct-phi-json": {
-        "out.json": "4274332128581399c3510cae57d3e50a940cdfc1999611caa5d906e5f7cdfdf0",
+        "out.json": "2a036a3efb24bb58920259343569f71ec1bce9f7db78dc7cb2d3afa49a516417",
     },
     "reconstruct-nophi-csv": {
         "out.csv": "7b69b4e035e730da6113a653e86656822577f63ed691cffa1dcba480fcadb3d1",

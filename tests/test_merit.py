@@ -151,15 +151,24 @@ def test_all_kernels_match_element_sums():
         for kind in MeritKind:
             fast = float(kernel_values(kind, psi, u, v, H)[0])
             slow = element_sum_kernel(kind, psi, u, v, H)
-            assert abs(fast - slow) < 1e-10, kind
+            assert abs(fast - slow) < 1e-12, kind
 
 
 def test_signed_traces_decompose_exactly():
     gen = np.random.default_rng(101)
     states = haar_pure_states(RngStream(103, 0), 4, 200)
-    u, v = g_gate(0.77), v_axis(0.77, gen.uniform(0, np.pi))
-    s_p, s_chi, s_epm = eta_signed_traces(states, u, v, H)
-    assert np.max(np.abs(s_p + s_chi - s_epm)) < 1e-12
+    w_minus = np.diag(H.exp_diag(-1.0))
+    dense = (haar_random_unitary(RngStream(105, 0), 4), haar_random_unitary(RngStream(105, 1), 4))
+    for u, v in ((g_gate(0.77), v_axis(0.77, gen.uniform(0, np.pi))), dense):
+        s_p, s_chi, s_epm = eta_signed_traces(states, u, v, H)
+        assert np.max(np.abs(s_p + s_chi - s_epm)) < 1e-12
+        # each signed entry against its trace Tr[e^-H (V Q V^dag - U Q U^dag)]
+        for i in range(0, 200, 10):
+            rho = np.outer(states[i], states[i].conj())
+            diag = np.diag(np.diag(rho))
+            for q, signed in ((diag, s_p), (rho - diag, s_chi), (rho, s_epm)):
+                trace = np.trace(w_minus @ (v @ q @ v.conj().T - u @ q @ u.conj().T)).real
+                assert abs(signed[i] - trace) < 1e-12
 
 
 def test_haar_unitary_invariance_of_average():
@@ -211,3 +220,24 @@ def test_merit_kind_lookup():
     assert MeritKind.from_name("eta_chi") is MeritKind.ETA_CHI
     with pytest.raises(ValidationError):
         MeritKind.from_name("eta_zeta")
+
+
+def test_fidelity_error_bars_calibrated_against_closed_form():
+    # Haar average of |<psi|U^dag V|psi>|^2 over d = 4 is (|Tr U^dag V|^2 + 4) / 20
+    # (Horodecki et al. 1999; Nielsen 2002). z = (mean - exact) / std_error at
+    # 5000 samples should then be close to N(0, 1), which checks the estimator,
+    # its ddof=1 standard error and the Philox draw together.
+    gen = np.random.default_rng(2718)
+    z = []
+    for i in range(80):
+        family = (v_axis, v_angle)[i % 2]
+        theta, phi = gen.uniform(0, np.pi), gen.uniform(-np.pi, np.pi)
+        u, v = g_gate(theta), family(theta, phi)
+        exact = (abs(np.sum(u.conj() * v)) ** 2 + 4) / 20
+        avg = haar_average(MeritKind.FIDELITY, u, v, H, n_samples=5000, seed=900 + i)
+        z.append((avg.mean - exact) / avg.std_error)
+    z = np.abs(np.array(z))
+    assert np.mean(z <= 2) >= 0.9, np.sort(z)[-10:]
+    assert np.max(z) <= 5, np.max(z)
+    # and not inflated: about 68 % of |z| fall within 1 for calibrated error bars
+    assert np.mean(z <= 1) <= 0.85, np.mean(z <= 1)

@@ -319,6 +319,12 @@ def test_load_rejects_non_finite(text, line):
         load_probability_table(io.StringIO(text))
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+def test_load_rejects_bad_sum_tolerance(tolerance):
+    with pytest.raises(ValidationError, match="sum tolerance"):
+        load_probability_table(io.StringIO(WELL_FORMED), sum_tolerance=tolerance)
+
+
 def test_load_rejects_duplicate_labels():
     text = "input,p00,p01,p10,p11\n00,1,0,0,0\n00,0,1,0,0\n"
     with pytest.raises(ValidationError, match="duplicate"):
