@@ -3,7 +3,11 @@
 Each case runs the `epmdiag` CLI in-process and hashes every file it
 writes: small sweeps for both error families with all six merits, one
 fig3, and a reconstruction over synthetic tables with and without phi,
-each as CSV (+ sidecar) and as JSON. The digests depend on the numpy/BLAS
+each as CSV (+ sidecar) and as JSON. Three more CSV sweeps sit on the
+edges of how a theta row is split into evaluation calls: one sample per
+point, more samples than one call holds, and rows of five points split
+unevenly, on a grid with theta from exactly 0 and phi symmetric about an
+exact 0.0. The digests depend on the numpy/BLAS
 build that computed them, so the test skips when numpy is a different
 version. Regenerate a digest only together with a CHANGES.md entry that
 declares the byte change.
@@ -55,6 +59,18 @@ GOLDEN = {
     "reconstruct-nophi-json": {
         "out.json": "4cc541dd9693ef0b7bfe31ad092612f960c2b7615c80adf88d92255a812255ea",
     },
+    "sweep-one-sample-csv": {
+        "out.csv": "c915da37de21ad9196cb6ef0c41fdf8c93fcec36522617d21a37826f574eb890",
+        "out.meta.json": "22fd3b37f624894c02bd98d10e693bcb33c27d44e3bc1cc6517b58a4e236ffb0",
+    },
+    "sweep-one-point-per-call-csv": {
+        "out.csv": "e8b92c9fe5003ad75c5ff480b3f9998044d17af6f7d2845d04b7ba01436d8a75",
+        "out.meta.json": "faa4f4dff9bf3031043643ff5b30bed8a475f0104823f3e88f1b70fd697f11dd",
+    },
+    "sweep-uneven-rows-csv": {
+        "out.csv": "189480f8acdc6f8f287f3626d313f4b5148cc045b1bcd6ee3ad5313ca87f4982",
+        "out.meta.json": "ee8aa8878a9ba2ab07d1cdff4646e56a0f73397af51b9d7d681e236943f48aeb",
+    },
 }
 
 TABLE_PHI = 0.35
@@ -79,12 +95,26 @@ def _write_tables(directory):
     return paths
 
 
+# Sweeps on the edges of the per-call state budget, all six merits.
+BATCH_EDGE_SWEEPS = {
+    "sweep-one-sample": ["--error", "axis", "--resolution", "4", "--samples", "1",
+                         "--seed", "17"],
+    "sweep-one-point-per-call": ["--error", "angle", "--resolution", "2",
+                                 "--samples", "8200", "--seed", "19"],
+    "sweep-uneven-rows": ["--error", "axis", "--theta-range", "0", "1.1",
+                          "--phi-range", "-0.6", "0.6", "--resolution", "5",
+                          "--samples", "3000", "--seed", "23"],
+}
+
+
 def _argv(case, tmp_path):
     name, output_format = case.rsplit("-", 1)
     out = tmp_path / f"out.{output_format}"
     tail = ["--format", output_format, "--out", str(out)]
+    merits = [arg for kind in MeritKind for arg in ("--merit", kind.value)]
+    if name in BATCH_EDGE_SWEEPS:
+        return ["sweep", *BATCH_EDGE_SWEEPS[name], *merits, *tail]
     if name.startswith("sweep-"):
-        merits = [arg for kind in MeritKind for arg in ("--merit", kind.value)]
         return ["sweep", "--error", name[len("sweep-"):], "--resolution", "5",
                 "--samples", "500", "--seed", "17", *merits, *tail]
     if name == "fig3":
@@ -95,7 +125,7 @@ def _argv(case, tmp_path):
 
 CASES = [f"{name}-{fmt}" for name in ("sweep-axis", "sweep-angle", "fig3",
                                       "reconstruct-phi", "reconstruct-nophi")
-         for fmt in ("csv", "json")]
+         for fmt in ("csv", "json")] + [f"{name}-csv" for name in BATCH_EDGE_SWEEPS]
 
 
 def digests(case, tmp_path):

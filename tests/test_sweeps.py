@@ -6,7 +6,7 @@ import pytest
 
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_axis
-from epmdiag.merit import MeritKind
+from epmdiag.merit import MERIT_ORDINAL, MeritKind
 from epmdiag.reconstruct import (
     gate_probability_table,
     load_probability_table,
@@ -85,6 +85,22 @@ def test_point_seed_depends_on_all_inputs():
     assert point_seed(0, 1, MeritKind.ETA_CHI) != base
     assert point_seed(1, 0, MeritKind.ETA_CHI) != base
     assert point_seed(0, 0, MeritKind.COHERENCE_FIDELITY) != base
+
+
+SEED_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3, 2**130 + 99)
+SEED_INDICES = (0, 1, 2, 40, 6560, 2**31, 2**32 - 2, 2**32 - 1)
+
+
+def _seed_sequence_word(master, gi, kind):
+    seq = np.random.SeedSequence(master, spawn_key=(gi, MERIT_ORDINAL[kind]))
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+def test_point_seed_is_the_seed_sequence_word():
+    for master in SEED_MASTERS:
+        for kind in MeritKind:
+            for gi in SEED_INDICES:
+                assert point_seed(master, gi, kind) == _seed_sequence_word(master, gi, kind)
 
 
 def test_default_phi_ranges():
