@@ -8,6 +8,7 @@ seeded, reproducible Haar sampling backed by a counter-based bit generator.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,31 +61,45 @@ def plus_plus_state() -> np.ndarray:
     return np.full(4, 0.5, dtype=complex)
 
 
-def haar_pure_states(rng: RngStream, dim: int, n: int) -> np.ndarray:
+def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int) -> np.ndarray:
     """Draw n Haar-random pure states as the rows of an (n, dim) array.
 
     Each row is an i.i.d. standard complex Gaussian vector normalized to
     unit length (the exact Haar construction). Rows are filled from the
     stream in order, so row 0 equals the single-state draw from the same
-    stream and prefixes of a batch are batch-size independent.
+    stream and prefixes of a batch are batch-size independent. A sequence
+    of B streams gives a (B, n, dim) stack whose slice b equals the draw
+    from stream b alone.
     """
     if dim not in SUPPORTED_DIMS:
         raise ValidationError(f"unsupported dimension {dim}, expected one of {SUPPORTED_DIMS}")
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
-    gauss = rng.generator().standard_normal((n, 2 * dim))
+    streams = [rng] if isinstance(rng, RngStream) else list(rng)
+    gauss = np.empty((len(streams), n, 2 * dim))
+    # One Philox re-keyed per stream: a fresh key with counter 0 and an empty
+    # buffer is the state Philox(key=...) starts from, at a fraction of the
+    # cost of building a generator per stream.
+    bit_generator = np.random.Philox(key=0)
+    generator = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for out, stream in zip(gauss, streams):
+        state["state"]["key"] = np.array(
+            [stream.master_seed & _MASK64, stream.stream_index & _MASK64], dtype=np.uint64)
+        bit_generator.state = state
+        generator.standard_normal(out=out)
     squares = gauss * gauss
     # |z_0|^2 + |z_1|^2 + ... summed left to right, as np.sum does along a row.
-    norms_sq = squares[:, 0] + squares[:, dim]
+    norms_sq = squares[..., 0] + squares[..., dim]
     for k in range(1, dim):
-        norms_sq += squares[:, k] + squares[:, dim + k]
+        norms_sq += squares[..., k] + squares[..., dim + k]
     # Dividing a complex array by a real one multiplies by the reciprocal, so
     # scaling the two real halves by 1/norm gives the same bits as z / norm.
-    scale = (1.0 / np.sqrt(norms_sq))[:, None]
-    states = np.empty((n, dim), dtype=complex)
-    np.multiply(gauss[:, :dim], scale, out=states.real)
-    np.multiply(gauss[:, dim:], scale, out=states.imag)
-    return states
+    scale = (1.0 / np.sqrt(norms_sq))[..., None]
+    states = np.empty(gauss.shape[:-1] + (dim,), dtype=complex)
+    np.multiply(gauss[..., :dim], scale, out=states.real)
+    np.multiply(gauss[..., dim:], scale, out=states.imag)
+    return states[0] if isinstance(rng, RngStream) else states
 
 
 def haar_pure_state(rng: RngStream, dim: int) -> np.ndarray:

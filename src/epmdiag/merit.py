@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,45 +64,57 @@ def l1_coherence(rho: np.ndarray) -> float:
     return float(np.sum(magnitudes) - np.sum(np.diag(magnitudes)))
 
 
-def _total(arrays: list[np.ndarray], n: int) -> np.ndarray:
-    """Sum of same-shape arrays, left to right; zeros(n) when there are none."""
+def _total(arrays: list[np.ndarray], shape) -> np.ndarray:
+    """Sum of same-shape arrays, left to right; zeros(shape) when there are none."""
     if not arrays:
-        return np.zeros(n)
+        return np.zeros(shape)
     total = arrays[0]
     for array in arrays[1:]:
         total = total + array
     return total
 
 
-def _weighted_sum(pairs, n: int) -> np.ndarray:
+def _category(coef) -> int:
+    """How a weighted sum treats a coefficient: skipped (0), added unscaled (1)
+    or multiplied in (2)."""
+    return 0 if coef == 0 else 1 if coef == 1 else 2
+
+
+def _weighted_sum(pairs, shape) -> np.ndarray:
     """Sum of coef * column over (coef, column) pairs.
 
-    Zero coefficients are skipped and unit ones are not multiplied, which
-    leaves the result unchanged but keeps structured gates cheap.
+    A coefficient is a number, or a (G, 1) column of one number per gate
+    whose entries share one _category. Zero coefficients are skipped and
+    unit ones are not multiplied, which leaves the result unchanged but
+    keeps structured gates cheap.
     """
-    return _total([column if coef == 1 else coef * column
-                   for coef, column in pairs if coef != 0], n)
+    terms = []
+    for coef, column in pairs:
+        category = _category(coef if np.ndim(coef) == 0 else coef[0, 0])
+        if category:
+            terms.append(column if category == 1 else coef * column)
+    return _total(terms, shape)
 
 
 def _output_rows(
-    states: np.ndarray, u_ideal: np.ndarray, v_noisy: np.ndarray
+    states: np.ndarray, u_rows: list, v_rows: list, equal: tuple[bool, ...]
 ) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
     """Output amplitudes (U psi)_m and (V psi)_m per batch row, one array per m.
 
-    Returns the amplitudes of the rows m where U and V are equal, computed
-    once, and the ((U psi)_m, (V psi)_m) pairs of the rows where they
-    differ. Each amplitude is an elementwise sum over the non-zero entries
-    of the gate row: no matrix product, so no BLAS.
+    Returns the amplitudes of the rows m where U and V are equal (`equal`),
+    computed once, and the ((U psi)_m, (V psi)_m) pairs of the rows where
+    they differ. Each amplitude is an elementwise sum over the non-zero
+    entries of the gate row: no matrix product, so no BLAS.
     """
-    n = len(states)
-    columns = [states[:, k] for k in range(states.shape[1])]
+    shape = states.shape[:-1]
+    columns = [states[..., k] for k in range(states.shape[-1])]
     shared, differing = [], []
-    for u_row, v_row in zip(u_ideal.tolist(), v_noisy.tolist()):
-        a = _weighted_sum(zip(u_row, columns), n)
-        if v_row == u_row:
+    for u_row, v_row, same in zip(u_rows, v_rows, equal):
+        a = _weighted_sum(zip(u_row, columns), shape)
+        if same:
             shared.append(a)
         else:
-            differing.append((a, _weighted_sum(zip(v_row, columns), n)))
+            differing.append((a, _weighted_sum(zip(v_row, columns), shape)))
     return shared, differing
 
 
@@ -110,17 +123,17 @@ def _norm_sq(a: np.ndarray) -> np.ndarray:
     return a.real * a.real + a.imag * a.imag
 
 
-def _form_difference(u_ideal: np.ndarray, v_noisy: np.ndarray,
-                     hamiltonian: LocalHamiltonian) -> dict[tuple[int, int], complex]:
+def _form_difference(u_rows: list, v_rows: list,
+                     weights: list[float]) -> dict[tuple[int, int], complex]:
     """Non-zero entries M_kl, k <= l, of M = V^dag e^-H V - U^dag e^-H U.
 
-    M_kl = sum_m e^-E_m (conj(V_mk) V_ml - conj(U_mk) U_ml). Rows m where V
-    and U are equal add nothing and are skipped, so M is empty when V
-    equals U, and for the controlled gates only the control-0 block is left.
+    M_kl = sum_m e^-E_m (conj(V_mk) V_ml - conj(U_mk) U_ml), with the gates
+    as nested lists and `weights` the e^-E_m. Rows m where V and U are
+    equal add nothing and are skipped, so M is empty when V equals U, and
+    for the controlled gates only the control-0 block is left.
     """
     form: dict[tuple[int, int], complex] = {}
-    weights = hamiltonian.exp_diag(-1.0).tolist()
-    for w, u_row, v_row in zip(weights, u_ideal.tolist(), v_noisy.tolist()):
+    for w, u_row, v_row in zip(weights, u_rows, v_rows):
         if v_row == u_row:
             continue
         cols = [k for k, (x, y) in enumerate(zip(u_row, v_row)) if x != 0 or y != 0]
@@ -131,20 +144,20 @@ def _form_difference(u_ideal: np.ndarray, v_noisy: np.ndarray,
     return {kl: value for kl, value in form.items() if value != 0}
 
 
-def _s_p(form: dict[tuple[int, int], complex], pops: np.ndarray) -> np.ndarray:
+def _s_p(form: dict, pops: np.ndarray) -> np.ndarray:
     """sum_k |psi_k|^2 M_kk over the non-zero diagonal entries of M."""
-    return _weighted_sum(((m.real, pops[:, k]) for (k, l), m in form.items() if k == l),
-                         len(pops))
+    return _weighted_sum(((m.real, pops[..., k]) for (k, l), m in form.items() if k == l),
+                         pops.shape[:-1])
 
 
-def _s_chi(form: dict[tuple[int, int], complex], states: np.ndarray) -> np.ndarray:
+def _s_chi(form: dict, states: np.ndarray) -> np.ndarray:
     """2 Re sum_{k<l} conj(psi_k) psi_l M_kl over the non-zero entries of M."""
     terms = []
     for (k, l), m in form.items():
         if k < l:
-            t = (2 * m) * states[:, l]
-            terms.append(states[:, k].real * t.real + states[:, k].imag * t.imag)
-    return _total(terms, len(states))
+            t = (2 * m) * states[..., l]
+            terms.append(states[..., k].real * t.real + states[..., k].imag * t.imag)
+    return _total(terms, states.shape[:-1])
 
 
 def eta_signed_traces(
@@ -162,11 +175,91 @@ def eta_signed_traces(
     and s_p + s_chi. When V equals U all three are exactly 0.
     """
     states = np.atleast_2d(np.asarray(states, dtype=complex))
-    form = _form_difference(np.asarray(u_ideal, dtype=complex),
-                            np.asarray(v_noisy, dtype=complex), hamiltonian)
+    form = _form_difference(np.asarray(u_ideal, dtype=complex).tolist(),
+                            np.asarray(v_noisy, dtype=complex).tolist(),
+                            hamiltonian.exp_diag(-1.0).tolist())
     s_p = _s_p(form, _norm_sq(states))
     s_chi = _s_chi(form, states)
     return s_p, s_chi, s_p + s_chi
+
+
+def _structures(kind: MeritKind, u_rows: list, v_stack: np.ndarray,
+                hamiltonian: LocalHamiltonian | None):
+    """(key, coefficients) per noisy gate of a stack.
+
+    Gates with equal keys take the same branches of the kernel's
+    elementwise sums, so they can be evaluated together: the key records
+    which rows equal U and the _category of every gate entry, or for the
+    eta merits the entries of M and the _category of each diagonal
+    coefficient. The coefficients are the gate rows, or the M entries.
+    """
+    if kind in ETA_KINDS:
+        weights = hamiltonian.exp_diag(-1.0).tolist()
+        w_plus = hamiltonian.exp_diag(1.0).tolist()
+        for v_rows in v_stack.tolist():
+            form = _form_difference(u_rows, v_rows, weights)
+            yield tuple((k, l, _category(m.real), _category(w_plus[k] * m.real))
+                        for (k, l), m in form.items()), form
+    else:
+        for v_rows in v_stack.tolist():
+            yield tuple((v_row == u_row, tuple(map(_category, v_row)))
+                        for u_row, v_row in zip(u_rows, v_rows)), v_rows
+
+
+def _group_values(kind: MeritKind, states: np.ndarray, u_rows: list, key: tuple,
+                  coefs: list, hamiltonian: LocalHamiltonian | None) -> np.ndarray:
+    """Kernel values (G, n) of G gates that share one structure key.
+
+    `coefs` holds each gate's coefficients from _structures; they become
+    (G, 1) columns, so every gate sees the elementwise sequence of a
+    single-gate evaluation with its own numbers.
+    """
+    shape = states.shape[:-1]
+
+    if kind in ETA_KINDS:
+        form = {kl: np.array([c[kl] for c in coefs])[:, None] for kl in coefs[0]}
+        pops = _norm_sq(states)
+        w_plus = hamiltonian.exp_diag(1.0).tolist()
+        if kind is MeritKind.ETA_TPM:
+            return np.abs(_weighted_sum(((w_plus[k] * m.real, pops[..., k])
+                                         for (k, l), m in form.items() if k == l), shape))
+        mean_exp_h = _weighted_sum(((w, pops[..., k]) for k, w in enumerate(w_plus)), shape)
+        if kind is MeritKind.ETA_P:
+            signed = _s_p(form, pops)
+        elif kind is MeritKind.ETA_CHI:
+            signed = _s_chi(form, states)
+        else:
+            signed = _s_p(form, pops) + _s_chi(form, states)
+        return mean_exp_h * np.abs(signed)
+
+    gates = np.array(coefs)
+    v_rows = [[gates[:, m, k, None] for k in range(len(u_rows))] for m in range(len(u_rows))]
+    shared, differing = _output_rows(states, u_rows, v_rows, [same for same, _ in key])
+
+    if kind is MeritKind.FIDELITY:
+        # |<a|b>|^2 / (|a|^2 |b|^2) in real arithmetic. The rows U and V
+        # share add the same sum to the overlap and to both norms, so V
+        # equal to U gives exactly 1.
+        common = _total([_norm_sq(a) for a in shared], shape)
+        overlap_re = _total([common] + [a.real * b.real + a.imag * b.imag
+                                        for a, b in differing], shape)
+        overlap_im = _total([a.real * b.imag - a.imag * b.real for a, b in differing], shape)
+        norm_a = _total([common] + [_norm_sq(a) for a, _ in differing], shape)
+        norm_b = _total([common] + [_norm_sq(b) for _, b in differing], shape)
+        fid = (overlap_re * overlap_re + overlap_im * overlap_im) / (norm_a * norm_b)
+        return np.minimum(fid, 1.0)
+
+    # COHERENCE_FIDELITY. C_l1 = (sum_m |phi_m|)^2 - sum_m |phi_m|^2. With S
+    # the sum of |a_m| over the shared rows and S_x, Q_x the sums of |x_m|
+    # and |x_m|^2 over the rows where the gates differ, the shared rows drop
+    # out of the squared norms:
+    # C_l1(b) - C_l1(a) = (S_b - S_a)(2 S + S_a + S_b) - (Q_b - Q_a).
+    common = _total([np.abs(a) for a in shared], shape)
+    mags = [(np.abs(a), np.abs(b)) for a, b in differing]
+    s_a = _total([m_a for m_a, _ in mags], shape)
+    s_b = _total([m_b for _, m_b in mags], shape)
+    q_diff = _total([m_b * m_b - m_a * m_a for m_a, m_b in mags], shape)
+    return np.abs((s_b - s_a) * (2 * common + s_a + s_b) - q_diff)
 
 
 def kernel_values(
@@ -176,62 +269,40 @@ def kernel_values(
     v_noisy: np.ndarray,
     hamiltonian: LocalHamiltonian | None = None,
 ) -> np.ndarray:
-    """Evaluate one merit kernel on a batch of pure states (rows of `states`).
+    """Evaluate one merit kernel on pure states.
 
-    Every kernel is elementwise arithmetic on the amplitude columns; none
-    calls a matrix product, so none wakes the BLAS threads.
+    With one noisy gate (dim, dim), `states` is one state (dim,) or a batch
+    (n, dim) and the values have shape (n,). With a stack of B noisy gates
+    (B, dim, dim), `states` is a (B, n, dim) stack, slice b going with
+    gate b, and the values (B, n) equal the B single-gate calls bit for
+    bit. Every kernel is elementwise arithmetic on the amplitude columns;
+    none calls a matrix product, so none wakes the BLAS threads.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=complex))
-    u_ideal = np.asarray(u_ideal, dtype=complex)
-    v_noisy = np.asarray(v_noisy, dtype=complex)
-    n = len(states)
+    if not isinstance(kind, MeritKind):
+        raise ValidationError(f"unknown merit kind {kind!r}")
+    if kind in ETA_KINDS and hamiltonian is None:
+        raise ValidationError(f"merit {kind.value} requires a Hamiltonian")
+    states = np.asarray(states, dtype=complex)
+    u_rows = np.asarray(u_ideal, dtype=complex).tolist()
+    v_stack = np.asarray(v_noisy, dtype=complex)
+    single = v_stack.ndim == 2
+    if single:
+        states, v_stack = np.atleast_2d(states)[None], v_stack[None]
 
-    if kind is MeritKind.FIDELITY:
-        # |<a|b>|^2 / (|a|^2 |b|^2) in real arithmetic. The rows U and V
-        # share add the same sum to the overlap and to both norms, so V
-        # equal to U gives exactly 1.
-        shared, differing = _output_rows(states, u_ideal, v_noisy)
-        common = _total([_norm_sq(a) for a in shared], n)
-        overlap_re = _total([common] + [a.real * b.real + a.imag * b.imag
-                                        for a, b in differing], n)
-        overlap_im = _total([a.real * b.imag - a.imag * b.real for a, b in differing], n)
-        norm_a = _total([common] + [_norm_sq(a) for a, _ in differing], n)
-        norm_b = _total([common] + [_norm_sq(b) for _, b in differing], n)
-        fid = (overlap_re * overlap_re + overlap_im * overlap_im) / (norm_a * norm_b)
-        return np.minimum(fid, 1.0)
-
-    if kind is MeritKind.COHERENCE_FIDELITY:
-        # C_l1 = (sum_m |phi_m|)^2 - sum_m |phi_m|^2. With S the sum of |a_m|
-        # over the shared rows and S_x, Q_x the sums of |x_m| and |x_m|^2 over
-        # the rows where the gates differ, the shared rows drop out of the
-        # squared norms: C_l1(b) - C_l1(a) = (S_b - S_a)(2 S + S_a + S_b) - (Q_b - Q_a).
-        shared, differing = _output_rows(states, u_ideal, v_noisy)
-        common = _total([np.abs(a) for a in shared], n)
-        mags = [(np.abs(a), np.abs(b)) for a, b in differing]
-        s_a = _total([m_a for m_a, _ in mags], n)
-        s_b = _total([m_b for _, m_b in mags], n)
-        q_diff = _total([m_b * m_b - m_a * m_a for m_a, m_b in mags], n)
-        return np.abs((s_b - s_a) * (2 * common + s_a + s_b) - q_diff)
-
-    if kind in ETA_KINDS:
-        if hamiltonian is None:
-            raise ValidationError(f"merit {kind.value} requires a Hamiltonian")
-        form = _form_difference(u_ideal, v_noisy, hamiltonian)
-        pops = _norm_sq(states)
-        w_plus = hamiltonian.exp_diag(1.0).tolist()
-        if kind is MeritKind.ETA_TPM:
-            return np.abs(_weighted_sum(((w_plus[k] * m.real, pops[:, k])
-                                         for (k, l), m in form.items() if k == l), n))
-        mean_exp_h = _weighted_sum(((w, pops[:, k]) for k, w in enumerate(w_plus)), n)
-        if kind is MeritKind.ETA_P:
-            signed = _s_p(form, pops)
-        elif kind is MeritKind.ETA_CHI:
-            signed = _s_chi(form, states)
-        else:
-            signed = _s_p(form, pops) + _s_chi(form, states)
-        return mean_exp_h * np.abs(signed)
-
-    raise ValidationError(f"unknown merit kind {kind!r}")
+    groups: dict[tuple, tuple[list[int], list]] = {}
+    for b, (key, coefs) in enumerate(_structures(kind, u_rows, v_stack, hamiltonian)):
+        members, group_coefs = groups.setdefault(key, ([], []))
+        members.append(b)
+        group_coefs.append(coefs)
+    if len(groups) == 1:
+        ((key, (_, coefs)),) = groups.items()
+        values = _group_values(kind, states, u_rows, key, coefs, hamiltonian)
+    else:
+        values = np.empty(states.shape[:-1])
+        for key, (members, coefs) in groups.items():
+            values[members] = _group_values(kind, states[members], u_rows, key, coefs,
+                                            hamiltonian)
+    return values[0] if single else values
 
 
 def kernel_fidelity(psi0: np.ndarray, u_ideal: np.ndarray, v_noisy: np.ndarray) -> float:
@@ -271,19 +342,31 @@ def haar_average(
     v_noisy: np.ndarray,
     hamiltonian: LocalHamiltonian | None = None,
     n_samples: int = 5000,
-    seed: int = 0,
-) -> HaarAverage:
+    seed: int | Sequence[int] = 0,
+) -> HaarAverage | list[HaarAverage]:
     """Average a merit kernel over Haar-random pure inputs.
 
     All samples come from the stream keyed by `seed`, drawn as one batch,
     so the estimate is a pure function of (kind, gates, n_samples, seed)
     and does not depend on evaluation order elsewhere. The standard error
     is the sample standard deviation (ddof=1) over sqrt(n_samples).
+
+    With a stack of B noisy gates (B, dim, dim) and a sequence of B seeds,
+    returns the list of B averages, each equal to the call on its own gate
+    and seed; the B draws, kernels and reductions run as one batch.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     u_ideal = np.asarray(u_ideal, dtype=complex)
-    states = haar_pure_states(RngStream(seed, 0), u_ideal.shape[0], n_samples)
-    values = kernel_values(kind, states, u_ideal, v_noisy, hamiltonian)
-    std_error = float(np.std(values, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return HaarAverage(mean=float(np.mean(values)), std_error=std_error)
+    single = np.ndim(v_noisy) == 2
+    seeds = [seed] if single else seed
+    states = haar_pure_states([RngStream(s, 0) for s in seeds], u_ideal.shape[0], n_samples)
+    v_stack = np.reshape(np.asarray(v_noisy, dtype=complex), (-1,) + u_ideal.shape)
+    values = kernel_values(kind, states, u_ideal, v_stack, hamiltonian)
+    means = np.mean(values, axis=-1).tolist()
+    if n_samples > 1:
+        errors = (np.std(values, axis=-1, ddof=1) / math.sqrt(n_samples)).tolist()
+    else:
+        errors = [0.0] * len(means)
+    averages = [HaarAverage(mean=m, std_error=e) for m, e in zip(means, errors)]
+    return averages[0] if single else averages

@@ -36,6 +36,14 @@ DEFAULT_PHI_RANGES = {"axis": (0.0, math.pi), "angle": (0.0, 2 * math.pi)}
 
 DEFAULT_SAMPLES = 5000
 DEFAULT_RESOLUTION = 41
+# Ceiling on Haar samples per grid point: 10**6 states take ~64 MB per merit
+# at once, and a larger request is far more likely a typo than a need.
+MAX_SAMPLES = 10**6
+# Most Haar states one evaluation call holds: a theta row is averaged in
+# calls of max(1, STATE_BUDGET // n_samples) consecutive points, which
+# spreads the fixed cost of a call over many points at low sample counts
+# and keeps a call's arrays to a few hundred kB.
+STATE_BUDGET = 8192
 
 FIG1_PANELS = {
     "a": ("axis", MeritKind.COHERENCE_FIDELITY),
@@ -65,8 +73,13 @@ class SweepConfig:
             raise ValidationError(f"unknown error family {self.error_family!r}")
         if self.theta_points < 1 or self.phi_points < 1:
             raise ValidationError("grid point counts must be >= 1")
-        if self.n_samples < 1:
-            raise ValidationError("n_samples must be >= 1")
+        if self.theta_points * self.phi_points >= 2**32:
+            raise ValidationError("a grid holds fewer than 2**32 points "
+                                  "(each point seed hashes a 32-bit grid index)")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValidationError(f"n_samples must be in [1, {MAX_SAMPLES}]")
+        if self.master_seed < 0:
+            raise ValidationError("the master seed must be >= 0")
         if not self.merits:
             raise ValidationError("at least one merit must be requested")
         bounds = (self.theta_lo, self.theta_hi) + self.phi_bounds()
@@ -128,58 +141,119 @@ class SweepResult:
         }
 
 
-def point_seed(master_seed: int, grid_index: int, kind: MeritKind) -> int:
-    """Derive the integer substream seed for one (grid point, merit) pair."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(grid_index, MERIT_ORDINAL[kind]))
-    return int(seq.generate_state(1, np.uint64)[0])
+# The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
-def _evaluate_point(payload) -> list[tuple[float, float]]:
-    family, theta, phi, merit_names, n_samples, seeds = payload
+def point_seed(master_seed: int, grid_index, kind: MeritKind):
+    """Derive the integer substream seed for one (grid point, merit) pair.
+
+    The seed is SeedSequence(master_seed, spawn_key=(grid_index,
+    ordinal)).generate_state(1, np.uint64)[0], computed here with the same
+    hash in uint32 numpy arithmetic, so that an array of grid indices is
+    hashed in one pass: an int index gives an int, an array of indices a
+    uint64 array. Grid indices are one 32-bit word each, so below 2**32.
+    """
+    index = np.asarray(grid_index)
+    if master_seed < 0 or index.size and (index.min() < 0 or index.max() > _MASK32):
+        raise ValidationError("point seeds need a master seed >= 0 and grid indices "
+                              "in [0, 2**32)")
+    words, rest = [], int(master_seed)
+    while rest or not words:
+        words.append(rest & _MASK32)
+        rest >>= 32
+    words += [0] * (4 - len(words))  # the pool-size padding SeedSequence adds before a spawn key
+    shape = index.shape or (1,)
+    entropy = [np.full(shape, w, dtype=np.uint32) for w in words + [MERIT_ORDINAL[kind]]]
+    entropy.insert(len(words), np.broadcast_to(index, shape).astype(np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const, halves = _INIT_B, []
+    for word in pool[:2]:
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const
+        halves.append((word ^ (word >> 16)).astype(np.uint64))
+    seeds = halves[0] | (halves[1] << np.uint64(32))
+    return int(seeds[0]) if index.ndim == 0 else seeds
+
+
+def _evaluate_row(task) -> list[tuple[tuple[float, float], ...]]:
+    """(mean, std_error) per phi point and merit along one theta row.
+
+    Consecutive points of the row are averaged together, as many per call
+    as fit in STATE_BUDGET states (at least one).
+    """
+    family, theta, phis, merits, n_samples, seeds = task
     u = g_gate(theta)
-    v = ERROR_FAMILIES[family](theta, phi)
+    noisy = np.stack([ERROR_FAMILIES[family](theta, phi) for phi in phis])
     hamiltonian = local_hamiltonian_2q()
-    out = []
-    for name, seed in zip(merit_names, seeds):
-        avg = haar_average(MeritKind.from_name(name), u, v, hamiltonian,
-                           n_samples=n_samples, seed=seed)
-        out.append((avg.mean, avg.std_error))
-    return out
+    step = max(1, STATE_BUDGET // n_samples)
+    per_merit = []
+    for kind, merit_seeds in zip(merits, seeds):
+        averages = []
+        for start in range(0, len(phis), step):
+            averages += haar_average(kind, u, noisy[start:start + step], hamiltonian,
+                                     n_samples=n_samples, seed=merit_seeds[start:start + step])
+        per_merit.append([(a.mean, a.std_error) for a in averages])
+    return list(zip(*per_merit))
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Evaluate every requested merit on the configured (theta, phi) grid.
 
-    Workers > 1 fan grid points out to a process pool; per-point seeds make
+    Workers > 1 fan theta rows out to a process pool; per-point seeds make
     the result identical for any worker count.
     """
     config.validate()
-    thetas = config.thetas()
-    phis = config.phis()
-    merit_names = [m.value for m in config.merits]
-
-    payloads = []
-    grid = []
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            gi = i * len(phis) + j
-            seeds = [point_seed(config.master_seed, gi, m) for m in config.merits]
-            payloads.append((config.error_family, float(theta), float(phi),
-                             merit_names, config.n_samples, seeds))
-            grid.append((float(theta), float(phi)))
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    thetas = config.thetas().tolist()
+    phis = config.phis().tolist()
+    grid_index = np.arange(len(thetas) * len(phis))
+    seeds = [point_seed(config.master_seed, grid_index, kind).tolist()
+             for kind in config.merits]
+    tasks = [(config.error_family, theta, phis, config.merits, config.n_samples,
+              [merit_seeds[i * len(phis):(i + 1) * len(phis)] for merit_seeds in seeds])
+             for i, theta in enumerate(thetas)]
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_point, payloads, chunksize=16))
+            rows = list(pool.map(_evaluate_row, tasks))
     else:
-        results = [_evaluate_point(p) for p in payloads]
+        rows = [_evaluate_row(task) for task in tasks]
 
-    records = []
-    for (theta, phi), point_values in zip(grid, results):
-        for kind, (mean, std_error) in zip(config.merits, point_values):
-            records.append(SweepRecord(theta=theta, phi=phi, merit=kind.value,
-                                       mean=mean, std_error=std_error,
-                                       n_samples=config.n_samples))
+    records = [
+        SweepRecord(theta=theta, phi=phi, merit=kind.value, mean=mean, std_error=std_error,
+                    n_samples=config.n_samples)
+        for theta, row in zip(thetas, rows)
+        for phi, point in zip(phis, row)
+        for kind, (mean, std_error) in zip(config.merits, point)
+    ]
     return SweepResult(config=config, records=records)
 
 

@@ -274,3 +274,38 @@ def test_reconstruct_bad_sum_tolerance_exit_code(tmp_path):
         assert result.returncode == 2, tolerance
         assert "sum tolerance" in result.stderr
         assert not out.exists()
+
+
+def test_negative_seed_exit_code(tmp_path):
+    out = tmp_path / "s.csv"
+    for args in (("sweep", "--resolution", "2", "--samples", "10", "--seed", "-1",
+                  "--out", str(out)),
+                 ("haar-avg", "--theta", "0.4", "--phi", "0.7", "--seed", "-5")):
+        result = run_cli(*args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert "seed" in result.stderr and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_absurd_sizes_exit_code(tmp_path):
+    # refused before any draw: the 10**12-sample request would need ~58 TiB,
+    # and a 65536 x 65536 grid has 2**32 points, past the 32-bit grid index
+    out = tmp_path / "s.csv"
+    for args in (("haar-avg", "--theta", "0.4", "--phi", "0.7", "--samples", "1000000000000"),
+                 ("sweep", "--resolution", "2", "--samples", "1000001", "--out", str(out)),
+                 ("sweep", "--resolution", "65536", "--samples", "1", "--out", str(out))):
+        result = run_cli(*args, timeout=10)
+        assert result.returncode == 2, (args, result.stderr)
+        assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_workers_below_one_exit_code(tmp_path):
+    out = tmp_path / "s.csv"
+    for args in (("sweep", "--resolution", "2", "--samples", "10", "--workers", "0"),
+                 ("fig1", "--panel", "b", "--resolution", "2", "--samples", "10",
+                  "--workers", "-3")):
+        result = run_cli(*args, "--out", str(out))
+        assert result.returncode == 2, (args, result.stderr)
+        assert "workers" in result.stderr
+    assert not out.exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epmdiag.element_sums import element_sum_coherence_fid, element_sum_kernel
 from epmdiag.energetics import local_hamiltonian_2q
@@ -241,3 +243,55 @@ def test_fidelity_error_bars_calibrated_against_closed_form():
     assert np.max(z) <= 5, np.max(z)
     # and not inflated: about 68 % of |z| fall within 1 for calibrated error bars
     assert np.mean(z <= 1) <= 0.85, np.mean(z <= 1)
+
+
+# Batched evaluation: slice b of a stacked call equals the call on gate b
+# alone, compared as raw 64-bit words so that signed zeros count.
+ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 4, np.pi / 2]),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+PHIS = st.one_of(st.sampled_from([0.0, -0.0, -np.pi / 2, np.pi]),
+                 st.floats(-7.0, 7.0, allow_nan=False))
+BATCH_SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+@BATCH_SETTINGS
+@given(kind=st.sampled_from(list(MeritKind)), family=st.sampled_from([v_axis, v_angle]),
+       theta=ANGLES, phis=st.lists(PHIS, min_size=1, max_size=6),
+       n=st.integers(1, 64), seed=st.integers(0, 2**64 - 1), zeroed=st.integers(0, 14))
+def test_stacked_kernel_values_equal_single_gate_calls(kind, family, theta, phis, n, seed,
+                                                       zeroed):
+    states = haar_pure_states([RngStream(seed, b) for b in range(len(phis))], 4, n)
+    # exact zero amplitudes in the first slice, as basis-like inputs have
+    states[0][:, [k for k in range(4) if zeroed >> k & 1]] = 0.0
+    u = g_gate(theta)
+    gates = [family(theta, phi) for phi in phis]
+    stacked = kernel_values(kind, states, u, np.stack(gates), H)
+    assert stacked.shape == (len(phis), n)
+    for b, v in enumerate(gates):
+        single = kernel_values(kind, states[b], u, v, H)
+        assert np.array_equal(stacked[b].view(np.uint64), single.view(np.uint64)), (b, phis[b])
+
+
+@BATCH_SETTINGS
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+       index=st.integers(0, 2**64 - 1), dim=st.sampled_from([2, 4]), n=st.integers(1, 64))
+def test_stacked_haar_draw_equals_single_stream_draws(seeds, index, dim, n):
+    streams = [RngStream(seed, index) for seed in seeds]
+    stacked = haar_pure_states(streams, dim, n)
+    assert stacked.shape == (len(seeds), n, dim)
+    for slab, stream in zip(stacked, streams):
+        single = haar_pure_states(stream, dim, n)
+        assert np.array_equal(slab.view(np.uint64), single.view(np.uint64))
+
+
+def test_stacked_haar_average_equals_single_calls():
+    u = g_gate(0.7)
+    phis = [0.0, 0.4, -0.0, 2.1]
+    gates = np.stack([v_angle(0.7, phi) for phi in phis])
+    seeds = [0, 5, 2**63 + 1, 2**64 - 1]
+    for kind in MeritKind:
+        for n_samples in (1, 2, 37):
+            stacked = haar_average(kind, u, gates, H, n_samples=n_samples, seed=seeds)
+            singles = [haar_average(kind, u, v, H, n_samples=n_samples, seed=s)
+                       for v, s in zip(gates, seeds)]
+            assert stacked == singles

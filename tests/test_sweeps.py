@@ -77,6 +77,13 @@ def test_sweep_validation():
         SweepConfig(theta_hi=math.inf).validate()
     with pytest.raises(ValidationError):
         SweepConfig(merits=()).validate()
+    with pytest.raises(ValidationError):
+        SweepConfig(master_seed=-1).validate()
+    with pytest.raises(ValidationError):
+        SweepConfig(n_samples=10**6 + 1).validate()
+    with pytest.raises(ValidationError):
+        SweepConfig(theta_points=2**16, phi_points=2**16).validate()
+    SweepConfig(n_samples=10**6, theta_points=2**16, phi_points=2**16 - 1).validate()
 
 
 def test_point_seed_depends_on_all_inputs():
@@ -101,6 +108,23 @@ def test_point_seed_is_the_seed_sequence_word():
         for kind in MeritKind:
             for gi in SEED_INDICES:
                 assert point_seed(master, gi, kind) == _seed_sequence_word(master, gi, kind)
+
+
+def test_point_seed_hashes_an_index_array_like_the_scalar_calls():
+    indices = np.array(SEED_INDICES)
+    for master in SEED_MASTERS:
+        for kind in MeritKind:
+            seeds = point_seed(master, indices, kind)
+            assert seeds.dtype == np.uint64 and seeds.shape == indices.shape
+            assert seeds.tolist() == [point_seed(master, gi, kind) for gi in SEED_INDICES]
+            assert seeds.tolist() == [_seed_sequence_word(master, gi, kind)
+                                      for gi in SEED_INDICES]
+
+
+def test_point_seed_rejects_what_the_hash_cannot_take():
+    for master, index in ((-1, 0), (0, -1), (0, 2**32), (0, np.array([0, 2**32]))):
+        with pytest.raises(ValidationError):
+            point_seed(master, index, MeritKind.ETA_CHI)
 
 
 def test_default_phi_ranges():
