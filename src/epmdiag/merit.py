@@ -90,7 +90,7 @@ def _weighted_sum(pairs, shape) -> np.ndarray:
     """
     terms = []
     for coef, column in pairs:
-        category = _category(coef if np.ndim(coef) == 0 else coef[0, 0])
+        category = _category(coef[0, 0] if isinstance(coef, np.ndarray) else coef)
         if category:
             terms.append(column if category == 1 else coef * column)
     return _total(terms, shape)
@@ -183,41 +183,44 @@ def eta_signed_traces(
     return s_p, s_chi, s_p + s_chi
 
 
-def _structures(kind: MeritKind, u_rows: list, v_stack: np.ndarray,
-                hamiltonian: LocalHamiltonian | None):
-    """(key, coefficients) per noisy gate of a stack.
-
-    Gates with equal keys take the same branches of the kernel's
-    elementwise sums, so they can be evaluated together: the key records
-    which rows equal U and the _category of every gate entry, or for the
-    eta merits the entries of M and the _category of each diagonal
-    coefficient. The coefficients are the gate rows, or the M entries.
-    """
+def _coefficients(kind: MeritKind, u_rows: list, v_stack: np.ndarray,
+                  hamiltonian: LocalHamiltonian | None) -> list:
+    """Per noisy gate of a stack, the numbers its kernel multiplies by: the
+    M entries of _form_difference for the eta merits, else the gate rows."""
     if kind in ETA_KINDS:
         weights = hamiltonian.exp_diag(-1.0).tolist()
-        w_plus = hamiltonian.exp_diag(1.0).tolist()
-        for v_rows in v_stack.tolist():
-            form = _form_difference(u_rows, v_rows, weights)
-            yield tuple((k, l, _category(m.real), _category(w_plus[k] * m.real))
-                        for (k, l), m in form.items()), form
-    else:
-        for v_rows in v_stack.tolist():
-            yield tuple((v_row == u_row, tuple(map(_category, v_row)))
-                        for u_row, v_row in zip(u_rows, v_rows)), v_rows
+        return [_form_difference(u_rows, v_rows, weights) for v_rows in v_stack.tolist()]
+    return v_stack.tolist()
 
 
-def _group_values(kind: MeritKind, states: np.ndarray, u_rows: list, key: tuple,
-                  coefs: list, hamiltonian: LocalHamiltonian | None) -> np.ndarray:
+def _structure_key(kind: MeritKind, u_rows: list, coefs, w_plus: list) -> tuple:
+    """The branches a gate's kernel takes through the elementwise sums.
+
+    Gates with equal keys can be evaluated together: the key records which
+    rows equal U and the _category of every gate entry, or for the eta
+    merits the entries of M and the _category of each diagonal coefficient.
+    """
+    if kind in ETA_KINDS:
+        return tuple((k, l, _category(m.real), _category(w_plus[k] * m.real))
+                     for (k, l), m in coefs.items())
+    return tuple((v_row == u_row, tuple(map(_category, v_row)))
+                 for u_row, v_row in zip(u_rows, coefs))
+
+
+def _group_values(kind: MeritKind, states: np.ndarray, u_rows: list, coefs: list,
+                  hamiltonian: LocalHamiltonian | None) -> np.ndarray:
     """Kernel values (G, n) of G gates that share one structure key.
 
-    `coefs` holds each gate's coefficients from _structures; they become
-    (G, 1) columns, so every gate sees the elementwise sequence of a
-    single-gate evaluation with its own numbers.
+    `coefs` holds each gate's _coefficients. A single gate's numbers are
+    used as they are; for several, each number becomes a (G, 1) column, so
+    every gate sees the elementwise sequence of a single-gate evaluation
+    with its own numbers.
     """
     shape = states.shape[:-1]
 
     if kind in ETA_KINDS:
-        form = {kl: np.array([c[kl] for c in coefs])[:, None] for kl in coefs[0]}
+        form = coefs[0] if len(coefs) == 1 else {
+            kl: np.array([c[kl] for c in coefs])[:, None] for kl in coefs[0]}
         pops = _norm_sq(states)
         w_plus = hamiltonian.exp_diag(1.0).tolist()
         if kind is MeritKind.ETA_TPM:
@@ -232,9 +235,10 @@ def _group_values(kind: MeritKind, states: np.ndarray, u_rows: list, key: tuple,
             signed = _s_p(form, pops) + _s_chi(form, states)
         return mean_exp_h * np.abs(signed)
 
-    gates = np.array(coefs)
-    v_rows = [[gates[:, m, k, None] for k in range(len(u_rows))] for m in range(len(u_rows))]
-    shared, differing = _output_rows(states, u_rows, v_rows, [same for same, _ in key])
+    # (G, dim, dim) -> rows m of (G, 1) columns k
+    v_rows = coefs[0] if len(coefs) == 1 else np.array(coefs)[..., None].transpose(1, 2, 0, 3)
+    equal = [u_row == v_row for u_row, v_row in zip(u_rows, coefs[0])]
+    shared, differing = _output_rows(states, u_rows, v_rows, equal)
 
     if kind is MeritKind.FIDELITY:
         # |<a|b>|^2 / (|a|^2 |b|^2) in real arithmetic. The rows U and V
@@ -289,19 +293,19 @@ def kernel_values(
     if single:
         states, v_stack = np.atleast_2d(states)[None], v_stack[None]
 
-    groups: dict[tuple, tuple[list[int], list]] = {}
-    for b, (key, coefs) in enumerate(_structures(kind, u_rows, v_stack, hamiltonian)):
-        members, group_coefs = groups.setdefault(key, ([], []))
-        members.append(b)
-        group_coefs.append(coefs)
-    if len(groups) == 1:
-        ((key, (_, coefs)),) = groups.items()
-        values = _group_values(kind, states, u_rows, key, coefs, hamiltonian)
+    coefs = _coefficients(kind, u_rows, v_stack, hamiltonian)
+    groups: dict[tuple, list[int]] = {}
+    if len(coefs) > 1:
+        w_plus = hamiltonian.exp_diag(1.0).tolist() if kind in ETA_KINDS else []
+        for b, gate_coefs in enumerate(coefs):
+            groups.setdefault(_structure_key(kind, u_rows, gate_coefs, w_plus), []).append(b)
+    if len(groups) <= 1:
+        values = _group_values(kind, states, u_rows, coefs, hamiltonian)
     else:
         values = np.empty(states.shape[:-1])
-        for key, (members, coefs) in groups.items():
-            values[members] = _group_values(kind, states[members], u_rows, key, coefs,
-                                            hamiltonian)
+        for members in groups.values():
+            values[members] = _group_values(kind, states[members], u_rows,
+                                            [coefs[b] for b in members], hamiltonian)
     return values[0] if single else values
 
 

@@ -36,8 +36,9 @@ DEFAULT_PHI_RANGES = {"axis": (0.0, math.pi), "angle": (0.0, 2 * math.pi)}
 
 DEFAULT_SAMPLES = 5000
 DEFAULT_RESOLUTION = 41
-# Ceiling on Haar samples per grid point: 10**6 states take ~64 MB per merit
-# at once, and a larger request is far more likely a typo than a need.
+# Ceiling on Haar samples per grid point: a draw of 10**6 states holds three
+# 64 MB arrays at once (the normals, their squares and the states), and a
+# larger request is far more likely a typo than a need.
 MAX_SAMPLES = 10**6
 # Most Haar states one evaluation call holds: a theta row is averaged in
 # calls of max(1, STATE_BUDGET // n_samples) consecutive points, which
@@ -153,9 +154,11 @@ def point_seed(master_seed: int, grid_index, kind: MeritKind):
 
     The seed is SeedSequence(master_seed, spawn_key=(grid_index,
     ordinal)).generate_state(1, np.uint64)[0], computed here with the same
-    hash in uint32 numpy arithmetic, so that an array of grid indices is
-    hashed in one pass: an int index gives an int, an array of indices a
-    uint64 array. Grid indices are one 32-bit word each, so below 2**32.
+    32-bit hash so that an array of grid indices is hashed in one pass: an
+    int index gives an int, an array of indices a uint64 array. The words
+    are Python ints until the indices are mixed in and uint32 arrays after;
+    the 32-bit masks cut the ints and leave the arrays, which wrap by
+    themselves, unchanged. Grid indices are one word each, so below 2**32.
     """
     index = np.asarray(grid_index)
     if master_seed < 0 or index.size and (index.min() < 0 or index.max() > _MASK32):
@@ -166,9 +169,8 @@ def point_seed(master_seed: int, grid_index, kind: MeritKind):
         words.append(rest & _MASK32)
         rest >>= 32
     words += [0] * (4 - len(words))  # the pool-size padding SeedSequence adds before a spawn key
-    shape = index.shape or (1,)
-    entropy = [np.full(shape, w, dtype=np.uint32) for w in words + [MERIT_ORDINAL[kind]]]
-    entropy.insert(len(words), np.broadcast_to(index, shape).astype(np.uint32))
+    entropy = words + [int(index) if index.ndim == 0 else index.astype(np.uint32),
+                       MERIT_ORDINAL[kind]]
 
     hash_const = _INIT_A
 
@@ -176,11 +178,11 @@ def point_seed(master_seed: int, grid_index, kind: MeritKind):
         nonlocal hash_const
         value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
+        value = value * hash_const & _MASK32
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
         return result ^ (result >> 16)
 
     pool = [hashmix(word) for word in entropy[:4]]
@@ -196,10 +198,11 @@ def point_seed(master_seed: int, grid_index, kind: MeritKind):
     for word in pool[:2]:
         word = word ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
-        word = word * hash_const
-        halves.append((word ^ (word >> 16)).astype(np.uint64))
-    seeds = halves[0] | (halves[1] << np.uint64(32))
-    return int(seeds[0]) if index.ndim == 0 else seeds
+        word = word * hash_const & _MASK32
+        halves.append(word ^ (word >> 16))
+    if index.ndim == 0:
+        return halves[0] | halves[1] << 32
+    return halves[0].astype(np.uint64) | halves[1].astype(np.uint64) << np.uint64(32)
 
 
 def _evaluate_row(task) -> list[tuple[tuple[float, float], ...]]:
