@@ -90,9 +90,9 @@ def _weighted_sum(pairs, shape) -> np.ndarray:
     """
     terms = []
     for coef, column in pairs:
-        category = _category(coef[0, 0] if isinstance(coef, np.ndarray) else coef)
-        if category:
-            terms.append(column if category == 1 else coef * column)
+        lead = coef[0, 0] if isinstance(coef, np.ndarray) else coef
+        if lead != 0:
+            terms.append(column if lead == 1 else coef * column)
     return _total(terms, shape)
 
 
