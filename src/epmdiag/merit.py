@@ -88,16 +88,13 @@ def _weighted_sum(pairs, shape) -> np.ndarray:
     unit ones are not multiplied, which leaves the result unchanged but
     keeps structured gates cheap.
     """
-    terms = []
-    for coef, column in pairs:
-        lead = coef[0, 0] if isinstance(coef, np.ndarray) else coef
-        if lead != 0:
-            terms.append(column if lead == 1 else coef * column)
-    return _total(terms, shape)
+    return _total([column if lead == 1 else coef * column for coef, column in pairs
+                   if (lead := coef[0, 0] if isinstance(coef, np.ndarray) else coef) != 0],
+                  shape)
 
 
 def _output_rows(
-    states: np.ndarray, u_rows: list, v_rows: list, equal: tuple[bool, ...]
+    states: np.ndarray, u_rows, v_rows, equal: list[bool]
 ) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
     """Output amplitudes (U psi)_m and (V psi)_m per batch row, one array per m.
 
@@ -183,37 +180,43 @@ def eta_signed_traces(
     return s_p, s_chi, s_p + s_chi
 
 
-def _coefficients(kind: MeritKind, u_rows: list, v_stack: np.ndarray,
+def _coefficients(kind: MeritKind, u_gates: list, v_gates: list,
                   hamiltonian: LocalHamiltonian | None) -> list:
-    """Per noisy gate of a stack, the numbers its kernel multiplies by: the
-    M entries of _form_difference for the eta merits, else the gate rows."""
+    """Per gate pair, the numbers its kernel multiplies by: the M entries of
+    _form_difference for the eta merits, else the (U rows, V rows) pair."""
     if kind in ETA_KINDS:
         weights = hamiltonian.exp_diag(-1.0).tolist()
-        return [_form_difference(u_rows, v_rows, weights) for v_rows in v_stack.tolist()]
-    return v_stack.tolist()
+        return [_form_difference(u_rows, v_rows, weights)
+                for u_rows, v_rows in zip(u_gates, v_gates)]
+    return list(zip(u_gates, v_gates))
 
 
-def _structure_key(kind: MeritKind, u_rows: list, coefs, w_plus: list) -> tuple:
-    """The branches a gate's kernel takes through the elementwise sums.
+def _structure_keys(kind: MeritKind, u_stack: np.ndarray, v_stack: np.ndarray, coefs: list,
+                    hamiltonian: LocalHamiltonian | None) -> list:
+    """Per gate pair, the branches its kernel takes through the elementwise sums.
 
-    Gates with equal keys can be evaluated together: the key records which
-    rows equal U and the _category of every gate entry, or for the eta
-    merits the entries of M and the _category of each diagonal coefficient.
+    Pairs with equal keys can be evaluated together: the key records which
+    rows of V equal U and whether each gate entry is 0, 1 or else (see
+    _weighted_sum), or for the eta merits the entries of M and the
+    _category of each diagonal coefficient.
     """
     if kind in ETA_KINDS:
-        return tuple((k, l, _category(m.real), _category(w_plus[k] * m.real))
-                     for (k, l), m in coefs.items())
-    return tuple((v_row == u_row, tuple(map(_category, v_row)))
-                 for u_row, v_row in zip(u_rows, coefs))
+        w_plus = hamiltonian.exp_diag(1.0).tolist()
+        return [tuple((k, l, _category(m.real), _category(w_plus[k] * m.real))
+                      for (k, l), m in form.items()) for form in coefs]
+    pairs = np.stack(np.broadcast_arrays(u_stack, v_stack), axis=1)
+    branches = (pairs != 0).astype(np.int8) + (pairs == 1)
+    equal = np.all(pairs[:, 0] == pairs[:, 1], axis=-1)
+    return [b.tobytes() + e.tobytes() for b, e in zip(branches, equal)]
 
 
-def _group_values(kind: MeritKind, states: np.ndarray, u_rows: list, coefs: list,
+def _group_values(kind: MeritKind, states: np.ndarray, coefs: list,
                   hamiltonian: LocalHamiltonian | None) -> np.ndarray:
-    """Kernel values (G, n) of G gates that share one structure key.
+    """Kernel values (G, n) of G gate pairs that share one structure key.
 
-    `coefs` holds each gate's _coefficients. A single gate's numbers are
+    `coefs` holds each pair's _coefficients. A single pair's numbers are
     used as they are; for several, each number becomes a (G, 1) column, so
-    every gate sees the elementwise sequence of a single-gate evaluation
+    every pair sees the elementwise sequence of a single-pair evaluation
     with its own numbers.
     """
     shape = states.shape[:-1]
@@ -235,9 +238,11 @@ def _group_values(kind: MeritKind, states: np.ndarray, u_rows: list, coefs: list
             signed = _s_p(form, pops) + _s_chi(form, states)
         return mean_exp_h * np.abs(signed)
 
-    # (G, dim, dim) -> rows m of (G, 1) columns k
-    v_rows = coefs[0] if len(coefs) == 1 else np.array(coefs)[..., None].transpose(1, 2, 0, 3)
-    equal = [u_row == v_row for u_row, v_row in zip(u_rows, coefs[0])]
+    if len(coefs) == 1:
+        u_rows, v_rows = coefs[0]
+    else:  # (G, 2, dim, dim) -> U and V, rows m, (G, 1) columns k
+        u_rows, v_rows = np.array(coefs)[..., None].transpose(1, 2, 3, 0, 4)
+    equal = [u_row == v_row for u_row, v_row in zip(*coefs[0])]
     shared, differing = _output_rows(states, u_rows, v_rows, equal)
 
     if kind is MeritKind.FIDELITY:
@@ -278,35 +283,35 @@ def kernel_values(
     With one noisy gate (dim, dim), `states` is one state (dim,) or a batch
     (n, dim) and the values have shape (n,). With a stack of B noisy gates
     (B, dim, dim), `states` is a (B, n, dim) stack, slice b going with
-    gate b, and the values (B, n) equal the B single-gate calls bit for
-    bit. Every kernel is elementwise arithmetic on the amplitude columns;
-    none calls a matrix product, so none wakes the BLAS threads.
+    gate b, and `u_ideal` is one gate for the whole stack or a stack of
+    its own; the values (B, n) equal the B single-gate calls bit for bit.
+    Every kernel is elementwise arithmetic on the amplitude columns; none
+    calls a matrix product, so none wakes the BLAS threads.
     """
     if not isinstance(kind, MeritKind):
         raise ValidationError(f"unknown merit kind {kind!r}")
     if kind in ETA_KINDS and hamiltonian is None:
         raise ValidationError(f"merit {kind.value} requires a Hamiltonian")
     states = np.asarray(states, dtype=complex)
-    u_rows = np.asarray(u_ideal, dtype=complex).tolist()
+    u_stack = np.asarray(u_ideal, dtype=complex)
     v_stack = np.asarray(v_noisy, dtype=complex)
-    single = v_stack.ndim == 2
-    if single:
-        states, v_stack = np.atleast_2d(states)[None], v_stack[None]
+    if v_stack.ndim == 2:  # one gate pair: its states keep their (n, dim) shape
+        states, v_stack = np.atleast_2d(states), v_stack[None]
+    u_gates = u_stack.tolist() if u_stack.ndim == 3 else [u_stack.tolist()] * len(v_stack)
 
-    coefs = _coefficients(kind, u_rows, v_stack, hamiltonian)
-    groups: dict[tuple, list[int]] = {}
+    coefs = _coefficients(kind, u_gates, v_stack.tolist(), hamiltonian)
+    groups: dict[object, list[int]] = {}
     if len(coefs) > 1:
-        w_plus = hamiltonian.exp_diag(1.0).tolist() if kind in ETA_KINDS else []
-        for b, gate_coefs in enumerate(coefs):
-            groups.setdefault(_structure_key(kind, u_rows, gate_coefs, w_plus), []).append(b)
+        for b, key in enumerate(_structure_keys(kind, u_stack, v_stack, coefs, hamiltonian)):
+            groups.setdefault(key, []).append(b)
     if len(groups) <= 1:
-        values = _group_values(kind, states, u_rows, coefs, hamiltonian)
+        values = _group_values(kind, states, coefs, hamiltonian)
     else:
         values = np.empty(states.shape[:-1])
         for members in groups.values():
-            values[members] = _group_values(kind, states[members], u_rows,
+            values[members] = _group_values(kind, states[members],
                                             [coefs[b] for b in members], hamiltonian)
-    return values[0] if single else values
+    return values
 
 
 def kernel_fidelity(psi0: np.ndarray, u_ideal: np.ndarray, v_noisy: np.ndarray) -> float:

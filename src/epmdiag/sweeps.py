@@ -19,7 +19,7 @@ from .energetics import local_hamiltonian_2q
 from .errors import ValidationError
 from .gates import g_gate, v_angle, v_axis
 from .linalg import plus_plus_state
-from .merit import MERIT_ORDINAL, MeritKind, haar_average, kernel_coherence_fid
+from .merit import MERIT_ORDINAL, MeritKind, haar_average, kernel_coherence_fid, kernel_values
 from .reconstruct import (
     BASIS_LABELS,
     ProbabilityTable,
@@ -385,23 +385,27 @@ def run_reconstruction(
     hamiltonian = local_hamiltonian_2q()
     psi_pp = plus_plus_state()
     measured = sorted(measured, key=lambda pair: pair[0])
+    coherences = [None] * len(measured)
+    if phi is not None and measured:
+        # one batched kernel call over every table's (ideal, noisy) gate pair
+        thetas = [theta for theta, _ in measured]
+        coherences = kernel_values(
+            MeritKind.COHERENCE_FIDELITY, np.broadcast_to(psi_pp, (len(thetas), 1, 4)),
+            np.stack([g_gate(theta) for theta in thetas]),
+            np.stack([ERROR_FAMILIES[error_family](theta, phi) for theta in thetas]))[:, 0].tolist()
     if ideal is None:
         ideal_map = {theta: gate_probability_table(g_gate(theta)) for theta, _ in measured}
     else:
         ideal_map = {theta: table for theta, table in ideal}
     rows = []
     flags: list[str] = []
-    for theta, table in measured:
+    for (theta, table), coherence in zip(measured, coherences):
         if theta not in ideal_map:
             raise ValidationError(f"no ideal table for theta = {theta!r}")
         ideal_table = ideal_map[theta]
         pops = chi_populations(table)
         g_measured = g_chi_from_table(table, hamiltonian)
         g_ideal = g_chi_from_table(ideal_table, hamiltonian)
-        coherence = None
-        if phi is not None:
-            noisy_gate = ERROR_FAMILIES[error_family](theta, phi)
-            coherence = kernel_coherence_fid(psi_pp, g_gate(theta), noisy_gate)
         row_errors = [abs(float(np.sum(values)) - 1.0) for values in table.rows.values()]
         rows.append(ReconstructionRow(
             theta=theta,

@@ -256,20 +256,24 @@ BATCH_SETTINGS = settings(max_examples=300, deadline=None, database=None, derand
 
 @BATCH_SETTINGS
 @given(kind=st.sampled_from(list(MeritKind)), family=st.sampled_from([v_axis, v_angle]),
-       theta=ANGLES, phis=st.lists(PHIS, min_size=1, max_size=6),
-       n=st.integers(1, 64), seed=st.integers(0, 2**64 - 1), zeroed=st.integers(0, 14))
-def test_stacked_kernel_values_equal_single_gate_calls(kind, family, theta, phis, n, seed,
+       gates=st.lists(st.tuples(ANGLES, PHIS), min_size=1, max_size=6),
+       shared_u=st.booleans(), n=st.integers(1, 64), seed=st.integers(0, 2**64 - 1),
+       zeroed=st.integers(0, 14))
+def test_stacked_kernel_values_equal_single_gate_calls(kind, family, gates, shared_u, n, seed,
                                                        zeroed):
-    states = haar_pure_states([RngStream(seed, b) for b in range(len(phis))], 4, n)
+    states = haar_pure_states([RngStream(seed, b) for b in range(len(gates))], 4, n)
     # exact zero amplitudes in the first slice, as basis-like inputs have
     states[0][:, [k for k in range(4) if zeroed >> k & 1]] = 0.0
-    u = g_gate(theta)
-    gates = [family(theta, phi) for phi in phis]
-    stacked = kernel_values(kind, states, u, np.stack(gates), H)
-    assert stacked.shape == (len(phis), n)
-    for b, v in enumerate(gates):
+    if shared_u:  # one ideal gate for the stack, as a sweep row has
+        gates = [(gates[0][0], phi) for _, phi in gates]
+    ideal = [g_gate(theta) for theta, _ in gates]
+    noisy = [family(theta, phi) for theta, phi in gates]
+    stacked = kernel_values(kind, states, ideal[0] if shared_u else np.stack(ideal),
+                            np.stack(noisy), H)
+    assert stacked.shape == (len(gates), n)
+    for b, (u, v) in enumerate(zip(ideal, noisy)):
         single = kernel_values(kind, states[b], u, v, H)
-        assert np.array_equal(stacked[b].view(np.uint64), single.view(np.uint64)), (b, phis[b])
+        assert np.array_equal(stacked[b].view(np.uint64), single.view(np.uint64)), (b, gates[b])
 
 
 @BATCH_SETTINGS
