@@ -180,18 +180,7 @@ def eta_signed_traces(
     return s_p, s_chi, s_p + s_chi
 
 
-def _coefficients(kind: MeritKind, u_gates: list, v_gates: list,
-                  hamiltonian: LocalHamiltonian | None) -> list:
-    """Per gate pair, the numbers its kernel multiplies by: the M entries of
-    _form_difference for the eta merits, else the (U rows, V rows) pair."""
-    if kind in ETA_KINDS:
-        weights = hamiltonian.exp_diag(-1.0).tolist()
-        return [_form_difference(u_rows, v_rows, weights)
-                for u_rows, v_rows in zip(u_gates, v_gates)]
-    return list(zip(u_gates, v_gates))
-
-
-def _structure_keys(kind: MeritKind, u_stack: np.ndarray, v_stack: np.ndarray, coefs: list,
+def _structure_keys(kind: MeritKind, u_stack: np.ndarray, v_stack: np.ndarray, forms: list,
                     hamiltonian: LocalHamiltonian | None) -> list:
     """Per gate pair, the branches its kernel takes through the elementwise sums.
 
@@ -203,27 +192,28 @@ def _structure_keys(kind: MeritKind, u_stack: np.ndarray, v_stack: np.ndarray, c
     if kind in ETA_KINDS:
         w_plus = hamiltonian.exp_diag(1.0).tolist()
         return [tuple((k, l, _category(m.real), _category(w_plus[k] * m.real))
-                      for (k, l), m in form.items()) for form in coefs]
-    pairs = np.stack(np.broadcast_arrays(u_stack, v_stack), axis=1)
-    branches = (pairs != 0).astype(np.int8) + (pairs == 1)
-    equal = np.all(pairs[:, 0] == pairs[:, 1], axis=-1)
-    return [b.tobytes() + e.tobytes() for b, e in zip(branches, equal)]
+                      for (k, l), m in form.items()) for form in forms]
+    u_branches, v_branches = ((g != 0).astype(np.int8) + (g == 1) for g in (u_stack, v_stack))
+    equal = np.all(u_stack == v_stack, axis=-1)
+    return [a.tobytes() + b.tobytes() + e.tobytes()
+            for a, b, e in zip(u_branches, v_branches, equal)]
 
 
-def _group_values(kind: MeritKind, states: np.ndarray, coefs: list,
+def _group_values(kind: MeritKind, states: np.ndarray, u_stack: np.ndarray,
+                  v_stack: np.ndarray, forms: list | None,
                   hamiltonian: LocalHamiltonian | None) -> np.ndarray:
-    """Kernel values (G, n) of G gate pairs that share one structure key.
+    """Kernel values (G, n) of G gate pairs (G, dim, dim) that share one structure key.
 
-    `coefs` holds each pair's _coefficients. A single pair's numbers are
-    used as they are; for several, each number becomes a (G, 1) column, so
-    every pair sees the elementwise sequence of a single-pair evaluation
-    with its own numbers.
+    For the eta merits `forms` holds each pair's _form_difference. A single
+    pair's numbers are used as they are; for several, each number becomes
+    a (G, 1) column, so every pair sees the elementwise sequence of a
+    single-pair evaluation with its own numbers.
     """
     shape = states.shape[:-1]
 
     if kind in ETA_KINDS:
-        form = coefs[0] if len(coefs) == 1 else {
-            kl: np.array([c[kl] for c in coefs])[:, None] for kl in coefs[0]}
+        form = forms[0] if len(forms) == 1 else {
+            kl: np.array([f[kl] for f in forms])[:, None] for kl in forms[0]}
         pops = _norm_sq(states)
         w_plus = hamiltonian.exp_diag(1.0).tolist()
         if kind is MeritKind.ETA_TPM:
@@ -238,11 +228,10 @@ def _group_values(kind: MeritKind, states: np.ndarray, coefs: list,
             signed = _s_p(form, pops) + _s_chi(form, states)
         return mean_exp_h * np.abs(signed)
 
-    if len(coefs) == 1:
-        u_rows, v_rows = coefs[0]
-    else:  # (G, 2, dim, dim) -> U and V, rows m, (G, 1) columns k
-        u_rows, v_rows = np.array(coefs)[..., None].transpose(1, 2, 3, 0, 4)
-    equal = [u_row == v_row for u_row, v_row in zip(*coefs[0])]
+    u_rows, v_rows = u_stack[0].tolist(), v_stack[0].tolist()
+    equal = [u_row == v_row for u_row, v_row in zip(u_rows, v_rows)]
+    if len(v_stack) > 1:  # (G, dim, dim) -> rows m of (G, 1) columns k
+        u_rows, v_rows = (g[..., None].transpose(1, 2, 0, 3) for g in (u_stack, v_stack))
     shared, differing = _output_rows(states, u_rows, v_rows, equal)
 
     if kind is MeritKind.FIDELITY:
@@ -297,20 +286,24 @@ def kernel_values(
     v_stack = np.asarray(v_noisy, dtype=complex)
     if v_stack.ndim == 2:  # one gate pair: its states keep their (n, dim) shape
         states, v_stack = np.atleast_2d(states), v_stack[None]
-    u_gates = u_stack.tolist() if u_stack.ndim == 3 else [u_stack.tolist()] * len(v_stack)
+    u_stack = np.broadcast_to(u_stack, v_stack.shape)
+    forms = None
+    if kind in ETA_KINDS:
+        weights = hamiltonian.exp_diag(-1.0).tolist()
+        forms = [_form_difference(u_rows, v_rows, weights)
+                 for u_rows, v_rows in zip(u_stack.tolist(), v_stack.tolist())]
 
-    coefs = _coefficients(kind, u_gates, v_stack.tolist(), hamiltonian)
     groups: dict[object, list[int]] = {}
-    if len(coefs) > 1:
-        for b, key in enumerate(_structure_keys(kind, u_stack, v_stack, coefs, hamiltonian)):
+    if len(v_stack) > 1:
+        for b, key in enumerate(_structure_keys(kind, u_stack, v_stack, forms, hamiltonian)):
             groups.setdefault(key, []).append(b)
     if len(groups) <= 1:
-        values = _group_values(kind, states, coefs, hamiltonian)
-    else:
-        values = np.empty(states.shape[:-1])
-        for members in groups.values():
-            values[members] = _group_values(kind, states[members],
-                                            [coefs[b] for b in members], hamiltonian)
+        return _group_values(kind, states, u_stack, v_stack, forms, hamiltonian)
+    values = np.empty(states.shape[:-1])
+    for members in groups.values():
+        values[members] = _group_values(kind, states[members], u_stack[members], v_stack[members],
+                                        None if forms is None else [forms[b] for b in members],
+                                        hamiltonian)
     return values
 
 
