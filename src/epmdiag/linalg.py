@@ -102,11 +102,6 @@ def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int) -> 
     return states[0] if isinstance(rng, RngStream) else states
 
 
-def haar_pure_state(rng: RngStream, dim: int) -> np.ndarray:
-    """Draw one Haar-random pure state vector of the given dimension."""
-    return haar_pure_states(rng, dim, 1)[0]
-
-
 def haar_random_unitary(rng: RngStream, dim: int) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix.
 

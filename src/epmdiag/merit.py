@@ -74,44 +74,49 @@ def _total(arrays: list[np.ndarray], shape) -> np.ndarray:
     return total
 
 
-def _category(coef) -> int:
-    """How a weighted sum treats a coefficient: skipped (0), added unscaled (1)
-    or multiplied in (2)."""
-    return 0 if coef == 0 else 1 if coef == 1 else 2
+def _classes(coefs: np.ndarray) -> list:
+    """How _weighted_sum treats each entry of a (G, ...) stack of coefficients.
 
-
-def _weighted_sum(pairs, shape) -> np.ndarray:
-    """Sum of coef * column over (coef, column) pairs.
-
-    A coefficient is a number, or a (G, 1) column of one number per gate
-    whose entries share one _category. Zero coefficients are skipped and
-    unit ones are not multiplied, which leaves the result unchanged but
-    keeps structured gates cheap.
+    As nested lists over the trailing axes: 0 when the entry is 0 for every
+    gate pair of the stack (skipped), 1 when it is 1 for every pair (added
+    unscaled), else 2 (multiplied in as a (G, 1) column).
     """
-    return _total([column if lead == 1 else coef * column for coef, column in pairs
-                   if (lead := coef[0, 0] if isinstance(coef, np.ndarray) else coef) != 0],
-                  shape)
+    return (2 - 2 * (coefs == 0).all(axis=0) - (coefs == 1).all(axis=0)).tolist()
+
+
+def _weighted_sum(coefs: np.ndarray, classes: list, columns: list[np.ndarray],
+                  shape) -> np.ndarray:
+    """Sum over k of coefs[:, k] * columns[k], for (G, K) coefficients and (G, n) columns.
+
+    Entries of class 0 (see _classes) are skipped and entries of class 1
+    added unscaled, which keeps structured gates cheap. A pair whose own
+    entry is 0 or 1 but is multiplied in gets the same sum up to the sign
+    of a zero, which no kernel passes on: each ends in abs or a square.
+    """
+    return _total([column if c == 1 else coefs[:, k, None] * column
+                   for k, (c, column) in enumerate(zip(classes, columns)) if c], shape)
 
 
 def _output_rows(
-    states: np.ndarray, u_rows, v_rows, equal: list[bool]
+    states: np.ndarray, u_stack: np.ndarray, v_stack: np.ndarray
 ) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
-    """Output amplitudes (U psi)_m and (V psi)_m per batch row, one array per m.
+    """Output amplitudes (U psi)_m and (V psi)_m per gate pair, one (G, n) array per m.
 
-    Returns the amplitudes of the rows m where U and V are equal (`equal`),
-    computed once, and the ((U psi)_m, (V psi)_m) pairs of the rows where
-    they differ. Each amplitude is an elementwise sum over the non-zero
-    entries of the gate row: no matrix product, so no BLAS.
+    Returns the amplitudes of the rows m where U and V are equal for every
+    pair, computed once, and the ((U psi)_m, (V psi)_m) pairs of the other
+    rows. Each amplitude is an elementwise sum over the entries of the gate
+    row: no matrix product, so no BLAS.
     """
     shape = states.shape[:-1]
     columns = [states[..., k] for k in range(states.shape[-1])]
+    u_classes, v_classes = _classes(np.stack([u_stack, v_stack], axis=1))
     shared, differing = [], []
-    for u_row, v_row, same in zip(u_rows, v_rows, equal):
-        a = _weighted_sum(zip(u_row, columns), shape)
+    for m, same in enumerate((u_stack == v_stack).all(axis=(0, 2)).tolist()):
+        a = _weighted_sum(u_stack[:, m], u_classes[m], columns, shape)
         if same:
             shared.append(a)
         else:
-            differing.append((a, _weighted_sum(zip(v_row, columns), shape)))
+            differing.append((a, _weighted_sum(v_stack[:, m], v_classes[m], columns, shape)))
     return shared, differing
 
 
@@ -120,40 +125,43 @@ def _norm_sq(a: np.ndarray) -> np.ndarray:
     return a.real * a.real + a.imag * a.imag
 
 
-def _form_difference(u_rows: list, v_rows: list,
-                     weights: list[float]) -> dict[tuple[int, int], complex]:
-    """Non-zero entries M_kl, k <= l, of M = V^dag e^-H V - U^dag e^-H U.
+def _form_difference(u_stack: np.ndarray, v_stack: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """M = V^dag e^-H V - U^dag e^-H U for each pair of a (G, dim, dim) gate stack.
 
-    M_kl = sum_m e^-E_m (conj(V_mk) V_ml - conj(U_mk) U_ml), with the gates
-    as nested lists and `weights` the e^-E_m. Rows m where V and U are
-    equal add nothing and are skipped, so M is empty when V equals U, and
-    for the controlled gates only the control-0 block is left.
+    M_kl = sum_m e^-E_m (conj(V_mk) V_ml - conj(U_mk) U_ml), with `weights`
+    the e^-E_m, formed as (G, m, k, l) terms summed over m in order. The
+    conjugate products are written out in real arithmetic, r r' + i i' and
+    r i' - i r', which rounds as Python's complex multiply does; numpy's
+    complex multiply need not. Rows where V equals U add exact zeros, so M
+    is 0 when V equals U.
     """
-    form: dict[tuple[int, int], complex] = {}
-    for w, u_row, v_row in zip(weights, u_rows, v_rows):
-        if v_row == u_row:
-            continue
-        cols = [k for k, (x, y) in enumerate(zip(u_row, v_row)) if x != 0 or y != 0]
-        for i, k in enumerate(cols):
-            for l in cols[i:]:
-                term = w * (v_row[k].conjugate() * v_row[l] - u_row[k].conjugate() * u_row[l])
-                form[k, l] = form.get((k, l), 0) + term
-    return {kl: value for kl, value in form.items() if value != 0}
+    gates = np.stack([v_stack, u_stack])
+    re_k, im_k = gates.real[..., :, None], gates.imag[..., :, None]
+    re_l, im_l = gates.real[..., None, :], gates.imag[..., None, :]
+    products = np.stack([re_k * re_l + im_k * im_l, re_k * im_l - im_k * re_l], axis=-1)
+    terms = weights[:, None, None, None] * (products[0] - products[1])
+    form = _total([terms[:, m] for m in range(terms.shape[1])], None)
+    return form.view(complex)[..., 0]
 
 
-def _s_p(form: dict, pops: np.ndarray) -> np.ndarray:
-    """sum_k |psi_k|^2 M_kk over the non-zero diagonal entries of M."""
-    return _weighted_sum(((m.real, pops[..., k]) for (k, l), m in form.items() if k == l),
-                         pops.shape[:-1])
+def _s_p(diagonal: np.ndarray, pops: np.ndarray) -> np.ndarray:
+    """sum_k |psi_k|^2 c_k per gate pair, for a (G, dim) diagonal c such as M_kk."""
+    return _weighted_sum(diagonal, _classes(diagonal),
+                         [pops[..., k] for k in range(pops.shape[-1])], pops.shape[:-1])
 
 
-def _s_chi(form: dict, states: np.ndarray) -> np.ndarray:
-    """2 Re sum_{k<l} conj(psi_k) psi_l M_kl over the non-zero entries of M."""
+def _s_chi(form: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """2 Re sum_{k<l} conj(psi_k) psi_l M_kl per gate pair, over the M_kl
+    that are non-zero for some pair."""
+    dim = states.shape[-1]
+    present = (form != 0).any(axis=0).tolist()
     terms = []
-    for (k, l), m in form.items():
-        if k < l:
-            t = (2 * m) * states[..., l]
-            terms.append(states[..., k].real * t.real + states[..., k].imag * t.imag)
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            if present[k][l]:
+                t = (2 * form[:, k, l, None]) * states[..., l]
+                terms.append(states[..., k].real * t.real + states[..., k].imag * t.imag)
     return _total(terms, states.shape[:-1])
 
 
@@ -171,68 +179,40 @@ def eta_signed_traces(
     s_p = sum_k |psi_k|^2 M_kk, s_chi = 2 Re sum_{k<l} conj(psi_k) psi_l M_kl
     and s_p + s_chi. When V equals U all three are exactly 0.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=complex))
-    form = _form_difference(np.asarray(u_ideal, dtype=complex).tolist(),
-                            np.asarray(v_noisy, dtype=complex).tolist(),
-                            hamiltonian.exp_diag(-1.0).tolist())
-    s_p = _s_p(form, _norm_sq(states))
-    s_chi = _s_chi(form, states)
+    states = np.atleast_2d(np.asarray(states, dtype=complex))[None]
+    form = _form_difference(np.asarray(u_ideal, dtype=complex)[None],
+                            np.asarray(v_noisy, dtype=complex)[None], hamiltonian.exp_diag(-1.0))
+    s_p = _s_p(form.diagonal(0, 1, 2).real, _norm_sq(states))[0]
+    s_chi = _s_chi(form, states)[0]
     return s_p, s_chi, s_p + s_chi
 
 
-def _structure_keys(kind: MeritKind, u_stack: np.ndarray, v_stack: np.ndarray, forms: list,
-                    hamiltonian: LocalHamiltonian | None) -> list:
-    """Per gate pair, the branches its kernel takes through the elementwise sums.
-
-    Pairs with equal keys can be evaluated together: the key records which
-    rows of V equal U and whether each gate entry is 0, 1 or else (see
-    _weighted_sum), or for the eta merits the entries of M and the
-    _category of each diagonal coefficient.
-    """
-    if kind in ETA_KINDS:
-        w_plus = hamiltonian.exp_diag(1.0).tolist()
-        return [tuple((k, l, _category(m.real), _category(w_plus[k] * m.real))
-                      for (k, l), m in form.items()) for form in forms]
-    u_branches, v_branches = ((g != 0).astype(np.int8) + (g == 1) for g in (u_stack, v_stack))
-    equal = np.all(u_stack == v_stack, axis=-1)
-    return [a.tobytes() + b.tobytes() + e.tobytes()
-            for a, b, e in zip(u_branches, v_branches, equal)]
-
-
-def _group_values(kind: MeritKind, states: np.ndarray, u_stack: np.ndarray,
-                  v_stack: np.ndarray, forms: list | None,
-                  hamiltonian: LocalHamiltonian | None) -> np.ndarray:
-    """Kernel values (G, n) of G gate pairs (G, dim, dim) that share one structure key.
-
-    For the eta merits `forms` holds each pair's _form_difference. A single
-    pair's numbers are used as they are; for several, each number becomes
-    a (G, 1) column, so every pair sees the elementwise sequence of a
-    single-pair evaluation with its own numbers.
-    """
+def _eta_values(kind: MeritKind, states: np.ndarray, u_stack: np.ndarray,
+                v_stack: np.ndarray, hamiltonian: LocalHamiltonian) -> np.ndarray:
+    """Values (G, n) of an eta merit, from M of each gate pair."""
     shape = states.shape[:-1]
+    form = _form_difference(u_stack, v_stack, hamiltonian.exp_diag(-1.0))
+    diagonal = form.diagonal(0, 1, 2).real
+    pops = _norm_sq(states)
+    w_plus = hamiltonian.exp_diag(1.0)[None]
+    if kind is MeritKind.ETA_TPM:
+        return np.abs(_s_p(w_plus * diagonal, pops))
+    mean_exp_h = _weighted_sum(w_plus, _classes(w_plus),
+                               [pops[..., k] for k in range(pops.shape[-1])], shape)
+    if kind is MeritKind.ETA_P:
+        signed = _s_p(diagonal, pops)
+    elif kind is MeritKind.ETA_CHI:
+        signed = _s_chi(form, states)
+    else:
+        signed = _s_p(diagonal, pops) + _s_chi(form, states)
+    return mean_exp_h * np.abs(signed)
 
-    if kind in ETA_KINDS:
-        form = forms[0] if len(forms) == 1 else {
-            kl: np.array([f[kl] for f in forms])[:, None] for kl in forms[0]}
-        pops = _norm_sq(states)
-        w_plus = hamiltonian.exp_diag(1.0).tolist()
-        if kind is MeritKind.ETA_TPM:
-            return np.abs(_weighted_sum(((w_plus[k] * m.real, pops[..., k])
-                                         for (k, l), m in form.items() if k == l), shape))
-        mean_exp_h = _weighted_sum(((w, pops[..., k]) for k, w in enumerate(w_plus)), shape)
-        if kind is MeritKind.ETA_P:
-            signed = _s_p(form, pops)
-        elif kind is MeritKind.ETA_CHI:
-            signed = _s_chi(form, states)
-        else:
-            signed = _s_p(form, pops) + _s_chi(form, states)
-        return mean_exp_h * np.abs(signed)
 
-    u_rows, v_rows = u_stack[0].tolist(), v_stack[0].tolist()
-    equal = [u_row == v_row for u_row, v_row in zip(u_rows, v_rows)]
-    if len(v_stack) > 1:  # (G, dim, dim) -> rows m of (G, 1) columns k
-        u_rows, v_rows = (g[..., None].transpose(1, 2, 0, 3) for g in (u_stack, v_stack))
-    shared, differing = _output_rows(states, u_rows, v_rows, equal)
+def _output_values(kind: MeritKind, states: np.ndarray, u_stack: np.ndarray,
+                   v_stack: np.ndarray) -> np.ndarray:
+    """Values (G, n) of FIDELITY or COHERENCE_FIDELITY, from the gate outputs."""
+    shape = states.shape[:-1]
+    shared, differing = _output_rows(states, u_stack, v_stack)
 
     if kind is MeritKind.FIDELITY:
         # |<a|b>|^2 / (|a|^2 |b|^2) in real arithmetic. The rows U and V
@@ -273,9 +253,14 @@ def kernel_values(
     (n, dim) and the values have shape (n,). With a stack of B noisy gates
     (B, dim, dim), `states` is a (B, n, dim) stack, slice b going with
     gate b, and `u_ideal` is one gate for the whole stack or a stack of
-    its own; the values (B, n) equal the B single-gate calls bit for bit.
-    Every kernel is elementwise arithmetic on the amplitude columns; none
-    calls a matrix product, so none wakes the BLAS threads.
+    its own; the values have shape (B, n). One pair is a stack of one, and
+    every stack takes the same path: an entry that is 0, or 1, for every
+    pair is skipped, or added unscaled, and any other is multiplied in per
+    pair. For the controlled-gate families of `gates` (g_gate, v_axis,
+    v_angle) a stacked call equals the single-pair calls bit for bit; for
+    stacks that mix other structures the values agree to rounding. Every
+    kernel is elementwise arithmetic on the amplitude columns; none calls
+    a matrix product, so none wakes the BLAS threads.
     """
     if not isinstance(kind, MeritKind):
         raise ValidationError(f"unknown merit kind {kind!r}")
@@ -284,50 +269,20 @@ def kernel_values(
     states = np.asarray(states, dtype=complex)
     u_stack = np.asarray(u_ideal, dtype=complex)
     v_stack = np.asarray(v_noisy, dtype=complex)
-    if v_stack.ndim == 2:  # one gate pair: its states keep their (n, dim) shape
-        states, v_stack = np.atleast_2d(states), v_stack[None]
+    single = v_stack.ndim == 2
+    if single:  # one gate pair: its states keep their (n, dim) shape
+        states, v_stack = np.atleast_2d(states)[None], v_stack[None]
     u_stack = np.broadcast_to(u_stack, v_stack.shape)
-    forms = None
     if kind in ETA_KINDS:
-        weights = hamiltonian.exp_diag(-1.0).tolist()
-        forms = [_form_difference(u_rows, v_rows, weights)
-                 for u_rows, v_rows in zip(u_stack.tolist(), v_stack.tolist())]
-
-    groups: dict[object, list[int]] = {}
-    if len(v_stack) > 1:
-        for b, key in enumerate(_structure_keys(kind, u_stack, v_stack, forms, hamiltonian)):
-            groups.setdefault(key, []).append(b)
-    if len(groups) <= 1:
-        return _group_values(kind, states, u_stack, v_stack, forms, hamiltonian)
-    values = np.empty(states.shape[:-1])
-    for members in groups.values():
-        values[members] = _group_values(kind, states[members], u_stack[members], v_stack[members],
-                                        None if forms is None else [forms[b] for b in members],
-                                        hamiltonian)
-    return values
-
-
-def kernel_fidelity(psi0: np.ndarray, u_ideal: np.ndarray, v_noisy: np.ndarray) -> float:
-    """Gate fidelity kernel Tr[(V rho V^dag)(U rho U^dag)] for rho = |psi0><psi0|."""
-    return float(kernel_values(MeritKind.FIDELITY, psi0, u_ideal, v_noisy)[0])
+        values = _eta_values(kind, states, u_stack, v_stack, hamiltonian)
+    else:
+        values = _output_values(kind, states, u_stack, v_stack)
+    return values[0] if single else values
 
 
 def kernel_coherence_fid(psi0: np.ndarray, u_ideal: np.ndarray, v_noisy: np.ndarray) -> float:
     """Coherence mismatch kernel |C_l1(V rho V^dag) - C_l1(U rho U^dag)|."""
     return float(kernel_values(MeritKind.COHERENCE_FIDELITY, psi0, u_ideal, v_noisy)[0])
-
-
-def kernel_eta(
-    psi0: np.ndarray,
-    u_ideal: np.ndarray,
-    v_noisy: np.ndarray,
-    hamiltonian: LocalHamiltonian,
-    kind: MeritKind,
-) -> float:
-    """Energy-statistics kernel of the requested eta flavour for one state."""
-    if kind not in ETA_KINDS:
-        raise ValidationError(f"kernel_eta expects an eta merit, got {kind!r}")
-    return float(kernel_values(kind, psi0, u_ideal, v_noisy, hamiltonian)[0])
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,6 @@ class ProbabilityTable:
     metadata: dict[str, float] = field(default_factory=dict)
     flags: list[str] = field(default_factory=list)
 
-    def row(self, label: str) -> np.ndarray:
-        if label not in self.rows:
-            raise ValidationError(f"probability table is missing required row {label!r}")
-        return self.rows[label]
-
     def missing(self, labels) -> list[str]:
         return [label for label in labels if label not in self.rows]
 

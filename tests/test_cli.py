@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,10 +13,21 @@ from epmdiag.reconstruct import gate_probability_table, write_probability_table
 from epmdiag.gates import v_axis
 
 
+def child_env():
+    """This environment with the checkout's src first on PYTHONPATH.
+
+    pyproject's `pythonpath` reaches the pytest process but not the
+    interpreters it starts, so without this a child finds the package only
+    when it is installed.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "epmdiag", *args],
-        capture_output=True, text=True, **kwargs,
+        capture_output=True, text=True, env=child_env(), **kwargs,
     )
 
 

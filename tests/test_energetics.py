@@ -5,13 +5,13 @@ import numpy as np
 from epmdiag.element_sums import epm_char_fn
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.linalg import RngStream, haar_pure_state, plus_plus_state
+from epmdiag.linalg import RngStream, haar_pure_states, plus_plus_state
 
 IDENTITY_4 = np.eye(4, dtype=complex)
 
 
 def random_rho(seed, index):
-    psi = haar_pure_state(RngStream(seed, index), 4)
+    psi = haar_pure_states(RngStream(seed, index), 4, 1)[0]
     return np.outer(psi, psi.conj())
 
 

@@ -4,7 +4,6 @@ import pytest
 from epmdiag.errors import ValidationError
 from epmdiag.linalg import (
     RngStream,
-    haar_pure_state,
     haar_pure_states,
     haar_random_unitary,
 )
@@ -12,13 +11,13 @@ from epmdiag.linalg import (
 
 def test_haar_state_normalized():
     for i in range(50):
-        psi = haar_pure_state(RngStream(0, i), 4)
+        psi = haar_pure_states(RngStream(0, i), 4, 1)[0]
         assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-12
 
 
 def test_haar_rejects_bad_inputs():
     with pytest.raises(ValidationError):
-        haar_pure_state(RngStream(0, 0), 3)
+        haar_pure_states(RngStream(0, 0), 3, 1)
     with pytest.raises(ValidationError):
         haar_pure_states(RngStream(0, 0), 4, 0)
 
@@ -62,7 +61,7 @@ def test_seeded_reproducibility():
 
 
 def test_single_draw_is_batch_prefix():
-    single = haar_pure_state(RngStream(12, 3), 4)
+    single = haar_pure_states(RngStream(12, 3), 4, 1)[0]
     batch = haar_pure_states(RngStream(12, 3), 4, 50)
     assert np.array_equal(single, batch[0])
 

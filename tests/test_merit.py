@@ -10,7 +10,6 @@ from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import (
     RngStream,
     basis_state,
-    haar_pure_state,
     haar_pure_states,
     haar_random_unitary,
     plus_plus_state,
@@ -21,8 +20,6 @@ from epmdiag.merit import (
     eta_signed_traces,
     haar_average,
     kernel_coherence_fid,
-    kernel_eta,
-    kernel_fidelity,
     kernel_values,
     l1_coherence,
 )
@@ -34,7 +31,7 @@ def random_tuple(index, gen):
     theta = gen.uniform(0, np.pi)
     phi = gen.uniform(0, 2 * np.pi)
     family = v_axis if gen.random() < 0.5 else v_angle
-    psi = haar_pure_state(RngStream(7000, index), 4)
+    psi = haar_pure_states(RngStream(7000, index), 4, 1)[0]
     return psi, g_gate(theta), family(theta, phi)
 
 
@@ -47,7 +44,7 @@ def test_l1_coherence_examples():
 
 def test_coherence_kernel_zero_for_equal_gates():
     for i in range(10):
-        psi = haar_pure_state(RngStream(71, i), 4)
+        psi = haar_pure_states(RngStream(71, i), 4, 1)[0]
         u = g_gate(0.1 * i)
         assert kernel_coherence_fid(psi, u, u) == 0.0
 
@@ -85,9 +82,9 @@ def test_coherence_kernel_closed_form_grid():
 
 def test_fidelity_kernel_exact_one_for_equal_gates():
     for i in range(10):
-        psi = haar_pure_state(RngStream(73, i), 4)
+        psi = haar_pure_states(RngStream(73, i), 4, 1)[0]
         u = v_angle(0.2 * i, 0.0)
-        assert kernel_fidelity(psi, u, u) == 1.0
+        assert kernel_values(MeritKind.FIDELITY, psi, u, u)[0] == 1.0
 
 
 def test_fidelity_kernel_matches_trace_form():
@@ -98,11 +95,12 @@ def test_fidelity_kernel_matches_trace_form():
         trace_form = float(
             np.real(np.trace((v @ rho @ v.conj().T) @ (u @ rho @ u.conj().T)))
         )
-        assert abs(kernel_fidelity(psi, u, v) - trace_form) < 1e-12
+        assert abs(kernel_values(MeritKind.FIDELITY, psi, u, v)[0] - trace_form) < 1e-12
 
 
 def test_fidelity_kernel_orthogonal_outputs():
-    value = kernel_fidelity(basis_state(4, 0), g_gate(0.0), v_axis(0.0, np.pi / 2))
+    value = kernel_values(MeritKind.FIDELITY, basis_state(4, 0), g_gate(0.0),
+                          v_axis(0.0, np.pi / 2))[0]
     assert value < 1e-12
 
 
@@ -110,16 +108,16 @@ def test_fidelity_kernel_range():
     gen = np.random.default_rng(83)
     for i in range(50):
         psi, u, v = random_tuple(i + 100, gen)
-        value = kernel_fidelity(psi, u, v)
+        value = kernel_values(MeritKind.FIDELITY, psi, u, v)[0]
         assert 0.0 <= value <= 1.0
 
 
 def test_eta_kernels_zero_for_equal_gates():
     for kind in ETA_KINDS:
         for i in range(5):
-            psi = haar_pure_state(RngStream(89, i), 4)
+            psi = haar_pure_states(RngStream(89, i), 4, 1)[0]
             u = v_axis(0.3 * i, 0.0)
-            assert kernel_eta(psi, u, u, H, kind) == 0.0
+            assert kernel_values(kind, psi, u, u, H)[0] == 0.0
 
 
 def test_eta_chi_zero_for_diagonal_input():
@@ -127,21 +125,16 @@ def test_eta_chi_zero_for_diagonal_input():
     for theta in (0.0, 0.4, 1.1):
         for phi in (0.3, 1.0, 2.2):
             for family in (v_axis, v_angle):
-                value = kernel_eta(psi, g_gate(theta), family(theta, phi), H, MeritKind.ETA_CHI)
+                u, v = g_gate(theta), family(theta, phi)
+                value = kernel_values(MeritKind.ETA_CHI, psi, u, v, H)[0]
                 assert value < 1e-14
-
-
-def test_eta_kernel_rejects_non_eta_kind():
-    psi = basis_state(4, 0)
-    with pytest.raises(ValidationError):
-        kernel_eta(psi, g_gate(0.1), v_axis(0.1, 0.2), H, MeritKind.FIDELITY)
 
 
 def test_eta_chi_against_element_sum_on_theta_grid():
     psi = plus_plus_state()
     for theta in (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4):
         u, v = g_gate(theta), v_axis(theta, np.pi / 9)
-        fast = kernel_eta(psi, u, v, H, MeritKind.ETA_CHI)
+        fast = kernel_values(MeritKind.ETA_CHI, psi, u, v, H)[0]
         slow = element_sum_kernel(MeritKind.ETA_CHI, psi, u, v, H)
         assert abs(fast - slow) < 1e-10
 
@@ -154,6 +147,25 @@ def test_all_kernels_match_element_sums():
             fast = float(kernel_values(kind, psi, u, v, H)[0])
             slow = element_sum_kernel(kind, psi, u, v, H)
             assert abs(fast - slow) < 1e-12, kind
+
+
+def test_mixed_stack_against_the_element_sums():
+    # One call per merit on a stack whose pairs differ in structure, so no
+    # entry class or shared row is common to all of them: dense gates, a
+    # basis permutation against the identity, the null pair and a
+    # controlled pair, with a stacked ideal gate as reconstruct passes.
+    ideal = np.stack([g_gate(0.0), haar_random_unitary(RngStream(127, 0), 4), np.eye(4),
+                      g_gate(np.pi / 4)])
+    noisy = np.stack([v_axis(0.0, 0.0), haar_random_unitary(RngStream(127, 1), 4),
+                      np.eye(4)[[2, 0, 3, 1]], v_angle(np.pi / 4, 0.7)])
+    states = haar_pure_states([RngStream(131, b) for b in range(4)], 4, 20)
+    for kind in MeritKind:
+        values = kernel_values(kind, states, ideal, noisy, H)
+        for b in range(4):
+            for psi, value in zip(states[b], values[b]):
+                slow = element_sum_kernel(kind, psi, ideal[b], noisy[b], H)
+                assert abs(value - slow) < 1e-12, (kind, b)
+        assert np.all(values[0] == (1.0 if kind is MeritKind.FIDELITY else 0.0)), kind
 
 
 def test_signed_traces_decompose_exactly():

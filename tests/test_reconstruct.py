@@ -11,13 +11,12 @@ from epmdiag.gates import g_gate, v_axis
 from epmdiag.linalg import (
     RngStream,
     basis_state,
-    haar_pure_state,
+    haar_pure_states,
     haar_random_unitary,
     plus_plus_state,
 )
-from epmdiag.merit import MeritKind, kernel_eta
+from epmdiag.merit import MeritKind, kernel_values
 from epmdiag.reconstruct import (
-    ProbabilityTable,
     char_fn_from_tensor,
     chi_populations,
     eta_kernel_from_tables,
@@ -110,7 +109,7 @@ def test_eta_kernel_from_tables_matches_kernel_eta():
         via_tables = eta_kernel_from_tables(
             gate_probability_table(v), gate_probability_table(u), H
         )
-        direct = kernel_eta(psi, u, v, H, MeritKind.ETA_CHI)
+        direct = kernel_values(MeritKind.ETA_CHI, psi, u, v, H)[0]
         assert abs(via_tables - direct) < 1e-10
 
 
@@ -236,7 +235,7 @@ def test_char_fn_from_tensor_matches_trace():
     plan = protocol_plan("straightforward")
     tensor = transition_tensor_from_tables(plan, table_from_plan(w, plan))
     for i in range(100):
-        psi = haar_pure_state(RngStream(911, i), 4)
+        psi = haar_pure_states(RngStream(911, i), 4, 1)[0]
         value = char_fn_from_tensor(psi, tensor, H)
         rho_out = w @ np.outer(psi, psi.conj()) @ w.conj().T
         reference = float(np.real(np.sum(H.exp_diag(-1.0) * np.diag(rho_out))))
@@ -245,7 +244,7 @@ def test_char_fn_from_tensor_matches_trace():
 
 def test_char_fn_from_identity_tensor():
     tensor = transition_tensor_from_unitary(np.eye(4))
-    psi = haar_pure_state(RngStream(919, 0), 4)
+    psi = haar_pure_states(RngStream(919, 0), 4, 1)[0]
     expected = float(np.sum(H.exp_diag(-1.0) * (np.abs(psi) ** 2)))
     assert abs(char_fn_from_tensor(psi, tensor, H) - expected) < 1e-12
 
@@ -340,10 +339,3 @@ def test_write_read_round_trip(tmp_path):
     for label in table.rows:
         assert np.array_equal(loaded.rows[label], table.rows[label])
     assert loaded.flags == []
-
-
-def test_probability_table_row_accessor():
-    table = ProbabilityTable(rows={"00": np.array([1.0, 0, 0, 0])})
-    assert table.row("00")[0] == 1.0
-    with pytest.raises(ValidationError, match="01"):
-        table.row("01")
