@@ -136,10 +136,12 @@ def _form_difference(u_stack: np.ndarray, v_stack: np.ndarray,
     complex multiply need not. Rows where V equals U add exact zeros, so M
     is 0 when V equals U.
     """
-    gates = np.stack([v_stack, u_stack])
-    re_k, im_k = gates.real[..., :, None], gates.imag[..., :, None]
-    re_l, im_l = gates.real[..., None, :], gates.imag[..., None, :]
-    products = np.stack([re_k * re_l + im_k * im_l, re_k * im_l - im_k * re_l], axis=-1)
+    x = np.array([v_stack, u_stack]).view(float)
+    x = x.reshape(x.shape[:-1] + (-1, 2))  # (V or U, G, m, k, re or im)
+    a = x[..., :, None, :, None] * x[..., None, :, None, :]  # x_mk,c x_ml,c' as (..., k, l, c, c')
+    products = np.empty(a.shape[:-1])
+    np.add(a[..., 0, 0], a[..., 1, 1], out=products[..., 0])
+    np.subtract(a[..., 0, 1], a[..., 1, 0], out=products[..., 1])
     terms = weights[:, None, None, None] * (products[0] - products[1])
     form = _total([terms[:, m] for m in range(terms.shape[1])], None)
     return form.view(complex)[..., 0]
@@ -194,11 +196,12 @@ def _eta_values(kind: MeritKind, states: np.ndarray, u_stack: np.ndarray,
     form = _form_difference(u_stack, v_stack, hamiltonian.exp_diag(-1.0))
     diagonal = form.diagonal(0, 1, 2).real
     pops = _norm_sq(states)
-    w_plus = hamiltonian.exp_diag(1.0)[None]
+    w_plus = hamiltonian.exp_diag(1.0)
     if kind is MeritKind.ETA_TPM:
         return np.abs(_s_p(w_plus * diagonal, pops))
-    mean_exp_h = _weighted_sum(w_plus, _classes(w_plus),
-                               [pops[..., k] for k in range(pops.shape[-1])], shape)
+    # <e^H> = sum_k e^E_k |psi_k|^2; a real product by 1.0 is exact, so no
+    # entry needs skipping.
+    mean_exp_h = _total([w * pops[..., k] for k, w in enumerate(w_plus.tolist())], shape)
     if kind is MeritKind.ETA_P:
         signed = _s_p(diagonal, pops)
     elif kind is MeritKind.ETA_CHI:
@@ -271,7 +274,7 @@ def kernel_values(
     v_stack = np.asarray(v_noisy, dtype=complex)
     single = v_stack.ndim == 2
     if single:  # one gate pair: its states keep their (n, dim) shape
-        states, v_stack = np.atleast_2d(states)[None], v_stack[None]
+        states, v_stack = states.reshape(1, -1, states.shape[-1]), v_stack[None]
     u_stack = np.broadcast_to(u_stack, v_stack.shape)
     if kind in ETA_KINDS:
         values = _eta_values(kind, states, u_stack, v_stack, hamiltonian)

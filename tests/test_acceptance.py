@@ -181,7 +181,8 @@ def test_criterion_6_statistical_soundness():
 def test_criterion_7_output_determinism(tmp_path):
     # the child finds the package in this checkout's src, installed or not
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with criterion(7, "byte-identical outputs for any worker count"):
         outputs = []
         for name, workers in (("first", "1"), ("second", "2")):

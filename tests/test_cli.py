@@ -21,7 +21,8 @@ def child_env():
     when it is installed.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_cli(*args, **kwargs):
