@@ -7,7 +7,6 @@ seeded, reproducible Haar sampling backed by a counter-based bit generator.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -19,8 +18,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-SIGMA_PLUS = (PAULI_X + 1j * PAULI_Y) / 2
-SIGMA_MINUS = (PAULI_X - 1j * PAULI_Y) / 2
 
 SUPPORTED_DIMS = (2, 4)
 
@@ -39,10 +36,6 @@ class RngStream:
 
     master_seed: int
     stream_index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = ((self.stream_index & _MASK64) << 64) | (self.master_seed & _MASK64)
-        return np.random.Generator(np.random.Philox(key=key))
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -100,18 +93,3 @@ def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int) -> 
     np.multiply(gauss[..., :dim], scale, out=states.real)
     np.multiply(gauss[..., dim:], scale, out=states.imag)
     return states[0] if isinstance(rng, RngStream) else states
-
-
-def haar_random_unitary(rng: RngStream, dim: int) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix.
-
-    The R-diagonal phase fix makes the distribution exactly Haar rather
-    than merely unitary.
-    """
-    if dim not in SUPPORTED_DIMS:
-        raise ValidationError(f"unsupported dimension {dim}, expected one of {SUPPORTED_DIMS}")
-    gen = rng.generator()
-    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))

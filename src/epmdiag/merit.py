@@ -57,13 +57,6 @@ MERIT_ORDINAL = {kind: i for i, kind in enumerate(MeritKind)}
 ETA_KINDS = (MeritKind.ETA_TPM, MeritKind.ETA_P, MeritKind.ETA_EPM, MeritKind.ETA_CHI)
 
 
-def l1_coherence(rho: np.ndarray) -> float:
-    """l1 coherence measure: sum of |rho_nk| over all off-diagonal entries."""
-    rho = np.asarray(rho, dtype=complex)
-    magnitudes = np.abs(rho)
-    return float(np.sum(magnitudes) - np.sum(np.diag(magnitudes)))
-
-
 def _total(arrays: list[np.ndarray], shape) -> np.ndarray:
     """Sum of same-shape arrays, left to right; zeros(shape) when there are none."""
     if not arrays:
@@ -165,28 +158,6 @@ def _s_chi(form: np.ndarray, states: np.ndarray) -> np.ndarray:
                 t = (2 * form[:, k, l, None]) * states[..., l]
                 terms.append(states[..., k].real * t.real + states[..., k].imag * t.imag)
     return _total(terms, states.shape[:-1])
-
-
-def eta_signed_traces(
-    states: np.ndarray,
-    u_ideal: np.ndarray,
-    v_noisy: np.ndarray,
-    hamiltonian: LocalHamiltonian,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed trace differences (P part, chi part, full state) per batch row.
-
-    Each entry is Tr[e^-H (V Q V^dag - U Q U^dag)] before any absolute
-    value, with Q the diagonal part, the coherence part and the full rho.
-    With M = V^dag e^-H V - U^dag e^-H U they are the quadratic forms
-    s_p = sum_k |psi_k|^2 M_kk, s_chi = 2 Re sum_{k<l} conj(psi_k) psi_l M_kl
-    and s_p + s_chi. When V equals U all three are exactly 0.
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=complex))[None]
-    form = _form_difference(np.asarray(u_ideal, dtype=complex)[None],
-                            np.asarray(v_noisy, dtype=complex)[None], hamiltonian.exp_diag(-1.0))
-    s_p = _s_p(form.diagonal(0, 1, 2).real, _norm_sq(states))[0]
-    s_chi = _s_chi(form, states)[0]
-    return s_p, s_chi, s_p + s_chi
 
 
 def _eta_values(kind: MeritKind, states: np.ndarray, u_stack: np.ndarray,

@@ -42,11 +42,10 @@ class ProbabilityTable:
 
     Rows may come from finite counting statistics, so mild violations of
     [0, 1] bounds and unit row sums are flagged in `flags` rather than
-    rejected; `sum_tolerance` states how much slack the data is allowed.
+    rejected.
     """
 
     rows: dict[str, np.ndarray]
-    sum_tolerance: float = 0.02
     metadata: dict[str, float] = field(default_factory=dict)
     flags: list[str] = field(default_factory=list)
 
@@ -67,13 +66,13 @@ def gate_probability_table(v: np.ndarray, metadata: dict | None = None) -> Proba
     """Synthetic five-row table (four basis inputs plus |++>) for a gate."""
     rows = {label: outcome_probabilities(v, basis_state(4, i)) for i, label in enumerate(BASIS_LABELS)}
     rows["++"] = outcome_probabilities(v, plus_plus_state())
-    return ProbabilityTable(rows=rows, sum_tolerance=1e-12, metadata=dict(metadata or {}))
+    return ProbabilityTable(rows=rows, metadata=dict(metadata or {}))
 
 
 def table_from_plan(v: np.ndarray, plan: "ProtocolPlan") -> ProbabilityTable:
     """Synthetic table with one row per protocol-plan state."""
     rows = {label: outcome_probabilities(v, state) for label, state in plan.states}
-    return ProbabilityTable(rows=rows, sum_tolerance=1e-12)
+    return ProbabilityTable(rows=rows)
 
 
 def chi_populations(table: ProbabilityTable) -> np.ndarray:
@@ -95,39 +94,21 @@ def initial_exp_moment(psi0: np.ndarray, hamiltonian: LocalHamiltonian) -> float
     return float(np.sum((psi0.real**2 + psi0.imag**2) * hamiltonian.exp_diag(1.0)))
 
 
-def g_chi_from_table(
-    table: ProbabilityTable,
-    hamiltonian: LocalHamiltonian,
-    initial_moment: float | None = None,
-) -> float:
+def g_chi_from_table(table: ProbabilityTable, hamiltonian: LocalHamiltonian) -> float:
     """Coherence contribution to the characteristic function at u = i.
 
-    Returns initial_moment * sum_kq e^{-E_kq} p(kq; chi). The default
-    initial moment is the one of the |++> input, cosh(1)^2.
+    Returns Tr[e^H |++><++|] * sum_kq e^{-E_kq} p(kq; chi); the first
+    factor, the initial moment of the |++> input, is cosh(1)^2.
     """
-    if initial_moment is None:
-        initial_moment = initial_exp_moment(plus_plus_state(), hamiltonian)
+    plus_plus_moment = initial_exp_moment(plus_plus_state(), hamiltonian)
     populations = chi_populations(table)
-    return float(initial_moment * np.sum(hamiltonian.exp_diag(-1.0) * populations))
+    return float(plus_plus_moment * np.sum(hamiltonian.exp_diag(-1.0) * populations))
 
 
-def eta_kernel_from_tables(
-    measured: ProbabilityTable,
-    ideal: ProbabilityTable,
-    hamiltonian: LocalHamiltonian,
-    initial_moment: float | None = None,
-) -> float:
-    """|G_chi(i; measured) - G_chi(i; ideal)| from two five-row tables."""
-    return abs(
-        g_chi_from_table(measured, hamiltonian, initial_moment)
-        - g_chi_from_table(ideal, hamiltonian, initial_moment)
-    )
-
-
-def schmidt_rank(psi: np.ndarray, atol: float = 1e-12) -> int:
-    """Schmidt rank of a two-qubit state vector."""
+def schmidt_rank(psi: np.ndarray) -> int:
+    """Schmidt rank of a two-qubit state vector (singular values above 1e-12)."""
     singular = np.linalg.svd(np.asarray(psi, dtype=complex).reshape(2, 2), compute_uv=False)
-    return int(np.sum(singular > atol))
+    return int(np.sum(singular > 1e-12))
 
 
 @dataclass(frozen=True)
@@ -311,19 +292,23 @@ def load_probability_table(
     `sum_tolerance` are flagged (and renormalized when `renormalize` is
     set), never rejected: counting data is allowed to be noisy. Structural
     problems (bad header, wrong field count, non-numeric or non-finite
-    values) raise ParseError with the line number; duplicate labels raise
+    values) raise ParseError with the line number, and so does a source
+    that is not UTF-8 text, without one; duplicate labels raise
     ValidationError, as does a non-finite or negative `sum_tolerance`.
     """
     if not (math.isfinite(sum_tolerance) and sum_tolerance >= 0):
         raise ValidationError(f"sum tolerance must be finite and >= 0, got {sum_tolerance!r}")
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+    try:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        elif isinstance(source, bytes):
+            text = source.decode("utf-8")
+        else:
+            text = source.read()
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"the table is not UTF-8 text ({exc.reason})") from None
 
     rows: dict[str, np.ndarray] = {}
     metadata: dict[str, float] = {}
@@ -376,21 +361,4 @@ def load_probability_table(
         rows[label] = values
     if not header_seen:
         raise ParseError("missing header line 'input,p00,p01,p10,p11'", line=1)
-    return ProbabilityTable(
-        rows=rows, sum_tolerance=sum_tolerance, metadata=metadata, flags=flags
-    )
-
-
-def write_probability_table(
-    table: ProbabilityTable, path, metadata: dict | None = None
-) -> None:
-    """Write a table to CSV, metadata (and the table's own) as ``# key = value``."""
-    lines = []
-    merged = dict(table.metadata)
-    merged.update(metadata or {})
-    for key, value in merged.items():
-        lines.append(f"# {key} = {value!r}")
-    lines.append("input," + ",".join(OUTCOME_COLUMNS))
-    for label, values in table.rows.items():
-        lines.append(label + "," + ",".join(repr(float(v)) for v in values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ProbabilityTable(rows=rows, metadata=metadata, flags=flags)

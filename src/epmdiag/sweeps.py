@@ -19,11 +19,11 @@ from .energetics import local_hamiltonian_2q
 from .errors import ValidationError
 from .gates import g_gate, v_angle, v_axis
 from .linalg import plus_plus_state
+# kernel_coherence_fid is not called here; perfbench/tracing.py patches it by this name.
 from .merit import MERIT_ORDINAL, MeritKind, haar_average, kernel_coherence_fid, kernel_values
 from .reconstruct import (
     BASIS_LABELS,
     ProbabilityTable,
-    eta_kernel_from_tables,
     chi_populations,
     g_chi_from_table,
     gate_probability_table,
@@ -309,23 +309,20 @@ def max_normalize(values: np.ndarray) -> np.ndarray:
 
 
 def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> Fig3Curves:
-    """Single-state diagnostics for the axis error on theta in [0, pi/4]."""
+    """Single-state diagnostics for the axis error on theta in [0, pi/4].
+
+    The curves are the reconstruction of noise-free synthetic tables: the
+    probabilities are the tables' rows, and the kernels are those of the
+    reconstruction report.
+    """
+    if theta_points < 1:
+        raise ValidationError(f"theta_points must be >= 1, got {theta_points}")
     thetas = np.linspace(0.0, math.pi / 4, theta_points)
-    hamiltonian = local_hamiltonian_2q()
-    psi_pp = plus_plus_state()
-    labels = BASIS_LABELS + ("++",)
-    probabilities = {label: np.zeros((theta_points, 4)) for label in labels}
-    eta = np.zeros(theta_points)
-    coh = np.zeros(theta_points)
-    for i, theta in enumerate(thetas):
-        u = g_gate(theta)
-        v = v_axis(theta, phi)
-        measured = gate_probability_table(v)
-        ideal = gate_probability_table(u)
-        for label in labels:
-            probabilities[label][i] = measured.rows[label]
-        eta[i] = eta_kernel_from_tables(measured, ideal, hamiltonian)
-        coh[i] = kernel_coherence_fid(psi_pp, u, v)
+    measured = [(theta, gate_probability_table(v_axis(theta, phi))) for theta in thetas.tolist()]
+    report = run_reconstruction(measured, phi=phi)
+    probabilities = {label: np.array([table.rows[label] for _, table in measured])
+                     for label in BASIS_LABELS + ("++",)}
+    eta, coh = report.eta_curve(), report.coherence_curve()
     return Fig3Curves(
         thetas=thetas,
         phi=phi,
@@ -373,18 +370,29 @@ def run_reconstruction(
 ) -> ReconstructionReport:
     """Recover chi populations, G_chi and the eta_chi kernel per theta point.
 
-    `measured` pairs each table with its theta. When `ideal` is None the
-    ideal tables are synthesized from the perfect gate at each theta. A
-    theory coherence-mismatch curve is included when phi is given.
+    `measured` pairs each table with its theta. `ideal` lists one table
+    per measured table, in the same order and at the same theta; when it
+    is None the ideal tables are synthesized from the perfect gate at each
+    theta. Rows come out sorted by theta. A theory coherence-mismatch curve
+    is included when phi is given.
     """
     if error_family not in ERROR_FAMILIES:
         raise ValidationError(f"unknown error family {error_family!r}")
     angles = [theta for theta, _ in measured] + ([] if phi is None else [phi])
     if not all(math.isfinite(x) for x in angles):
         raise ValidationError("theta and phi must be finite")
+    if ideal is not None:
+        if len(ideal) != len(measured):
+            raise ValidationError(
+                f"{len(measured)} measured tables but {len(ideal)} ideal tables")
+        for k, ((theta, _), (ideal_theta, _)) in enumerate(zip(measured, ideal)):
+            if ideal_theta != theta:
+                raise ValidationError(f"measured table {k} is at theta = {theta!r} but "
+                                      f"ideal table {k} at theta = {ideal_theta!r}")
     hamiltonian = local_hamiltonian_2q()
     psi_pp = plus_plus_state()
-    measured = sorted(measured, key=lambda pair: pair[0])
+    order = sorted(range(len(measured)), key=lambda k: measured[k][0])
+    measured = [measured[k] for k in order]
     coherences = [None] * len(measured)
     if phi is not None and measured:
         # one batched kernel call over every table's (ideal, noisy) gate pair
@@ -393,16 +401,14 @@ def run_reconstruction(
             MeritKind.COHERENCE_FIDELITY, np.broadcast_to(psi_pp, (len(thetas), 1, 4)),
             np.stack([g_gate(theta) for theta in thetas]),
             np.stack([ERROR_FAMILIES[error_family](theta, phi) for theta in thetas]))[:, 0].tolist()
+    # built after the kernel call, so its arrays and the tables never peak together
     if ideal is None:
-        ideal_map = {theta: gate_probability_table(g_gate(theta)) for theta, _ in measured}
+        ideal_tables = [gate_probability_table(g_gate(theta)) for theta, _ in measured]
     else:
-        ideal_map = {theta: table for theta, table in ideal}
+        ideal_tables = [ideal[k][1] for k in order]
     rows = []
     flags: list[str] = []
-    for (theta, table), coherence in zip(measured, coherences):
-        if theta not in ideal_map:
-            raise ValidationError(f"no ideal table for theta = {theta!r}")
-        ideal_table = ideal_map[theta]
+    for (theta, table), ideal_table, coherence in zip(measured, ideal_tables, coherences):
         pops = chi_populations(table)
         g_measured = g_chi_from_table(table, hamiltonian)
         g_ideal = g_chi_from_table(ideal_table, hamiltonian)

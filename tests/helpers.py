@@ -1,0 +1,52 @@
+"""Test-only helpers: constants, samplers and writers no library path uses."""
+import math
+from pathlib import Path
+
+import numpy as np
+
+from epmdiag.linalg import PAULI_X, PAULI_Y, RngStream
+from epmdiag.reconstruct import OUTCOME_COLUMNS
+
+SIGMA_PLUS = (PAULI_X + 1j * PAULI_Y) / 2
+SIGMA_MINUS = (PAULI_X - 1j * PAULI_Y) / 2
+
+_MASK64 = (1 << 64) - 1
+
+
+def philox_generator(stream: RngStream) -> np.random.Generator:
+    """A fresh generator on the Philox key (stream_index << 64) | master_seed of a stream."""
+    key = ((stream.stream_index & _MASK64) << 64) | (stream.master_seed & _MASK64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def haar_random_unitary(rng: RngStream, dim: int) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Ginibre matrix.
+
+    The R-diagonal phase fix makes the distribution exactly Haar rather
+    than merely unitary.
+    """
+    gen = philox_generator(rng)
+    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def l1_coherence(rho: np.ndarray) -> float:
+    """l1 coherence measure: sum of |rho_nk| over all off-diagonal entries."""
+    rho = np.asarray(rho, dtype=complex)
+    magnitudes = np.abs(rho)
+    return float(np.sum(magnitudes) - np.sum(np.diag(magnitudes)))
+
+
+def write_probability_table(table, path, metadata: dict | None = None) -> None:
+    """Write a table to CSV, metadata (and the table's own) as ``# key = value``."""
+    lines = []
+    merged = dict(table.metadata)
+    merged.update(metadata or {})
+    for key, value in merged.items():
+        lines.append(f"# {key} = {value!r}")
+    lines.append("input," + ",".join(OUTCOME_COLUMNS))
+    for label, values in table.rows.items():
+        lines.append(label + "," + ",".join(repr(float(v)) for v in values))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -15,17 +15,17 @@ import numpy as np
 from epmdiag.element_sums import element_sum_kernel
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.linalg import RngStream, haar_pure_states, haar_random_unitary, plus_plus_state
+from epmdiag.linalg import RngStream, haar_pure_states, plus_plus_state
 from epmdiag.merit import MeritKind, haar_average, kernel_values
 from epmdiag.reconstruct import (
-    eta_kernel_from_tables,
     gate_probability_table,
     protocol_plan,
     table_from_plan,
     transition_tensor_from_tables,
     transition_tensor_from_unitary,
 )
-from epmdiag.sweeps import preset_fig1, preset_fig3
+from epmdiag.sweeps import preset_fig1, preset_fig3, run_reconstruction
+from helpers import haar_random_unitary
 
 H = local_hamiltonian_2q()
 
@@ -145,11 +145,11 @@ def test_criterion_4_fig3_theory_curves():
 def test_criterion_5_reconstruction_round_trip():
     with criterion(5, "measurement-only reconstruction round trips", budget=5.0):
         psi_pp = plus_plus_state()
-        for theta in np.linspace(0.0, math.pi / 4, 50):
+        thetas = np.linspace(0.0, math.pi / 4, 50).tolist()
+        report = run_reconstruction(
+            [(theta, gate_probability_table(v_axis(theta, math.pi / 9))) for theta in thetas])
+        for theta, via_tables in zip(thetas, report.eta_curve()):
             u, v = g_gate(theta), v_axis(theta, math.pi / 9)
-            via_tables = eta_kernel_from_tables(
-                gate_probability_table(v), gate_probability_table(u), H
-            )
             direct = kernel_values(MeritKind.ETA_CHI, psi_pp, u, v, H)[0]
             assert abs(via_tables - direct) < 1e-10
 

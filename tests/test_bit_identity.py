@@ -10,16 +10,8 @@ import numpy as np
 import pytest
 
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    RngStream,
-    haar_pure_states,
-)
+from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, RngStream, haar_pure_states
+from helpers import SIGMA_MINUS, SIGMA_PLUS, philox_generator
 
 
 def _bits(array):
@@ -27,7 +19,7 @@ def _bits(array):
 
 
 def frozen_haar_pure_states(rng, dim, n):
-    gauss = rng.generator().standard_normal((n, 2 * dim))
+    gauss = philox_generator(rng).standard_normal((n, 2 * dim))
     z = gauss[:, :dim] + 1j * gauss[:, dim:]
     norms = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=1))
     return z / norms[:, None]

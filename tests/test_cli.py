@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 
 import epmdiag
-from epmdiag.reconstruct import gate_probability_table, write_probability_table
+from epmdiag.reconstruct import gate_probability_table
 from epmdiag.gates import v_axis
+from helpers import write_probability_table
 
 
 def child_env():
@@ -123,6 +124,16 @@ def test_reconstruct_malformed_csv_exit_code(tmp_path):
                      "--out", str(tmp_path / "r.csv"))
     assert result.returncode == 4
     assert "line 2" in result.stderr
+
+
+def test_reconstruct_non_utf8_exit_code(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"# theta = 0.1\ninput,p00,p01,p10,p11\n00,0.5,0.5,0,0\xff\n")
+    out = tmp_path / "r.csv"
+    result = run_cli("reconstruct", "--measured", str(bad), "--out", str(out))
+    assert result.returncode == 4, result.stderr
+    assert "UTF-8" in result.stderr and "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_reconstruct_missing_row_exit_code(tmp_path):
@@ -302,11 +313,14 @@ def test_negative_seed_exit_code(tmp_path):
 
 def test_absurd_sizes_exit_code(tmp_path):
     # refused before any draw: the 10**12-sample request would need ~58 TiB,
-    # and a 65536 x 65536 grid has 2**32 points, past the 32-bit grid index
+    # and a 65536 x 65536 grid has 2**32 points, past the 32-bit grid index;
+    # fig3 needs at least one theta point
     out = tmp_path / "s.csv"
     for args in (("haar-avg", "--theta", "0.4", "--phi", "0.7", "--samples", "1000000000000"),
                  ("sweep", "--resolution", "2", "--samples", "1000001", "--out", str(out)),
-                 ("sweep", "--resolution", "65536", "--samples", "1", "--out", str(out))):
+                 ("sweep", "--resolution", "65536", "--samples", "1", "--out", str(out)),
+                 ("fig3", "--theta-points", "0", "--out", str(out)),
+                 ("fig3", "--theta-points", "-1", "--out", str(out))):
         result = run_cli(*args, timeout=10)
         assert result.returncode == 2, (args, result.stderr)
         assert "Traceback" not in result.stderr

@@ -1,14 +1,8 @@
 import numpy as np
 
 from epmdiag.gates import g_gate, r_gate, v_angle, v_axis, waveplate_settings
-from epmdiag.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SIGMA_PLUS,
-    basis_state,
-)
+from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, basis_state
+from helpers import SIGMA_PLUS
 
 
 def test_r_gate_special_angles():

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from epmdiag.errors import ValidationError
-from epmdiag.linalg import (
-    RngStream,
-    haar_pure_states,
-    haar_random_unitary,
-)
+from epmdiag.linalg import RngStream, haar_pure_states
+from helpers import haar_random_unitary
 
 
 def test_haar_state_normalized():

@@ -7,22 +7,9 @@ from epmdiag.element_sums import element_sum_coherence_fid, element_sum_kernel
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.linalg import (
-    RngStream,
-    basis_state,
-    haar_pure_states,
-    haar_random_unitary,
-    plus_plus_state,
-)
-from epmdiag.merit import (
-    ETA_KINDS,
-    MeritKind,
-    eta_signed_traces,
-    haar_average,
-    kernel_coherence_fid,
-    kernel_values,
-    l1_coherence,
-)
+from epmdiag.linalg import RngStream, basis_state, haar_pure_states, plus_plus_state
+from epmdiag.merit import ETA_KINDS, MeritKind, haar_average, kernel_coherence_fid, kernel_values
+from helpers import haar_random_unitary, l1_coherence
 
 H = local_hamiltonian_2q()
 
@@ -169,20 +156,23 @@ def test_mixed_stack_against_the_element_sums():
 
 
 def test_signed_traces_decompose_exactly():
+    # ETA_P, ETA_CHI and ETA_EPM over <e^H> are |Tr[e^-H (V Q V^dag - U Q U^dag)]|
+    # with Q the diagonal part, the coherence part and the full rho
     gen = np.random.default_rng(101)
     states = haar_pure_states(RngStream(103, 0), 4, 200)
     w_minus = np.diag(H.exp_diag(-1.0))
+    mean_exp_h = (np.abs(states) ** 2) @ H.exp_diag(1.0)
     dense = (haar_random_unitary(RngStream(105, 0), 4), haar_random_unitary(RngStream(105, 1), 4))
     for u, v in ((g_gate(0.77), v_axis(0.77, gen.uniform(0, np.pi))), dense):
-        s_p, s_chi, s_epm = eta_signed_traces(states, u, v, H)
-        assert np.max(np.abs(s_p + s_chi - s_epm)) < 1e-12
-        # each signed entry against its trace Tr[e^-H (V Q V^dag - U Q U^dag)]
+        values = {kind: kernel_values(kind, states, u, v, H) / mean_exp_h
+                  for kind in (MeritKind.ETA_P, MeritKind.ETA_CHI, MeritKind.ETA_EPM)}
         for i in range(0, 200, 10):
             rho = np.outer(states[i], states[i].conj())
             diag = np.diag(np.diag(rho))
-            for q, signed in ((diag, s_p), (rho - diag, s_chi), (rho, s_epm)):
+            for q, kind in ((diag, MeritKind.ETA_P), (rho - diag, MeritKind.ETA_CHI),
+                            (rho, MeritKind.ETA_EPM)):
                 trace = np.trace(w_minus @ (v @ q @ v.conj().T - u @ q @ u.conj().T)).real
-                assert abs(signed[i] - trace) < 1e-12
+                assert abs(values[kind][i] - abs(trace)) < 1e-12, kind
 
 
 def test_haar_unitary_invariance_of_average():

@@ -3,23 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epmdiag.element_sums import epm_char_fn
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ParseError, ValidationError
-from epmdiag.gates import g_gate, v_axis
-from epmdiag.linalg import (
-    RngStream,
-    basis_state,
-    haar_pure_states,
-    haar_random_unitary,
-    plus_plus_state,
-)
-from epmdiag.merit import MeritKind, kernel_values
+from epmdiag.gates import v_axis
+from epmdiag.linalg import RngStream, basis_state, haar_pure_states, plus_plus_state
 from epmdiag.reconstruct import (
     char_fn_from_tensor,
     chi_populations,
-    eta_kernel_from_tables,
     g_chi_from_table,
     gate_probability_table,
     initial_exp_moment,
@@ -30,8 +24,8 @@ from epmdiag.reconstruct import (
     table_from_plan,
     transition_tensor_from_tables,
     transition_tensor_from_unitary,
-    write_probability_table,
 )
+from helpers import haar_random_unitary, write_probability_table
 
 H = local_hamiltonian_2q()
 RHO_PP = np.outer(plus_plus_state(), plus_plus_state().conj())
@@ -95,22 +89,6 @@ def test_g_chi_matches_char_fn_component():
     from_table = g_chi_from_table(gate_probability_table(v), H)
     component = epm_char_fn(1j, RHO_PP, CHI_PP, v, H)
     assert abs(from_table - component) < 1e-12
-
-
-def test_eta_kernel_from_tables_zero_when_equal():
-    table = gate_probability_table(v_axis(0.3, 0.4))
-    assert eta_kernel_from_tables(table, table, H) == 0.0
-
-
-def test_eta_kernel_from_tables_matches_kernel_eta():
-    psi = plus_plus_state()
-    for theta in np.linspace(0.0, np.pi / 4, 50):
-        u, v = g_gate(theta), v_axis(theta, np.pi / 9)
-        via_tables = eta_kernel_from_tables(
-            gate_probability_table(v), gate_probability_table(u), H
-        )
-        direct = kernel_values(MeritKind.ETA_CHI, psi, u, v, H)[0]
-        assert abs(via_tables - direct) < 1e-10
 
 
 def test_straightforward_plan_contents():
@@ -322,6 +300,41 @@ def test_load_rejects_non_finite(text, line):
 def test_load_rejects_bad_sum_tolerance(tolerance):
     with pytest.raises(ValidationError, match="sum tolerance"):
         load_probability_table(io.StringIO(WELL_FORMED), sum_tolerance=tolerance)
+
+
+def test_load_rejects_non_utf8():
+    with pytest.raises(ParseError, match="UTF-8"):
+        load_probability_table(b"input,p00,p01,p10,p11\n00,1,0,0,\xff\n")
+
+
+FUZZ_SETTINGS = settings(max_examples=400, deadline=None, database=None, derandomize=True)
+# text near the format, so that fuzzing reaches past the header check
+TABLE_ALPHABET = st.sampled_from(list("input,p0123456789.e-+#= \nnaif\x00\r") + ["++", "1e400"])
+
+
+@FUZZ_SETTINGS
+@given(source=st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200),
+    st.lists(TABLE_ALPHABET, max_size=80).map("".join),
+    st.lists(TABLE_ALPHABET, max_size=80).map(
+        lambda parts: "input,p00,p01,p10,p11\n" + "".join(parts)),
+    st.binary(max_size=60).map(lambda tail: b"input,p00,p01,p10,p11\n00," + tail),
+), renormalize=st.booleans(), via=st.sampled_from(["object", "stream", "file"]))
+def test_load_fuzz_raises_only_documented_errors(tmp_path_factory, source, renormalize, via):
+    # a str source is a path, so text goes in as a stream or a file
+    if via == "file":
+        path = tmp_path_factory.getbasetemp() / "fuzz_table.csv"
+        path.write_bytes(source if isinstance(source, bytes) else source.encode("utf-8"))
+        source = path
+    elif isinstance(source, str):
+        source = io.StringIO(source)
+    elif via == "stream":
+        source = io.BytesIO(source)
+    try:
+        load_probability_table(source, renormalize=renormalize)
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_load_rejects_duplicate_labels():

@@ -4,14 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_axis
 from epmdiag.merit import MERIT_ORDINAL, MeritKind
-from epmdiag.reconstruct import (
-    gate_probability_table,
-    load_probability_table,
-    write_probability_table,
-)
+from epmdiag.reconstruct import g_chi_from_table, gate_probability_table, load_probability_table
 from epmdiag.sweeps import (
     SweepConfig,
     max_normalize,
@@ -24,6 +21,7 @@ from epmdiag.sweeps import (
     write_reconstruction,
     write_sweep,
 )
+from helpers import write_probability_table
 
 
 def test_single_point_null_error():
@@ -216,6 +214,27 @@ def test_reconstruction_requires_matching_ideal():
     ideal = [(0.9, gate_probability_table(g_gate(0.9)))]
     with pytest.raises(ValidationError):
         run_reconstruction(measured, ideal=ideal)
+
+
+def test_reconstruction_pairs_tables_by_position_at_a_repeated_theta():
+    # two runs at theta = 0.3 (listed after a run at 0.1): each measured
+    # table goes with the ideal table at its own position
+    first = gate_probability_table(v_axis(0.3, 0.4))
+    second = gate_probability_table(v_axis(0.3, 1.2))
+    other = gate_probability_table(v_axis(0.1, 0.4))
+    report = run_reconstruction([(0.3, first), (0.3, second), (0.1, other)],
+                                ideal=[(0.3, first), (0.3, other), (0.1, other)])
+    assert [row.theta for row in report.rows] == [0.1, 0.3, 0.3]
+    assert report.rows[0].eta_kernel == 0.0
+    assert report.rows[1].eta_kernel == 0.0
+    hamiltonian = local_hamiltonian_2q()
+    expected = abs(g_chi_from_table(second, hamiltonian) - g_chi_from_table(other, hamiltonian))
+    assert report.rows[2].eta_kernel == expected > 0.1
+    with pytest.raises(ValidationError, match="2 ideal"):
+        run_reconstruction([(0.3, first), (0.3, second), (0.1, other)],
+                           ideal=[(0.3, first), (0.1, other)])
+    with pytest.raises(ValidationError, match="theta"):
+        run_reconstruction([(0.3, first), (0.1, other)], ideal=[(0.1, other), (0.3, first)])
 
 
 def test_write_sweep_deterministic(tmp_path):
