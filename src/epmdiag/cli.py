@@ -174,10 +174,9 @@ def _cmd_reconstruct(args) -> None:
     if args.ideal is not None:
         if len(args.ideal) != len(args.measured):
             raise ValidationError("--ideal must list one file per measured file")
-        ideal_tables = [load_probability_table(path, sum_tolerance=args.sum_tolerance,
-                                               renormalize=args.renormalize)
-                        for path in args.ideal]
-        ideal = list(zip(thetas, ideal_tables))
+        ideal = [load_probability_table(path, sum_tolerance=args.sum_tolerance,
+                                        renormalize=args.renormalize)
+                 for path in args.ideal]
     phi = args.phi
     if phi is None:
         phis = {t.metadata["phi"] for t in tables if "phi" in t.metadata}

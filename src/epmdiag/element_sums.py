@@ -3,8 +3,9 @@
 The element sums are deliberately slow, loop-based implementations that
 expand each kernel into sums over computational-basis matrix elements.
 `epm_char_fn` is the trace definition of the EPM characteristic function,
-whose coherence part at u = i is what eta_chi and G_chi measure. None of
-this shares code with the vectorized kernels in `merit` or the table
+whose coherence part at u = i is what eta_chi and G_chi measure, and
+`eta_chi_haar_average` the exact Haar average of eta_chi for the paper's
+gates. None of this shares code with the vectorized kernels in `merit` or the table
 pipeline in `reconstruct`; it exists as an independent route for
 cross-checking them.
 """
@@ -91,6 +92,28 @@ def epm_char_fn(
     first = np.sum(hamiltonian.exp_diag(-1j * u) * np.diag(rho0))
     second = np.sum(hamiltonian.exp_diag(1j * u) * np.diag(v @ q @ v.conj().T))
     return complex(first * second)
+
+
+def eta_chi_haar_average(u: np.ndarray, v: np.ndarray, hamiltonian: LocalHamiltonian) -> float:
+    """Exact Haar average of the eta_chi kernel when M[0, 1] is M's only off-diagonal pair.
+
+    M = V^dag e^{-H} V - U^dag e^{-H} U has that form for the paper's gates
+    (g_gate against v_axis or v_angle), whose difference lives on the
+    control-0 block. The kernel is then sum_k w_k p_k 2|M01| sqrt(p0 p1) |cos t|
+    with w = e^E, Haar populations p ~ Dirichlet(1, 1, 1, 1) and a uniform
+    phase t. E|cos t| = 2/pi, E[p0^(3/2) p1^(1/2)] = 3 pi/160 and
+    E[p2 sqrt(p0 p1)] = pi/80 give |M01| (3 (w0 + w1)/40 + (w2 + w3)/20),
+    which is |M01| (3 (e^2 + 1)/40 + (1 + e^-2)/20) for sz (x) I + I (x) sz.
+    """
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    decay = np.diag(hamiltonian.exp_diag(-1.0))
+    m = v.conj().T @ decay @ v - u.conj().T @ decay @ u
+    others = m - np.diag(np.diag(m))
+    others[0, 1] = others[1, 0] = 0.0
+    if np.max(np.abs(others)) > 1e-12:
+        raise ValidationError("the closed form needs M[0, 1] to be the only off-diagonal pair")
+    w = hamiltonian.exp_diag(1.0)
+    return float(abs(m[0, 1]) * (3 * (w[0] + w[1]) / 40 + (w[2] + w[3]) / 20))
 
 
 def _element_sum_eta_tpm(

@@ -31,10 +31,6 @@ from .linalg import basis_state, plus_plus_state
 BASIS_LABELS = ("00", "01", "10", "11")
 OUTCOME_COLUMNS = ("p00", "p01", "p10", "p11")
 
-# Off-diagonal entry order used by the tensor solver; x-vector layout is
-# [T00, T11, T22, T33, Re/Im per pair in this order].
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
 
 @dataclass
 class ProbabilityTable:
@@ -62,11 +58,11 @@ def outcome_probabilities(v: np.ndarray, input_state: np.ndarray) -> np.ndarray:
     return out.real**2 + out.imag**2
 
 
-def gate_probability_table(v: np.ndarray, metadata: dict | None = None) -> ProbabilityTable:
+def gate_probability_table(v: np.ndarray) -> ProbabilityTable:
     """Synthetic five-row table (four basis inputs plus |++>) for a gate."""
     rows = {label: outcome_probabilities(v, basis_state(4, i)) for i, label in enumerate(BASIS_LABELS)}
     rows["++"] = outcome_probabilities(v, plus_plus_state())
-    return ProbabilityTable(rows=rows, metadata=dict(metadata or {}))
+    return ProbabilityTable(rows=rows)
 
 
 def table_from_plan(v: np.ndarray, plan: "ProtocolPlan") -> ProbabilityTable:
@@ -189,30 +185,7 @@ class TransitionTensor:
 
 def transition_tensor_from_unitary(v: np.ndarray) -> TransitionTensor:
     """Direct tensor of a known unitary: entries[a, j, i] = conj(V[a, j]) V[a, i]."""
-    v = np.asarray(v, dtype=complex)
-    entries = v.conj()[:, :, None] * v[:, None, :]
-    return TransitionTensor(entries=entries)
-
-
-def _design_row(amplitudes: np.ndarray) -> np.ndarray:
-    """Coefficients of <psi| M |psi> in the 16 real parameters of Hermitian M."""
-    row = np.zeros(16)
-    row[:4] = amplitudes.real**2 + amplitudes.imag**2
-    for p, (i, j) in enumerate(_PAIRS):
-        cross = np.conj(amplitudes[i]) * amplitudes[j]
-        row[4 + 2 * p] = 2 * cross.real
-        row[5 + 2 * p] = -2 * cross.imag
-    return row
-
-
-def _assemble(x: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        m[i, i] = x[i]
-    for p, (i, j) in enumerate(_PAIRS):
-        m[i, j] = x[4 + 2 * p] + 1j * x[5 + 2 * p]
-        m[j, i] = np.conj(m[i, j])
-    return m
+    return TransitionTensor(entries=np.conj(v)[:, :, None] * np.asarray(v, complex)[:, None, :])
 
 
 def _complete_rank_one(m: np.ndarray, flags: list[str]) -> None:
@@ -238,34 +211,37 @@ def _complete_rank_one(m: np.ndarray, flags: list[str]) -> None:
 
 
 def transition_tensor_from_tables(plan: ProtocolPlan, table: ProbabilityTable) -> TransitionTensor:
-    """Solve the per-outcome linear systems relating plan states to probabilities.
+    """Solve one linear system relating plan states to all four outcome columns.
 
-    Basis rows pin the diagonals, the two-term superpositions pin real and
+    <psi| M |psi> is linear in the 16 real parameters of Hermitian M. Basis
+    rows pin the diagonals, the two-term superpositions pin real and
     imaginary parts of the off-diagonals, and (for the separable plan) the
     |++> and phase rows pin the sum and difference of the two remaining
     real parts; the matching imaginary parts are completed through the
-    rank-1 structure of unitary dynamics. Overdetermined or inconsistent
-    tables are resolved by least squares and the residual is reported.
+    rank-1 structure of unitary dynamics. Inconsistent tables are resolved
+    by least squares and the largest column residual is reported.
     The input table is not modified.
     """
     missing = table.missing(plan.labels)
     if missing:
         raise ValidationError(f"probability table is missing required row(s) {missing}")
-    design = np.vstack([_design_row(state) for _, state in plan.states])
-    outcomes = np.vstack([table.rows[label] for label, _ in plan.states])
-
+    amplitudes = np.array([state for _, state in plan.states])
+    i, j = np.triu_indices(4, 1)  # the six entries above the diagonal
+    cross = amplitudes[:, i].conj() * amplitudes[:, j]
+    design = np.hstack([amplitudes.real**2 + amplitudes.imag**2, 2 * cross.real, -2 * cross.imag])
+    outcomes = np.array([table.rows[label] for label in plan.labels])
+    x = np.linalg.lstsq(design, outcomes, rcond=None)[0]
+    residual = float(np.linalg.norm(design @ x - outcomes, axis=0).max())
     entries = np.zeros((4, 4, 4), dtype=complex)
-    worst_residual = 0.0
+    diagonal = np.arange(4)
+    entries[:, diagonal, diagonal] = x[:4].T
+    entries[:, i, j] = (x[4:10] + 1j * x[10:]).T
+    entries[:, j, i] = (x[4:10] - 1j * x[10:]).T
     flags: list[str] = []
-    for alpha in range(4):
-        x, _, _, _ = np.linalg.lstsq(design, outcomes[:, alpha], rcond=None)
-        worst_residual = max(worst_residual, float(np.linalg.norm(design @ x - outcomes[:, alpha])))
-        m = _assemble(x)
-        if plan.kind == "separable":
+    if plan.kind == "separable":
+        for m in entries:
             _complete_rank_one(m, flags)
-        # entries[a, j, i] = <j| M |i> = M[j, i]
-        entries[alpha] = m
-    return TransitionTensor(entries=entries, residual=worst_residual, flags=tuple(flags))
+    return TransitionTensor(entries=entries, residual=residual, flags=tuple(flags))
 
 
 def char_fn_from_tensor(
@@ -273,11 +249,8 @@ def char_fn_from_tensor(
 ) -> float:
     """Final-energy moment sum_a e^{-E_a} <psi0| V^dag P_a V |psi0> by post-processing."""
     a = np.asarray(psi0, dtype=complex)
-    weights = hamiltonian.exp_diag(-1.0)
-    total = 0.0
-    for alpha in range(4):
-        total += weights[alpha] * float(np.real(a.conj() @ tensor.entries[alpha] @ a))
-    return total
+    moment = np.einsum("a,j,aji,i->", hamiltonian.exp_diag(-1.0), a.conj(), tensor.entries, a)
+    return float(moment.real)
 
 
 def load_probability_table(

@@ -288,8 +288,8 @@ class Fig3Curves:
     """Theory curves of the single-state diagnostics at fixed phi.
 
     Conditional probabilities for the five standard inputs, plus the
-    |++>-state eta_chi kernel and coherence-mismatch kernel (raw and
-    max-normalized) as functions of theta.
+    |++>-state eta_chi kernel and coherence-mismatch kernel as functions
+    of theta; the writer adds their max-normalized copies.
     """
 
     thetas: np.ndarray
@@ -297,8 +297,6 @@ class Fig3Curves:
     probabilities: dict[str, np.ndarray]  # input label -> (n_theta, 4)
     eta_chi_kernel: np.ndarray
     coherence_kernel: np.ndarray
-    eta_chi_kernel_norm: np.ndarray
-    coherence_kernel_norm: np.ndarray
 
 
 def max_normalize(values: np.ndarray) -> np.ndarray:
@@ -322,16 +320,8 @@ def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> Fig3Curves:
     report = run_reconstruction(measured, phi=phi)
     probabilities = {label: np.array([table.rows[label] for _, table in measured])
                      for label in BASIS_LABELS + ("++",)}
-    eta, coh = report.eta_curve(), report.coherence_curve()
-    return Fig3Curves(
-        thetas=thetas,
-        phi=phi,
-        probabilities=probabilities,
-        eta_chi_kernel=eta,
-        coherence_kernel=coh,
-        eta_chi_kernel_norm=max_normalize(eta),
-        coherence_kernel_norm=max_normalize(coh),
-    )
+    return Fig3Curves(thetas=thetas, phi=phi, probabilities=probabilities,
+                      eta_chi_kernel=report.eta_curve(), coherence_kernel=report.coherence_curve())
 
 
 @dataclass
@@ -364,51 +354,41 @@ class ReconstructionReport:
 
 def run_reconstruction(
     measured: list[tuple[float, ProbabilityTable]],
-    ideal: list[tuple[float, ProbabilityTable]] | None = None,
+    ideal: list[ProbabilityTable] | None = None,
     phi: float | None = None,
     error_family: str = "axis",
 ) -> ReconstructionReport:
     """Recover chi populations, G_chi and the eta_chi kernel per theta point.
 
-    `measured` pairs each table with its theta. `ideal` lists one table
-    per measured table, in the same order and at the same theta; when it
-    is None the ideal tables are synthesized from the perfect gate at each
-    theta. Rows come out sorted by theta. A theory coherence-mismatch curve
-    is included when phi is given.
+    `measured` pairs each table with its theta. The k-th table of `ideal`
+    goes with the k-th measured table; when `ideal` is None each ideal
+    table is synthesized from the perfect gate at its theta. Rows come out
+    sorted by theta. A theory coherence-mismatch curve is included when phi
+    is given.
     """
     if error_family not in ERROR_FAMILIES:
         raise ValidationError(f"unknown error family {error_family!r}")
     angles = [theta for theta, _ in measured] + ([] if phi is None else [phi])
     if not all(math.isfinite(x) for x in angles):
         raise ValidationError("theta and phi must be finite")
-    if ideal is not None:
-        if len(ideal) != len(measured):
-            raise ValidationError(
-                f"{len(measured)} measured tables but {len(ideal)} ideal tables")
-        for k, ((theta, _), (ideal_theta, _)) in enumerate(zip(measured, ideal)):
-            if ideal_theta != theta:
-                raise ValidationError(f"measured table {k} is at theta = {theta!r} but "
-                                      f"ideal table {k} at theta = {ideal_theta!r}")
+    if ideal is not None and len(ideal) != len(measured):
+        raise ValidationError(f"{len(measured)} measured tables but {len(ideal)} ideal tables")
     hamiltonian = local_hamiltonian_2q()
     psi_pp = plus_plus_state()
     order = sorted(range(len(measured)), key=lambda k: measured[k][0])
-    measured = [measured[k] for k in order]
     coherences = [None] * len(measured)
     if phi is not None and measured:
         # one batched kernel call over every table's (ideal, noisy) gate pair
-        thetas = [theta for theta, _ in measured]
+        thetas = [measured[k][0] for k in order]
         coherences = kernel_values(
             MeritKind.COHERENCE_FIDELITY, np.broadcast_to(psi_pp, (len(thetas), 1, 4)),
             np.stack([g_gate(theta) for theta in thetas]),
             np.stack([ERROR_FAMILIES[error_family](theta, phi) for theta in thetas]))[:, 0].tolist()
-    # built after the kernel call, so its arrays and the tables never peak together
-    if ideal is None:
-        ideal_tables = [gate_probability_table(g_gate(theta)) for theta, _ in measured]
-    else:
-        ideal_tables = [ideal[k][1] for k in order]
     rows = []
     flags: list[str] = []
-    for (theta, table), ideal_table, coherence in zip(measured, ideal_tables, coherences):
+    for k, coherence in zip(order, coherences):
+        theta, table = measured[k]
+        ideal_table = gate_probability_table(g_gate(theta)) if ideal is None else ideal[k]
         pops = chi_populations(table)
         g_measured = g_chi_from_table(table, hamiltonian)
         g_ideal = g_chi_from_table(ideal_table, hamiltonian)
@@ -432,7 +412,10 @@ def run_reconstruction(
 # ---------------------------------------------------------------------------
 
 def _fmt(value: float) -> str:
-    return repr(float(value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"refusing to write the non-finite value {value!r} as CSV")
+    return repr(value)
 
 
 def _json_text(doc: dict) -> str:
@@ -489,8 +472,8 @@ def fig3_series(curves: Fig3Curves) -> list[tuple[str, np.ndarray]]:
             series.append((f"p({outcome}|{label})", curves.probabilities[label][:, col]))
     series.append(("eta_chi_kernel", curves.eta_chi_kernel))
     series.append(("coherence_kernel", curves.coherence_kernel))
-    series.append(("eta_chi_kernel_max_norm", curves.eta_chi_kernel_norm))
-    series.append(("coherence_kernel_max_norm", curves.coherence_kernel_norm))
+    series.append(("eta_chi_kernel_max_norm", max_normalize(curves.eta_chi_kernel)))
+    series.append(("coherence_kernel_max_norm", max_normalize(curves.coherence_kernel)))
     return series
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from epmdiag.element_sums import element_sum_kernel
+from epmdiag.element_sums import element_sum_kernel, eta_chi_haar_average
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import RngStream, haar_pure_states, plus_plus_state
@@ -46,6 +46,13 @@ KERNEL_KINDS_ZERO = (
 CORRELATION_FLOOR = 0.99
 SYMMETRY_COVERAGE_FLOOR = 0.90
 SYMMETRY_NOISE_FLOOR = 1e-12
+# Calibration of the eta_chi error bars against the exact Haar average: a
+# calibrated estimator puts ~95 % of |z| within 2 and ~68 % within 1, so a
+# floor on the first share catches error bars that are too small and a
+# ceiling on the second catches error bars that are too large.
+CALIBRATION_2SE_FLOOR = 0.90
+CALIBRATION_1SE_CEILING = 0.85
+CALIBRATION_MAX_Z = 5.0
 
 
 @contextmanager
@@ -93,12 +100,14 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_fig1_surfaces():
-    with criterion(3, "surface reproduction: nulls, correlation, symmetry", budget=600.0):
-        surfaces = {}
+    with criterion(3, "surface reproduction: nulls, correlation, symmetry, calibration",
+                   budget=600.0):
+        surfaces, grids = {}, {}
         for panel, kind in (("a", MeritKind.COHERENCE_FIDELITY), ("b", MeritKind.ETA_CHI),
                             ("c", MeritKind.COHERENCE_FIDELITY), ("d", MeritKind.ETA_CHI)):
             result = preset_fig1(panel, resolution=41, n_samples=5000, seed=0)
             surfaces[panel] = (result.surface(kind), result.surface(kind, "std_error"))
+            grids[panel] = (result.config.thetas(), result.config.phis())
 
         # (a) exact zero-error null along the phi = 0 column of every panel
         for panel in "abcd":
@@ -125,6 +134,23 @@ def test_criterion_3_fig1_surfaces():
             print(f"  panel {panel}: symmetry coverage at 2 SE = {coverage:.4f}")
             assert coverage >= SYMMETRY_COVERAGE_FLOOR, panel
             assert np.all(within_5), panel
+
+        # (d) eta_chi surfaces against the exact Haar average: calibrated
+        # z-scores where it is non-zero, an exact 0 where it is 0
+        for panel, family in (("b", v_axis), ("d", v_angle)):
+            mean, se = surfaces[panel]
+            thetas, phis = grids[panel]
+            exact = np.array([[eta_chi_haar_average(g_gate(theta), family(theta, phi), H)
+                               for phi in phis] for theta in thetas])
+            null = exact == 0.0
+            assert np.array_equal(mean[null], exact[null]), panel
+            z = np.abs(mean[~null] - exact[~null]) / se[~null]
+            within_1, within_2 = float(np.mean(z <= 1)), float(np.mean(z <= 2))
+            print(f"  panel {panel}: |z| <= 1 for {within_1:.4f}, <= 2 for {within_2:.4f}, "
+                  f"max {z.max():.3f} over {z.size} points")
+            assert within_2 >= CALIBRATION_2SE_FLOOR, panel
+            assert within_1 <= CALIBRATION_1SE_CEILING, panel
+            assert z.max() <= CALIBRATION_MAX_Z, panel
 
 
 def test_criterion_4_fig3_theory_curves():

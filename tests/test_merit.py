@@ -136,6 +136,25 @@ def test_all_kernels_match_element_sums():
             assert abs(fast - slow) < 1e-12, kind
 
 
+# Dense gate pairs (a Haar-random ideal and noisy gate) and arbitrary pure
+# states, exact zero amplitudes included: no kernel may lean on the
+# controlled structure of the paper's gates.
+AMPLITUDES = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=8, max_size=8).filter(
+    lambda x: sum(a * a for a in x) > 1e-6)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), amplitudes=AMPLITUDES)
+def test_kernels_match_element_sums_on_dense_gates(seed, amplitudes):
+    u = haar_random_unitary(RngStream(seed, 0), 4)
+    v = haar_random_unitary(RngStream(seed, 1), 4)
+    psi = np.array(amplitudes[:4]) + 1j * np.array(amplitudes[4:])
+    psi /= np.linalg.norm(psi)
+    for kind in MeritKind:
+        fast = float(kernel_values(kind, psi, u, v, H)[0])
+        assert abs(fast - element_sum_kernel(kind, psi, u, v, H)) < 1e-12, kind
+
+
 def test_mixed_stack_against_the_element_sums():
     # One call per merit on a stack whose pairs differ in structure, so no
     # entry class or shared row is common to all of them: dense gates, a

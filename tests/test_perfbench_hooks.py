@@ -1,14 +1,19 @@
-"""The names the benchmark harness takes from `epmdiag` still exist.
+"""The names the benchmark harness takes from `epmdiag` still exist and are still called.
 
 perfbench/ imports names from the package and patches module attributes
-by name for its traced run (`instrument()` in perfbench/tracing.py). A
-deletion in `src/` that removes one of them breaks `perfbench --trace 1`
-without failing any other test. The files are read with `ast`, never
-imported or changed.
+by name for its traced run (`instrument()` in perfbench/tracing.py), then
+reads the spans of the patched calls. A deletion in `src/` that removes
+one of the names, or a path that stops calling one, breaks
+`perfbench --trace 1` without failing any other test. The files are read
+with `ast`; the second test also imports perfbench's modules to run its
+instrument, and neither changes them.
 """
 import ast
 import importlib
+from collections import defaultdict
 from pathlib import Path
+
+from epmdiag.merit import MeritKind
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,3 +53,53 @@ def test_perfbench_names_exist_in_the_package():
     missing = [(source, module, name) for source, module, name in references
                if name is not None and not hasattr(modules[module], name)]
     assert missing == []
+
+
+def _span_names_read(tree):
+    """{CLI path: span names} that `traced_run` reads from each path's layer table."""
+    traced_run = next(node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and node.name == "traced_run")
+    tables = {}  # layer-table variable -> path, from `fl, sw, rc = layers["fig1-b"], ...`
+    for node in ast.walk(traced_run):
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                and isinstance(node.value, ast.Tuple)):
+            for target, value in zip(node.targets[0].elts, node.value.elts):
+                if isinstance(value, ast.Subscript) and ast.unparse(value.value) == "layers":
+                    tables[ast.unparse(target)] = ast.literal_eval(value.slice)
+    names = defaultdict(set)
+    for node in ast.walk(traced_run):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_mean_us":
+            table, name = node.args[:2]
+        elif isinstance(node, ast.Subscript) and ast.unparse(node.value) in tables:
+            table, name = node.value, node.slice
+        else:
+            continue
+        names[tables[ast.unparse(table)]].add(ast.literal_eval(name))
+    return names
+
+
+def test_perfbench_traced_spans_are_called(tmp_path, monkeypatch):
+    names = _span_names_read(ast.parse((PERFBENCH / "tracing.py").read_text()))
+    assert sum(len(spans) for spans in names.values()) >= 10
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    fig1 = workloads.SweepSpec("fig1", 2, 20, workers=1, merits=(MeritKind.ETA_CHI,))
+    sweep = workloads.SweepSpec("sweep", 2, 10, workers=1,
+                                merits=(MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI))
+    argvs = {"fig1-b": fig1.command_argv(0, tmp_path / "fig1.csv"),
+             "sweep-fine": sweep.command_argv(0, tmp_path / "sweep.csv"),
+             "reconstruct": workloads.ReconstructSpec(2).prepare(0, tmp_path).argv()}
+    assert set(names) == set(argvs)
+
+    recorder = tracing.SpanRecorder()
+    uncalled = []
+    with tracing.instrument(recorder):
+        for path, argv in argvs.items():
+            trace_id, code, err = tracing._run_cli(recorder, path, argv)
+            assert code == 0, (path, err)
+            layers = recorder.layers(trace_id)
+            uncalled += [(path, name) for name in sorted(names[path])
+                         if layers.get(name, {}).get("calls", 0) < 1]
+    assert uncalled == []

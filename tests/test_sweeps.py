@@ -11,6 +11,7 @@ from epmdiag.merit import MERIT_ORDINAL, MeritKind
 from epmdiag.reconstruct import g_chi_from_table, gate_probability_table, load_probability_table
 from epmdiag.sweeps import (
     SweepConfig,
+    fig3_series,
     max_normalize,
     point_seed,
     preset_fig1,
@@ -183,10 +184,11 @@ def test_fig3_analytic_conditionals():
 
 def test_fig3_kernels_normalized_copies():
     curves = preset_fig3(theta_points=20)
-    assert abs(curves.eta_chi_kernel_norm.max() - 1.0) < 1e-12
-    assert abs(curves.coherence_kernel_norm.max() - 1.0) < 1e-12
+    series = dict(fig3_series(curves))
+    assert abs(series["eta_chi_kernel_max_norm"].max() - 1.0) < 1e-12
+    assert abs(series["coherence_kernel_max_norm"].max() - 1.0) < 1e-12
     peak = curves.eta_chi_kernel.max()
-    assert np.max(np.abs(curves.eta_chi_kernel_norm * peak - curves.eta_chi_kernel)) < 1e-12
+    assert np.max(np.abs(series["eta_chi_kernel_max_norm"] * peak - curves.eta_chi_kernel)) < 1e-12
 
 
 def test_max_normalize_zero_curve():
@@ -205,15 +207,29 @@ def test_reconstruction_synthetic_matches_fig3(tmp_path):
 def test_reconstruction_identical_tables_give_zero():
     thetas = [0.1, 0.2, 0.3]
     tables = [(t, gate_probability_table(g_gate(t))) for t in thetas]
-    report = run_reconstruction(tables, ideal=tables)
+    report = run_reconstruction(tables, ideal=[table for _, table in tables])
     assert np.array_equal(report.eta_curve(), np.zeros(3))
 
 
 def test_reconstruction_requires_matching_ideal():
     measured = [(0.1, gate_probability_table(v_axis(0.1, 0.2)))]
-    ideal = [(0.9, gate_probability_table(g_gate(0.9)))]
-    with pytest.raises(ValidationError):
+    ideal = [gate_probability_table(g_gate(0.1))] * 2
+    with pytest.raises(ValidationError, match="1 measured tables but 2 ideal"):
         run_reconstruction(measured, ideal=ideal)
+
+
+def test_reconstruction_synthesized_ideal_equals_given_ideal(tmp_path):
+    # the ideal tables built in the row loop are the ones a caller would
+    # pass; repr() in the CSV makes equal bytes mean equal floats
+    thetas = [0.7, 0.0, 0.3, 0.3, 1.9]
+    measured = [(t, gate_probability_table(v_axis(t, 0.4 + t))) for t in thetas]
+    for phi in (None, 0.4):
+        texts = []
+        for ideal in (None, [gate_probability_table(g_gate(t)) for t in thetas]):
+            write_reconstruction(run_reconstruction(measured, ideal=ideal, phi=phi),
+                                 tmp_path / "r.csv")
+            texts.append((tmp_path / "r.csv").read_bytes())
+        assert texts[0] == texts[1]
 
 
 def test_reconstruction_pairs_tables_by_position_at_a_repeated_theta():
@@ -223,7 +239,7 @@ def test_reconstruction_pairs_tables_by_position_at_a_repeated_theta():
     second = gate_probability_table(v_axis(0.3, 1.2))
     other = gate_probability_table(v_axis(0.1, 0.4))
     report = run_reconstruction([(0.3, first), (0.3, second), (0.1, other)],
-                                ideal=[(0.3, first), (0.3, other), (0.1, other)])
+                                ideal=[first, other, other])
     assert [row.theta for row in report.rows] == [0.1, 0.3, 0.3]
     assert report.rows[0].eta_kernel == 0.0
     assert report.rows[1].eta_kernel == 0.0
@@ -231,10 +247,7 @@ def test_reconstruction_pairs_tables_by_position_at_a_repeated_theta():
     expected = abs(g_chi_from_table(second, hamiltonian) - g_chi_from_table(other, hamiltonian))
     assert report.rows[2].eta_kernel == expected > 0.1
     with pytest.raises(ValidationError, match="2 ideal"):
-        run_reconstruction([(0.3, first), (0.3, second), (0.1, other)],
-                           ideal=[(0.3, first), (0.1, other)])
-    with pytest.raises(ValidationError, match="theta"):
-        run_reconstruction([(0.3, first), (0.1, other)], ideal=[(0.1, other), (0.3, first)])
+        run_reconstruction([(0.3, first), (0.3, second), (0.1, other)], ideal=[first, other])
 
 
 def test_write_sweep_deterministic(tmp_path):
