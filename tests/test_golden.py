@@ -3,7 +3,9 @@
 Each case runs the `epmdiag` CLI in-process and hashes every file it
 writes: small sweeps for both error families with all six merits, one
 fig3, and a reconstruction over synthetic tables with and without phi,
-each as CSV (+ sidecar) and as JSON. Three more CSV sweeps sit on the
+each as CSV (+ sidecar) and as JSON. A fig3 of a single theta point and a
+reconstruction given the ideal tables of the perfect gate pin the one-row
+normalization and the explicit ideal path, also in both formats. Three more CSV sweeps sit on the
 edges of how a theta row is split into evaluation calls: one sample per
 point, more samples than one call holds, and rows of five points split
 unevenly, on a grid with theta from exactly 0 and phi symmetric about an
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from epmdiag.cli import main
-from epmdiag.gates import v_axis
+from epmdiag.gates import g_gate, v_axis
 from epmdiag.merit import MeritKind
 
 NUMPY_VERSION = "2.4.6"
@@ -45,6 +47,13 @@ GOLDEN = {
     "fig3-json": {
         "out.json": "6cdb7a79e9b714ae426cdea06aa66750fc98abb11ce9c2c445a16fa302491731",
     },
+    "fig3-one-point-csv": {
+        "out.csv": "1059b4cab7732b5982e68b377e416545fea54e2c865265ea15cc0289726f962f",
+        "out.meta.json": "902fc64001ed830ebd1ec35f722a82a7409fbabcfada30e0b055fa9658cb286a",
+    },
+    "fig3-one-point-json": {
+        "out.json": "74cbda799739e2aa5db1c2fa8c9c519d12d01d13240eec2bfeafb865c6d6e4d3",
+    },
     "reconstruct-phi-csv": {
         "out.csv": "dc41460942d05b4fab0d0cca7c7f716db0ea04463e78cece181756736c3f203b",
         "out.meta.json": "9721d97e59cc08416176b5d594b7d6c22f35be4b8d281c552f26880461035a03",
@@ -58,6 +67,14 @@ GOLDEN = {
     },
     "reconstruct-nophi-json": {
         "out.json": "4cc541dd9693ef0b7bfe31ad092612f960c2b7615c80adf88d92255a812255ea",
+    },
+    # the same bytes as reconstruct-phi: the given ideal tables are the synthesized ones
+    "reconstruct-ideal-csv": {
+        "out.csv": "dc41460942d05b4fab0d0cca7c7f716db0ea04463e78cece181756736c3f203b",
+        "out.meta.json": "9721d97e59cc08416176b5d594b7d6c22f35be4b8d281c552f26880461035a03",
+    },
+    "reconstruct-ideal-json": {
+        "out.json": "2a036a3efb24bb58920259343569f71ec1bce9f7db78dc7cb2d3afa49a516417",
     },
     "sweep-one-sample-csv": {
         "out.csv": "c915da37de21ad9196cb6ef0c41fdf8c93fcec36522617d21a37826f574eb890",
@@ -77,14 +94,16 @@ TABLE_PHI = 0.35
 TABLE_THETAS = np.linspace(0.05, 1.2, 7)
 
 
-def _write_tables(directory):
-    """Seven five-row tables of the axis-error gate, one row pushed off its sum."""
+def _write_tables(directory, ideal=False):
+    """Seven five-row tables of the axis-error gate, one row pushed off its sum;
+    with `ideal`, the exact tables of the perfect gate."""
     directory.mkdir()
     inputs = np.vstack([np.eye(4), np.full(4, 0.5)])
     paths = []
     for i, theta in enumerate(TABLE_THETAS):
-        probabilities = np.abs(inputs @ v_axis(float(theta), TABLE_PHI).T) ** 2
-        if i == 3:
+        gate = g_gate(float(theta)) if ideal else v_axis(float(theta), TABLE_PHI)
+        probabilities = np.abs(inputs @ gate.T) ** 2
+        if i == 3 and not ideal:
             probabilities[4] *= 0.9
         lines = [f"# theta = {float(theta)!r}", "input,p00,p01,p10,p11"]
         lines += [label + "," + ",".join(repr(float(p)) for p in row)
@@ -117,14 +136,18 @@ def _argv(case, tmp_path):
     if name.startswith("sweep-"):
         return ["sweep", "--error", name[len("sweep-"):], "--resolution", "5",
                 "--samples", "500", "--seed", "17", *merits, *tail]
-    if name == "fig3":
-        return ["fig3", "--theta-points", "12", *tail]
-    phi = ["--phi", repr(TABLE_PHI)] if name == "reconstruct-phi" else []
-    return ["reconstruct", "--measured", *_write_tables(tmp_path / "tables"), *phi, *tail]
+    if name.startswith("fig3"):
+        return ["fig3", "--theta-points", "1" if name == "fig3-one-point" else "12", *tail]
+    phi = ["--phi", repr(TABLE_PHI)] if name != "reconstruct-nophi" else []
+    ideal = (["--ideal", *_write_tables(tmp_path / "ideal", ideal=True)]
+             if name == "reconstruct-ideal" else [])
+    return ["reconstruct", "--measured", *_write_tables(tmp_path / "tables"), *ideal, *phi,
+            *tail]
 
 
-CASES = [f"{name}-{fmt}" for name in ("sweep-axis", "sweep-angle", "fig3",
-                                      "reconstruct-phi", "reconstruct-nophi")
+CASES = [f"{name}-{fmt}" for name in ("sweep-axis", "sweep-angle", "fig3", "fig3-one-point",
+                                      "reconstruct-phi", "reconstruct-nophi",
+                                      "reconstruct-ideal")
          for fmt in ("csv", "json")] + [f"{name}-csv" for name in BATCH_EDGE_SWEEPS]
 
 
