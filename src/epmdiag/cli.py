@@ -146,8 +146,8 @@ def _cmd_fig1(args) -> None:
 
 
 def _cmd_fig3(args) -> None:
-    curves = preset_fig3(theta_points=args.theta_points, phi=args.phi)
-    for path in write_fig3(curves, args.out, args.output_format):
+    report = preset_fig3(theta_points=args.theta_points, phi=args.phi)
+    for path in write_fig3(report, args.out, args.output_format):
         print(f"wrote {path}")
 
 
@@ -182,10 +182,11 @@ def _cmd_reconstruct(args) -> None:
         phis = {t.metadata["phi"] for t in tables if "phi" in t.metadata}
         phi = phis.pop() if len(phis) == 1 else None
     report = run_reconstruction(measured, ideal=ideal, phi=phi, error_family=args.error)
-    for path in write_reconstruction(report, args.out, args.output_format):
-        print(f"wrote {path}")
+    # flags first: they explain a non-finite value the writer refuses
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)
+    for path in write_reconstruction(report, args.out, args.output_format):
+        print(f"wrote {path}")
 
 
 def _cmd_protocol(args) -> None:

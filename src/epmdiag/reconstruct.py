@@ -253,6 +253,9 @@ def char_fn_from_tensor(
     return float(moment.real)
 
 
+# a row sum or a renormalized value that overflows is inf (and flagged), not a warning;
+# one errstate per table, as entering it per row costs more than the row's arithmetic
+@np.errstate(over="ignore")
 def load_probability_table(
     source,
     sum_tolerance: float = 0.02,

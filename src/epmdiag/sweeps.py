@@ -283,22 +283,6 @@ def preset_fig1(
     return run_sweep(config, workers=workers)
 
 
-@dataclass
-class Fig3Curves:
-    """Theory curves of the single-state diagnostics at fixed phi.
-
-    Conditional probabilities for the five standard inputs, plus the
-    |++>-state eta_chi kernel and coherence-mismatch kernel as functions
-    of theta; the writer adds their max-normalized copies.
-    """
-
-    thetas: np.ndarray
-    phi: float
-    probabilities: dict[str, np.ndarray]  # input label -> (n_theta, 4)
-    eta_chi_kernel: np.ndarray
-    coherence_kernel: np.ndarray
-
-
 def max_normalize(values: np.ndarray) -> np.ndarray:
     """Scale a curve to unit maximum; an all-zero curve stays zero."""
     values = np.asarray(values, dtype=float)
@@ -306,50 +290,25 @@ def max_normalize(values: np.ndarray) -> np.ndarray:
     return values / peak if peak > 0 else values.copy()
 
 
-def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> Fig3Curves:
-    """Single-state diagnostics for the axis error on theta in [0, pi/4].
-
-    The curves are the reconstruction of noise-free synthetic tables: the
-    probabilities are the tables' rows, and the kernels are those of the
-    reconstruction report.
-    """
-    if theta_points < 1:
-        raise ValidationError(f"theta_points must be >= 1, got {theta_points}")
-    thetas = np.linspace(0.0, math.pi / 4, theta_points)
-    measured = [(theta, gate_probability_table(v_axis(theta, phi))) for theta in thetas.tolist()]
-    report = run_reconstruction(measured, phi=phi)
-    probabilities = {label: np.array([table.rows[label] for _, table in measured])
-                     for label in BASIS_LABELS + ("++",)}
-    return Fig3Curves(thetas=thetas, phi=phi, probabilities=probabilities,
-                      eta_chi_kernel=report.eta_curve(), coherence_kernel=report.coherence_curve())
-
-
-@dataclass
-class ReconstructionRow:
-    theta: float
-    chi_pops: np.ndarray
-    g_chi_measured: float
-    g_chi_ideal: float
-    eta_kernel: float
-    coherence_kernel: float | None
-    max_row_sum_error: float
-
-
 @dataclass
 class ReconstructionReport:
-    """Per-theta coherence diagnostics recovered from probability tables."""
+    """Per-theta coherence diagnostics recovered from probability tables.
 
-    rows: list[ReconstructionRow]
+    Each column holds one entry per measured table, in ascending-theta
+    order; `coherence_kernel` is None when phi is unknown.
+    """
+
+    thetas: np.ndarray
+    tables: list[ProbabilityTable]
+    chi_pops: np.ndarray  # (n, 4)
+    g_chi_measured: np.ndarray
+    g_chi_ideal: np.ndarray
+    eta_kernel: np.ndarray
+    coherence_kernel: np.ndarray | None
+    max_row_sum_error: np.ndarray
     error_family: str
     phi: float | None
-    flags: list[str] = field(default_factory=list)
-
-    def eta_curve(self) -> np.ndarray:
-        return np.array([r.eta_kernel for r in self.rows])
-
-    def coherence_curve(self) -> np.ndarray:
-        return np.array([math.nan if r.coherence_kernel is None else r.coherence_kernel
-                         for r in self.rows])
+    flags: list[str]
 
 
 def run_reconstruction(
@@ -374,36 +333,47 @@ def run_reconstruction(
     if ideal is not None and len(ideal) != len(measured):
         raise ValidationError(f"{len(measured)} measured tables but {len(ideal)} ideal tables")
     hamiltonian = local_hamiltonian_2q()
-    psi_pp = plus_plus_state()
     order = sorted(range(len(measured)), key=lambda k: measured[k][0])
-    coherences = [None] * len(measured)
-    if phi is not None and measured:
+    thetas = [measured[k][0] for k in order]
+    tables = [measured[k][1] for k in order]
+    coherence = None if phi is None else np.zeros(0)
+    if phi is not None and thetas:  # np.stack needs at least one gate
         # one batched kernel call over every table's (ideal, noisy) gate pair
-        thetas = [measured[k][0] for k in order]
-        coherences = kernel_values(
-            MeritKind.COHERENCE_FIDELITY, np.broadcast_to(psi_pp, (len(thetas), 1, 4)),
+        coherence = kernel_values(
+            MeritKind.COHERENCE_FIDELITY, np.broadcast_to(plus_plus_state(), (len(thetas), 1, 4)),
             np.stack([g_gate(theta) for theta in thetas]),
-            np.stack([ERROR_FAMILIES[error_family](theta, phi) for theta in thetas]))[:, 0].tolist()
-    rows = []
+            np.stack([ERROR_FAMILIES[error_family](theta, phi) for theta in thetas]))[:, 0]
+    pops = np.zeros((len(tables), 4))
+    g_measured, g_ideal, row_error = np.zeros((3, len(tables)))
     flags: list[str] = []
-    for k, coherence in zip(order, coherences):
-        theta, table = measured[k]
-        ideal_table = gate_probability_table(g_gate(theta)) if ideal is None else ideal[k]
-        pops = chi_populations(table)
-        g_measured = g_chi_from_table(table, hamiltonian)
-        g_ideal = g_chi_from_table(ideal_table, hamiltonian)
-        row_errors = [abs(float(np.sum(values)) - 1.0) for values in table.rows.values()]
-        rows.append(ReconstructionRow(
-            theta=theta,
-            chi_pops=pops,
-            g_chi_measured=g_measured,
-            g_chi_ideal=g_ideal,
-            eta_kernel=abs(g_measured - g_ideal),
-            coherence_kernel=coherence,
-            max_row_sum_error=max(row_errors),
-        ))
-        flags.extend(f"theta {theta!r}: {flag}" for flag in table.flags)
-    return ReconstructionReport(rows=rows, error_family=error_family, phi=phi, flags=flags)
+    # a flagged row may hold values whose sums overflow; the writer refuses what is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (k, theta, table) in enumerate(zip(order, thetas, tables)):
+            ideal_table = gate_probability_table(g_gate(theta)) if ideal is None else ideal[k]
+            pops[i] = chi_populations(table)
+            g_measured[i] = g_chi_from_table(table, hamiltonian)
+            g_ideal[i] = g_chi_from_table(ideal_table, hamiltonian)
+            row_error[i] = max(abs(float(np.sum(values)) - 1.0) for values in table.rows.values())
+            flags.extend(f"theta {theta!r}: {flag}" for flag in table.flags)
+    return ReconstructionReport(
+        thetas=np.array(thetas, dtype=float), tables=tables, chi_pops=pops,
+        g_chi_measured=g_measured, g_chi_ideal=g_ideal, eta_kernel=np.abs(g_measured - g_ideal),
+        coherence_kernel=coherence, max_row_sum_error=row_error, error_family=error_family,
+        phi=phi, flags=flags)
+
+
+def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> ReconstructionReport:
+    """Single-state diagnostics for the axis error on theta in [0, pi/4].
+
+    The reconstruction of noise-free synthetic tables: the tables' rows are
+    the conditional probabilities, and the report's kernels are the
+    |++>-state eta_chi and coherence-mismatch curves.
+    """
+    if theta_points < 1:
+        raise ValidationError(f"theta_points must be >= 1, got {theta_points}")
+    thetas = np.linspace(0.0, math.pi / 4, theta_points).tolist()
+    return run_reconstruction([(theta, gate_probability_table(v_axis(theta, phi)))
+                               for theta in thetas], phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -464,34 +434,36 @@ def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[P
     return _write_output(path, output_format, result.metadata(), csv_lines, json_body)
 
 
-def fig3_series(curves: Fig3Curves) -> list[tuple[str, np.ndarray]]:
-    """Flatten the fig3 curves into (series name, values) pairs."""
+def fig3_series(report: ReconstructionReport) -> list[tuple[str, np.ndarray]]:
+    """Flatten a fig3 report into (series name, values) pairs: the tables'
+    conditional probabilities, then the kernels and their max-normalized copies."""
+    if report.coherence_kernel is None:
+        raise ValidationError("fig3 series need the coherence curve of a report made with phi")
     series = []
     for label in (*BASIS_LABELS, "++"):
-        for col, outcome in enumerate(BASIS_LABELS):
-            series.append((f"p({outcome}|{label})", curves.probabilities[label][:, col]))
-    series.append(("eta_chi_kernel", curves.eta_chi_kernel))
-    series.append(("coherence_kernel", curves.coherence_kernel))
-    series.append(("eta_chi_kernel_max_norm", max_normalize(curves.eta_chi_kernel)))
-    series.append(("coherence_kernel_max_norm", max_normalize(curves.coherence_kernel)))
-    return series
+        probabilities = np.array([table.rows[label] for table in report.tables])
+        series += [(f"p({outcome}|{label})", probabilities[:, col])
+                   for col, outcome in enumerate(BASIS_LABELS)]
+    kernels = [("eta_chi_kernel", report.eta_kernel), ("coherence_kernel", report.coherence_kernel)]
+    return series + kernels + [(name + "_max_norm", max_normalize(values))
+                               for name, values in kernels]
 
 
-def write_fig3(curves: Fig3Curves, path, output_format: str = "csv") -> list[Path]:
-    """Write the fig3 curves as long-format theta,series,value rows."""
+def write_fig3(report: ReconstructionReport, path, output_format: str = "csv") -> list[Path]:
+    """Write a fig3 report as long-format theta,series,value rows."""
     metadata = {"tool": "epmdiag", "version": __version__, "kind": "fig3",
-                "phi": curves.phi, "theta_points": int(curves.thetas.size)}
-    series = fig3_series(curves)
+                "phi": report.phi, "theta_points": len(report.thetas)}
+    series = fig3_series(report)
 
     def csv_lines():
         yield "theta,series,value"
-        for i, theta in enumerate(curves.thetas):
+        for i, theta in enumerate(report.thetas):
             for name, values in series:
                 yield f"{_fmt(theta)},{name},{_fmt(values[i])}"
 
     def json_body():
         return {
-            "thetas": [float(t) for t in curves.thetas],
+            "thetas": report.thetas.tolist(),
             "series": {name: [float(v) for v in values] for name, values in series},
         }
 
@@ -499,47 +471,32 @@ def write_fig3(curves: Fig3Curves, path, output_format: str = "csv") -> list[Pat
 
 
 def write_reconstruction(report: ReconstructionReport, path, output_format: str = "csv") -> list[Path]:
-    """Write a reconstruction report; empty coherence column when phi unknown."""
+    """Write a reconstruction report; empty coherence cells when phi is unknown."""
     metadata = {"tool": "epmdiag", "version": __version__, "kind": "reconstruction",
                 "error_family": report.error_family, "phi": report.phi,
-                "theta_points": len(report.rows), "flags": report.flags}
-    eta_norm = max_normalize(report.eta_curve())
-    coh_curve = report.coherence_curve()
-    coh_norm = max_normalize(np.nan_to_num(coh_curve)) if report.phi is not None else coh_curve
+                "theta_points": len(report.thetas), "flags": report.flags}
+    coherence = report.coherence_kernel
+    blank = [None] * len(report.thetas)
+    columns = {
+        "theta": report.thetas.tolist(),
+        "chi_populations": report.chi_pops.tolist(),
+        "g_chi_measured": report.g_chi_measured.tolist(),
+        "g_chi_ideal": report.g_chi_ideal.tolist(),
+        "eta_chi_kernel": report.eta_kernel.tolist(),
+        "eta_chi_kernel_max_norm": max_normalize(report.eta_kernel).tolist(),
+        "coherence_kernel": blank if coherence is None else coherence.tolist(),
+        "coherence_kernel_max_norm": blank if coherence is None else max_normalize(coherence).tolist(),
+        "max_row_sum_error": report.max_row_sum_error.tolist(),
+    }
 
     def csv_lines():
         yield ("theta,p_chi_00,p_chi_01,p_chi_10,p_chi_11,g_chi_measured,g_chi_ideal,"
                "eta_chi_kernel,eta_chi_kernel_max_norm,coherence_kernel,"
                "coherence_kernel_max_norm,max_row_sum_error")
-        for i, row in enumerate(report.rows):
-            coherence = "" if row.coherence_kernel is None else _fmt(row.coherence_kernel)
-            coherence_n = "" if report.phi is None else _fmt(coh_norm[i])
-            yield ",".join([
-                _fmt(row.theta),
-                *(_fmt(p) for p in row.chi_pops),
-                _fmt(row.g_chi_measured),
-                _fmt(row.g_chi_ideal),
-                _fmt(row.eta_kernel),
-                _fmt(eta_norm[i]),
-                coherence,
-                coherence_n,
-                _fmt(row.max_row_sum_error),
-            ])
+        for theta, pops, *rest in zip(*columns.values()):
+            yield ",".join("" if v is None else _fmt(v) for v in (theta, *pops, *rest))
 
     def json_body():
-        return {"rows": [
-            {
-                "theta": row.theta,
-                "chi_populations": [float(p) for p in row.chi_pops],
-                "g_chi_measured": row.g_chi_measured,
-                "g_chi_ideal": row.g_chi_ideal,
-                "eta_chi_kernel": row.eta_kernel,
-                "eta_chi_kernel_max_norm": float(eta_norm[i]),
-                "coherence_kernel": row.coherence_kernel,
-                "coherence_kernel_max_norm": None if report.phi is None else float(coh_norm[i]),
-                "max_row_sum_error": row.max_row_sum_error,
-            }
-            for i, row in enumerate(report.rows)
-        ]}
+        return {"rows": [dict(zip(columns, row)) for row in zip(*columns.values())]}
 
     return _write_output(path, output_format, metadata, csv_lines, json_body)

@@ -155,14 +155,16 @@ def test_criterion_3_fig1_surfaces():
 
 def test_criterion_4_fig3_theory_curves():
     with criterion(4, "conditional-probability theory curves", budget=1.0):
-        curves = preset_fig3(theta_points=50, phi=math.pi / 9)
+        report = preset_fig3(theta_points=50, phi=math.pi / 9)
+        probabilities = {label: np.array([table.rows[label] for table in report.tables])
+                         for label in report.tables[0].rows}
         cos_phi_sq = math.cos(math.pi / 9) ** 2
-        p10 = curves.probabilities["00"][:, 2]
-        p11 = curves.probabilities["00"][:, 3]
-        assert np.max(np.abs(p10 - np.cos(2 * curves.thetas) ** 2 * cos_phi_sq)) < 1e-12
-        expected_p11 = np.sin(2 * curves.thetas) ** 2 * cos_phi_sq + math.sin(math.pi / 9) ** 2
+        p10 = probabilities["00"][:, 2]
+        p11 = probabilities["00"][:, 3]
+        assert np.max(np.abs(p10 - np.cos(2 * report.thetas) ** 2 * cos_phi_sq)) < 1e-12
+        expected_p11 = np.sin(2 * report.thetas) ** 2 * cos_phi_sq + math.sin(math.pi / 9) ** 2
         assert np.max(np.abs(p11 - expected_p11)) < 1e-12
-        for label, values in curves.probabilities.items():
+        for label, values in probabilities.items():
             assert np.max(np.abs(values.sum(axis=1) - 1.0)) < 1e-12, label
         assert abs(p10[0] - math.cos(math.pi / 9) ** 2) < 1e-12
         assert abs(p10[0] - 0.88302) < 1e-5
@@ -174,7 +176,7 @@ def test_criterion_5_reconstruction_round_trip():
         thetas = np.linspace(0.0, math.pi / 4, 50).tolist()
         report = run_reconstruction(
             [(theta, gate_probability_table(v_axis(theta, math.pi / 9))) for theta in thetas])
-        for theta, via_tables in zip(thetas, report.eta_curve()):
+        for theta, via_tables in zip(thetas, report.eta_kernel):
             u, v = g_gate(theta), v_axis(theta, math.pi / 9)
             direct = kernel_values(MeritKind.ETA_CHI, psi_pp, u, v, H)[0]
             assert abs(via_tables - direct) < 1e-10

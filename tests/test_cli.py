@@ -249,15 +249,18 @@ def test_reconstruct_inf_value_exit_code(tmp_path):
 def test_reconstruct_non_finite_result_exit_code(tmp_path):
     # finite values whose row sum nearly cancels or overflows: renormalizing
     # the first row divides it into +-inf, and the second row's sum error is
-    # inf; the CSV writer refuses both before any file is written
+    # inf; the CSV writer refuses both before any file is written, after the
+    # row flag that explains the value and without numpy's overflow warnings
     out = tmp_path / "r.csv"
-    for row, flags in (("00,1e308,-1e308,1e-300,0", ("--renormalize",)),
-                       ("00,1e308,1e308,0,0", ())):
+    for row, flags, flag in (("00,1e308,-1e308,1e-300,0", ("--renormalize",), "sums to 1e-300"),
+                             ("00,1e308,1e308,0,0", (), "sums to inf")):
         table = tmp_path / "t.csv"
         table.write_text("# theta = 0.1\ninput,p00,p01,p10,p11\n" + row + "\n" + OTHER_ROWS)
         result = run_cli("reconstruct", "--measured", str(table), *flags, "--out", str(out))
         assert result.returncode == 2, (row, result.stderr)
         assert "non-finite" in result.stderr and "Traceback" not in result.stderr
+        assert f"warning: theta 0.1: row '00' {flag}" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
         assert not out.exists() and not (tmp_path / "r.meta.json").exists()
 
 

@@ -159,36 +159,43 @@ def test_preset_fig1_panel_matches_plain_sweep():
 
 
 def test_fig3_probability_endpoints():
-    curves = preset_fig3(theta_points=50)
-    p10 = curves.probabilities["00"][:, 2]
+    p10 = dict(fig3_series(preset_fig3(theta_points=50)))["p(10|00)"]
     assert abs(p10[0] - math.cos(math.pi / 9) ** 2) < 1e-12
     assert abs(p10[0] - 0.88302) < 1e-5
     assert p10[-1] < 1e-12  # theta = pi/4
 
 
 def test_fig3_rows_sum_to_one():
-    curves = preset_fig3(theta_points=25)
-    for label, values in curves.probabilities.items():
+    report = preset_fig3(theta_points=25)
+    for label in report.tables[0].rows:
+        values = np.array([table.rows[label] for table in report.tables])
         assert np.max(np.abs(values.sum(axis=1) - 1.0)) < 1e-12, label
         assert values.min() >= 0.0 and values.max() <= 1.0 + 1e-12, label
 
 
 def test_fig3_analytic_conditionals():
-    curves = preset_fig3(theta_points=50)
+    report = preset_fig3(theta_points=50)
+    series = dict(fig3_series(report))
     cos_phi_sq = math.cos(math.pi / 9) ** 2
-    expected_p10 = np.cos(2 * curves.thetas) ** 2 * cos_phi_sq
-    expected_p11 = np.sin(2 * curves.thetas) ** 2 * cos_phi_sq + math.sin(math.pi / 9) ** 2
-    assert np.max(np.abs(curves.probabilities["00"][:, 2] - expected_p10)) < 1e-12
-    assert np.max(np.abs(curves.probabilities["00"][:, 3] - expected_p11)) < 1e-12
+    expected_p10 = np.cos(2 * report.thetas) ** 2 * cos_phi_sq
+    expected_p11 = np.sin(2 * report.thetas) ** 2 * cos_phi_sq + math.sin(math.pi / 9) ** 2
+    assert np.max(np.abs(series["p(10|00)"] - expected_p10)) < 1e-12
+    assert np.max(np.abs(series["p(11|00)"] - expected_p11)) < 1e-12
 
 
 def test_fig3_kernels_normalized_copies():
-    curves = preset_fig3(theta_points=20)
-    series = dict(fig3_series(curves))
+    report = preset_fig3(theta_points=20)
+    series = dict(fig3_series(report))
     assert abs(series["eta_chi_kernel_max_norm"].max() - 1.0) < 1e-12
     assert abs(series["coherence_kernel_max_norm"].max() - 1.0) < 1e-12
-    peak = curves.eta_chi_kernel.max()
-    assert np.max(np.abs(series["eta_chi_kernel_max_norm"] * peak - curves.eta_chi_kernel)) < 1e-12
+    peak = report.eta_kernel.max()
+    assert np.max(np.abs(series["eta_chi_kernel_max_norm"] * peak - report.eta_kernel)) < 1e-12
+
+
+def test_fig3_series_need_phi():
+    report = run_reconstruction([(0.2, gate_probability_table(v_axis(0.2, 0.3)))])
+    with pytest.raises(ValidationError, match="made with phi"):
+        fig3_series(report)
 
 
 def test_max_normalize_zero_curve():
@@ -199,16 +206,16 @@ def test_reconstruction_synthetic_matches_fig3(tmp_path):
     thetas = np.linspace(0.0, math.pi / 4, 12)
     measured = [(float(t), gate_probability_table(v_axis(t, math.pi / 9))) for t in thetas]
     report = run_reconstruction(measured, ideal=None, phi=math.pi / 9)
-    curves = preset_fig3(theta_points=12)
-    assert np.max(np.abs(report.eta_curve() - curves.eta_chi_kernel)) < 1e-10
-    assert np.max(np.abs(report.coherence_curve() - curves.coherence_kernel)) < 1e-12
+    fig3 = preset_fig3(theta_points=12)
+    assert np.max(np.abs(report.eta_kernel - fig3.eta_kernel)) < 1e-10
+    assert np.max(np.abs(report.coherence_kernel - fig3.coherence_kernel)) < 1e-12
 
 
 def test_reconstruction_identical_tables_give_zero():
     thetas = [0.1, 0.2, 0.3]
     tables = [(t, gate_probability_table(g_gate(t))) for t in thetas]
     report = run_reconstruction(tables, ideal=[table for _, table in tables])
-    assert np.array_equal(report.eta_curve(), np.zeros(3))
+    assert np.array_equal(report.eta_kernel, np.zeros(3))
 
 
 def test_reconstruction_requires_matching_ideal():
@@ -240,14 +247,26 @@ def test_reconstruction_pairs_tables_by_position_at_a_repeated_theta():
     other = gate_probability_table(v_axis(0.1, 0.4))
     report = run_reconstruction([(0.3, first), (0.3, second), (0.1, other)],
                                 ideal=[first, other, other])
-    assert [row.theta for row in report.rows] == [0.1, 0.3, 0.3]
-    assert report.rows[0].eta_kernel == 0.0
-    assert report.rows[1].eta_kernel == 0.0
+    assert report.thetas.tolist() == [0.1, 0.3, 0.3]
+    assert report.eta_kernel[0] == 0.0
+    assert report.eta_kernel[1] == 0.0
     hamiltonian = local_hamiltonian_2q()
     expected = abs(g_chi_from_table(second, hamiltonian) - g_chi_from_table(other, hamiltonian))
-    assert report.rows[2].eta_kernel == expected > 0.1
+    assert report.eta_kernel[2] == expected > 0.1
     with pytest.raises(ValidationError, match="2 ideal"):
         run_reconstruction([(0.3, first), (0.3, second), (0.1, other)], ideal=[first, other])
+
+
+def test_reconstruction_of_no_tables_writes_the_header_alone(tmp_path):
+    # no table, no gate for the batched coherence call to stack
+    for phi in (None, 0.3):
+        report = run_reconstruction([], phi=phi)
+        write_reconstruction(report, tmp_path / "r.csv")
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("theta,p_chi_00,")
+        write_reconstruction(report, tmp_path / "r.json", output_format="json")
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["rows"] == [] and doc["metadata"]["theta_points"] == 0
 
 
 def test_write_sweep_deterministic(tmp_path):
@@ -304,5 +323,5 @@ def test_synthetic_table_files_round_trip(tmp_path):
         assert not table.flags
     measured = [(t.metadata["theta"], t) for t in tables]
     report = run_reconstruction(measured, phi=math.pi / 9)
-    curves = preset_fig3(theta_points=5)
-    assert np.max(np.abs(report.eta_curve() - curves.eta_chi_kernel)) < 1e-10
+    fig3 = preset_fig3(theta_points=5)
+    assert np.max(np.abs(report.eta_kernel - fig3.eta_kernel)) < 1e-10
