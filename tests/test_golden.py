@@ -9,7 +9,9 @@ normalization and the explicit ideal path, also in both formats. Three more CSV 
 edges of how a theta row is split into evaluation calls: one sample per
 point, more samples than one call holds, and rows of five points split
 unevenly, on a grid with theta from exactly 0 and phi symmetric about an
-exact 0.0. The digests depend on the numpy/BLAS
+exact 0.0. `haar-avg` (CSV and JSON) and `protocol` (separable with
+waveplate settings, and straightforward) pin the two writers that are not
+`_write_output`. The digests depend on the numpy/BLAS
 build that computed them, so the test skips when numpy is a different
 version. Regenerate a digest only together with a CHANGES.md entry that
 declares the byte change.
@@ -88,6 +90,18 @@ GOLDEN = {
         "out.csv": "189480f8acdc6f8f287f3626d313f4b5148cc045b1bcd6ee3ad5313ca87f4982",
         "out.meta.json": "ee8aa8878a9ba2ab07d1cdff4646e56a0f73397af51b9d7d681e236943f48aeb",
     },
+    "haar-avg-csv": {
+        "out.csv": "0a180852227b17144c720b6dff879fd10b80a15960922ea9d30e584fd8284c15",
+    },
+    "haar-avg-json": {
+        "out.json": "51ee9b446b1a765693a24f055b246d0a3d84f977d349c095f5245c51bf70da3b",
+    },
+    "protocol-separable-json": {
+        "out.json": "e5e3828767eb0d4f88a4d41cd540aab8576edf8f52433947e6d288112d636f67",
+    },
+    "protocol-straightforward-json": {
+        "out.json": "f97a64253c3ccade8ea6c09fee6703ee5ab5e8c0c28ef6330f1314cbb641bb96",
+    },
 }
 
 TABLE_PHI = 0.35
@@ -131,6 +145,12 @@ def _argv(case, tmp_path):
     out = tmp_path / f"out.{output_format}"
     tail = ["--format", output_format, "--out", str(out)]
     merits = [arg for kind in MeritKind for arg in ("--merit", kind.value)]
+    if name == "haar-avg":
+        return ["haar-avg", "--error", "angle", "--theta", "0.4", "--phi", "0.7",
+                "--samples", "300", "--seed", "29", *merits, *tail]
+    if name.startswith("protocol-"):
+        waveplates = ["--theta", "0.5", "--phi", "0.25"] if name == "protocol-separable" else []
+        return ["protocol", "--kind", name[len("protocol-"):], *waveplates, "--out", str(out)]
     if name in BATCH_EDGE_SWEEPS:
         return ["sweep", *BATCH_EDGE_SWEEPS[name], *merits, *tail]
     if name.startswith("sweep-"):
@@ -147,8 +167,9 @@ def _argv(case, tmp_path):
 
 CASES = [f"{name}-{fmt}" for name in ("sweep-axis", "sweep-angle", "fig3", "fig3-one-point",
                                       "reconstruct-phi", "reconstruct-nophi",
-                                      "reconstruct-ideal")
-         for fmt in ("csv", "json")] + [f"{name}-csv" for name in BATCH_EDGE_SWEEPS]
+                                      "reconstruct-ideal", "haar-avg")
+         for fmt in ("csv", "json")] + [f"{name}-csv" for name in BATCH_EDGE_SWEEPS] + [
+    "protocol-separable-json", "protocol-straightforward-json"]
 
 
 def digests(case, tmp_path):
