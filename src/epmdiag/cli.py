@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -15,10 +16,12 @@ from .gates import waveplate_settings
 from .merit import MeritKind
 from .reconstruct import load_probability_table, protocol_plan, schmidt_rank
 from .sweeps import (
+    DEFAULT_MERITS,
     DEFAULT_RESOLUTION,
     DEFAULT_SAMPLES,
     ERROR_FAMILIES,
     SweepConfig,
+    _fmt,
     _json_text,
     preset_fig1,
     preset_fig3,
@@ -120,8 +123,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _merits(args) -> tuple[MeritKind, ...]:
-    return tuple(MeritKind.from_name(m) for m in (args.merit or
-                 ["coherence_fidelity", "eta_chi"]))
+    # argparse's choices have already refused any name that is not a merit
+    return tuple(map(MeritKind, args.merit or ())) or DEFAULT_MERITS
 
 
 def _cmd_sweep(args) -> None:
@@ -208,11 +211,7 @@ def _cmd_protocol(args) -> None:
         "waveplate_settings": None,
     }
     if args.theta is not None and args.phi is not None:
-        settings = waveplate_settings(args.theta, args.phi)
-        doc["waveplate_settings"] = {
-            "hwp_s1": settings.hwp_s1, "hwp_s2": settings.hwp_s2,
-            "qwp_s1": settings.qwp_s1, "qwp_s2": settings.qwp_s2,
-        }
+        doc["waveplate_settings"] = dataclasses.asdict(waveplate_settings(args.theta, args.phi))
     _emit(_json_text(doc), args.out)
 
 
@@ -233,7 +232,7 @@ def _cmd_haar_avg(args) -> None:
     else:
         lines = ["merit,mean,std_error,n_samples,seed"]
         for r in records:
-            lines.append(f"{r.merit},{r.mean!r},{r.std_error!r},{r.n_samples},{args.seed}")
+            lines.append(f"{r.merit},{_fmt(r.mean)},{_fmt(r.std_error)},{r.n_samples},{args.seed}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
 

@@ -35,7 +35,7 @@ class RngStream:
     """
 
     master_seed: int
-    stream_index: int = 0
+    stream_index: int
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

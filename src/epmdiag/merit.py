@@ -40,15 +40,6 @@ class MeritKind(enum.Enum):
     ETA_EPM = "eta_epm"
     ETA_CHI = "eta_chi"
 
-    @classmethod
-    def from_name(cls, name: str) -> "MeritKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValidationError(
-            f"unknown merit {name!r}, expected one of {[k.value for k in cls]}"
-        )
-
 
 # Stable ordinals used to derive per-merit random substreams; independent of
 # which merits a particular sweep requests.

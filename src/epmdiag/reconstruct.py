@@ -84,19 +84,13 @@ def chi_populations(table: ProbabilityTable) -> np.ndarray:
     return table.rows["++"] - basis_mean
 
 
-def initial_exp_moment(psi0: np.ndarray, hamiltonian: LocalHamiltonian) -> float:
-    """Tr[e^H |psi0><psi0|] = sum_k e^{E_k} |a_k|^2."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    return float(np.sum((psi0.real**2 + psi0.imag**2) * hamiltonian.exp_diag(1.0)))
-
-
 def g_chi_from_table(table: ProbabilityTable, hamiltonian: LocalHamiltonian) -> float:
     """Coherence contribution to the characteristic function at u = i.
 
-    Returns Tr[e^H |++><++|] * sum_kq e^{-E_kq} p(kq; chi); the first
-    factor, the initial moment of the |++> input, is cosh(1)^2.
+    Returns Tr[e^H |++><++|] * sum_kq e^{-E_kq} p(kq; chi); the first factor,
+    the initial moment of the |++> input, is sum_k e^{E_k} / 4 (cosh(1)^2 here).
     """
-    plus_plus_moment = initial_exp_moment(plus_plus_state(), hamiltonian)
+    plus_plus_moment = float(hamiltonian.exp_diag(1.0).sum()) / 4
     populations = chi_populations(table)
     return float(plus_plus_moment * np.sum(hamiltonian.exp_diag(-1.0) * populations))
 
@@ -113,7 +107,7 @@ class ProtocolPlan:
 
     kind: str
     states: tuple[tuple[str, np.ndarray], ...]
-    phase_theta: float = math.pi / 2
+    phase_theta: float
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ DEFAULT_PHI_RANGES = {"axis": (0.0, math.pi), "angle": (0.0, 2 * math.pi)}
 
 DEFAULT_SAMPLES = 5000
 DEFAULT_RESOLUTION = 41
+DEFAULT_MERITS = (MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI)
 # Ceiling on Haar samples per grid point: a draw of 10**6 states holds three
 # 64 MB arrays at once (the normals, their squares and the states), and a
 # larger request is far more likely a typo than a need.
@@ -65,7 +66,7 @@ class SweepConfig:
     phi_lo: float | None = None
     phi_hi: float | None = None
     phi_points: int = DEFAULT_RESOLUTION
-    merits: tuple[MeritKind, ...] = (MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI)
+    merits: tuple[MeritKind, ...] = DEFAULT_MERITS
     n_samples: int = DEFAULT_SAMPLES
     master_seed: int = 0
 
@@ -116,30 +117,7 @@ class SweepResult:
     """Grid of Haar averages plus the metadata to regenerate them."""
 
     config: SweepConfig
-    records: list[SweepRecord] = field(default_factory=list)
-
-    def surface(self, kind: MeritKind, which: str = "mean") -> np.ndarray:
-        """(theta_points, phi_points) array of means or std errors for one merit."""
-        values = [getattr(r, which) for r in self.records if r.merit == kind.value]
-        if len(values) != self.config.theta_points * self.config.phi_points:
-            raise ValidationError(f"sweep does not contain a full {kind.value} surface")
-        return np.array(values).reshape(self.config.theta_points, self.config.phi_points)
-
-    def metadata(self) -> dict:
-        phi_lo, phi_hi = self.config.phi_bounds()
-        return {
-            "tool": "epmdiag",
-            "version": __version__,
-            "kind": "sweep",
-            "error_family": self.config.error_family,
-            "theta": {"lo": self.config.theta_lo, "hi": self.config.theta_hi,
-                      "points": self.config.theta_points},
-            "phi": {"lo": phi_lo, "hi": phi_hi, "points": self.config.phi_points},
-            "merits": [m.value for m in self.config.merits],
-            "n_samples": self.config.n_samples,
-            "master_seed": self.config.master_seed,
-            "grid_points": self.config.theta_points * self.config.phi_points,
-        }
+    records: list[SweepRecord]
 
 
 # The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
@@ -355,6 +333,7 @@ def run_reconstruction(
             g_ideal[i] = g_chi_from_table(ideal_table, hamiltonian)
             row_error[i] = max(abs(float(np.sum(values)) - 1.0) for values in table.rows.values())
             flags.extend(f"theta {theta!r}: {flag}" for flag in table.flags)
+            flags.extend(f"theta {theta!r}: ideal {flag}" for flag in ideal_table.flags)
     return ReconstructionReport(
         thetas=np.array(thetas, dtype=float), tables=tables, chi_pops=pops,
         g_chi_measured=g_measured, g_chi_ideal=g_ideal, eta_kernel=np.abs(g_measured - g_ideal),
@@ -398,11 +377,13 @@ def _json_text(doc: dict) -> str:
 def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body) -> list[Path]:
     """Write one result as CSV plus a `.meta.json` sidecar, or as one JSON file.
 
-    `csv_lines()` yields the CSV lines, header first; `json_body()` returns
-    the JSON document's entries after "metadata". Only the one the format
-    needs is called, and every text is built before any file is written.
+    The metadata block is "tool" and "version", then `metadata`. `csv_lines()`
+    yields the CSV lines, header first; `json_body()` returns the JSON
+    document's entries after "metadata". Only the one the format needs is
+    called, and every text is built before any file is written.
     """
     path = Path(path)
+    metadata = {"tool": "epmdiag", "version": __version__, **metadata}
     if output_format == "json":
         texts = {path: _json_text({"metadata": metadata, **json_body()})}
     elif output_format == "csv":
@@ -418,6 +399,16 @@ def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body
 
 def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[Path]:
     """Write a sweep as long-format CSV (+ JSON sidecar) or as one JSON file."""
+    config = result.config
+    phi_lo, phi_hi = config.phi_bounds()
+    metadata = {"kind": "sweep", "error_family": config.error_family,
+                "theta": {"lo": config.theta_lo, "hi": config.theta_hi,
+                          "points": config.theta_points},
+                "phi": {"lo": phi_lo, "hi": phi_hi, "points": config.phi_points},
+                "merits": [m.value for m in config.merits], "n_samples": config.n_samples,
+                "master_seed": config.master_seed,
+                "grid_points": config.theta_points * config.phi_points}
+
     def csv_lines():
         yield "theta,phi,merit,mean,std_error,n_samples"
         for r in result.records:
@@ -431,7 +422,7 @@ def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[P
             for r in result.records
         ]}
 
-    return _write_output(path, output_format, result.metadata(), csv_lines, json_body)
+    return _write_output(path, output_format, metadata, csv_lines, json_body)
 
 
 def fig3_series(report: ReconstructionReport) -> list[tuple[str, np.ndarray]]:
@@ -451,8 +442,7 @@ def fig3_series(report: ReconstructionReport) -> list[tuple[str, np.ndarray]]:
 
 def write_fig3(report: ReconstructionReport, path, output_format: str = "csv") -> list[Path]:
     """Write a fig3 report as long-format theta,series,value rows."""
-    metadata = {"tool": "epmdiag", "version": __version__, "kind": "fig3",
-                "phi": report.phi, "theta_points": len(report.thetas)}
+    metadata = {"kind": "fig3", "phi": report.phi, "theta_points": len(report.thetas)}
     series = fig3_series(report)
 
     def csv_lines():
@@ -472,9 +462,8 @@ def write_fig3(report: ReconstructionReport, path, output_format: str = "csv") -
 
 def write_reconstruction(report: ReconstructionReport, path, output_format: str = "csv") -> list[Path]:
     """Write a reconstruction report; empty coherence cells when phi is unknown."""
-    metadata = {"tool": "epmdiag", "version": __version__, "kind": "reconstruction",
-                "error_family": report.error_family, "phi": report.phi,
-                "theta_points": len(report.thetas), "flags": report.flags}
+    metadata = {"kind": "reconstruction", "error_family": report.error_family,
+                "phi": report.phi, "theta_points": len(report.thetas), "flags": report.flags}
     coherence = report.coherence_kernel
     blank = [None] * len(report.thetas)
     columns = {

@@ -32,6 +32,15 @@ def haar_random_unitary(rng: RngStream, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def surface(result, kind, which: str = "mean") -> np.ndarray:
+    """(theta_points, phi_points) array of a sweep's means or std errors for one merit."""
+    config = result.config
+    values = [getattr(r, which) for r in result.records if r.merit == kind.value]
+    assert len(values) == config.theta_points * config.phi_points, \
+        f"sweep does not contain a full {kind.value} surface"
+    return np.array(values).reshape(config.theta_points, config.phi_points)
+
+
 def l1_coherence(rho: np.ndarray) -> float:
     """l1 coherence measure: sum of |rho_nk| over all off-diagonal entries."""
     rho = np.asarray(rho, dtype=complex)

@@ -25,7 +25,7 @@ from epmdiag.reconstruct import (
     transition_tensor_from_unitary,
 )
 from epmdiag.sweeps import preset_fig1, preset_fig3, run_reconstruction
-from helpers import haar_random_unitary
+from helpers import haar_random_unitary, surface
 
 H = local_hamiltonian_2q()
 
@@ -106,7 +106,7 @@ def test_criterion_3_fig1_surfaces():
         for panel, kind in (("a", MeritKind.COHERENCE_FIDELITY), ("b", MeritKind.ETA_CHI),
                             ("c", MeritKind.COHERENCE_FIDELITY), ("d", MeritKind.ETA_CHI)):
             result = preset_fig1(panel, resolution=41, n_samples=5000, seed=0)
-            surfaces[panel] = (result.surface(kind), result.surface(kind, "std_error"))
+            surfaces[panel] = (surface(result, kind), surface(result, kind, "std_error"))
             grids[panel] = (result.config.thetas(), result.config.phis())
 
         # (a) exact zero-error null along the phi = 0 column of every panel
@@ -207,9 +207,10 @@ def test_criterion_6_statistical_soundness():
 
 
 def test_criterion_7_output_determinism(tmp_path):
-    # the child finds the package in this checkout's src, installed or not
+    # the child finds the package in this checkout's src, installed or not, and
+    # fails on a RuntimeWarning as the pytest process does
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with criterion(7, "byte-identical outputs for any worker count"):
         outputs = []

@@ -15,15 +15,17 @@ from helpers import write_probability_table
 
 
 def child_env():
-    """This environment with the checkout's src first on PYTHONPATH.
+    """This environment with the checkout's src first on PYTHONPATH and
+    RuntimeWarnings turned into errors.
 
-    pyproject's `pythonpath` reaches the pytest process but not the
-    interpreters it starts, so without this a child finds the package only
-    when it is installed.
+    pyproject's `pythonpath` and `filterwarnings` reach the pytest process
+    but not the interpreters it starts, so without this a child finds the
+    package only when it is installed, and a numpy overflow or invalid
+    value in it passes unseen.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
 def run_cli(*args, **kwargs):
@@ -224,6 +226,21 @@ def test_sweep_requires_out(tmp_path):
 OTHER_ROWS = "01,0,1,0,0\n10,1,0,0,0\n11,0,0,0,1\n++,0.25,0.25,0.25,0.25\n"
 
 
+def test_reconstruct_warns_of_flagged_ideal_table(tmp_path):
+    measured = tmp_path / "m.csv"
+    write_probability_table(gate_probability_table(v_axis(0.4, 0.3)), measured,
+                            metadata={"theta": 0.4})
+    ideal = tmp_path / "i.csv"
+    ideal.write_text("input,p00,p01,p10,p11\n00,0.5,0,0,0\n" + OTHER_ROWS)
+    out = tmp_path / "r.csv"
+    result = run_cli("reconstruct", "--measured", str(measured), "--ideal", str(ideal),
+                     "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    flag = "theta 0.4: ideal row '00' sums to 0.5, outside tolerance 0.02"
+    assert f"warning: {flag}\n" in result.stderr
+    assert json.loads((tmp_path / "r.meta.json").read_text())["flags"] == [flag]
+
+
 def test_reconstruct_nan_value_exit_code(tmp_path):
     bad = tmp_path / "nan.csv"
     bad.write_text("# theta = 0.1\ninput,p00,p01,p10,p11\n00,0.5,nan,0.3,0.2\n" + OTHER_ROWS)
@@ -332,9 +349,12 @@ def test_negative_seed_exit_code(tmp_path):
 def test_absurd_sizes_exit_code(tmp_path):
     # refused before any draw: the 10**12-sample request would need ~58 TiB,
     # and a 65536 x 65536 grid has 2**32 points, past the 32-bit grid index;
-    # fig3 needs at least one theta point
+    # fig3 needs at least one theta point; argparse refuses a merit name
+    # that is not a MeritKind value
     out = tmp_path / "s.csv"
     for args in (("haar-avg", "--theta", "0.4", "--phi", "0.7", "--samples", "1000000000000"),
+                 ("haar-avg", "--theta", "0.4", "--phi", "0.7", "--merit", "eta_zeta"),
+                 ("sweep", "--resolution", "2", "--merit", "eta_zeta", "--out", str(out)),
                  ("sweep", "--resolution", "2", "--samples", "1000001", "--out", str(out)),
                  ("sweep", "--resolution", "65536", "--samples", "1", "--out", str(out)),
                  ("fig3", "--theta-points", "0", "--out", str(out)),

@@ -239,12 +239,6 @@ def test_haar_average_rejects_zero_samples():
         haar_average(MeritKind.FIDELITY, g_gate(0.1), g_gate(0.1), H, n_samples=0, seed=0)
 
 
-def test_merit_kind_lookup():
-    assert MeritKind.from_name("eta_chi") is MeritKind.ETA_CHI
-    with pytest.raises(ValidationError):
-        MeritKind.from_name("eta_zeta")
-
-
 def test_fidelity_error_bars_calibrated_against_closed_form():
     # Haar average of |<psi|U^dag V|psi>|^2 over d = 4 is (|Tr U^dag V|^2 + 4) / 20
     # (Horodecki et al. 1999; Nielsen 2002). z = (mean - exact) / std_error at

@@ -16,7 +16,6 @@ from epmdiag.reconstruct import (
     chi_populations,
     g_chi_from_table,
     gate_probability_table,
-    initial_exp_moment,
     load_probability_table,
     outcome_probabilities,
     protocol_plan,
@@ -74,10 +73,6 @@ def test_chi_populations_missing_row():
     del table.rows["++"]
     with pytest.raises(ValidationError, match=r"\+\+"):
         chi_populations(table)
-
-
-def test_initial_moment_plus_plus():
-    assert abs(initial_exp_moment(plus_plus_state(), H) - math.cosh(1.0) ** 2) < 1e-12
 
 
 def test_g_chi_identity_channel_is_zero():

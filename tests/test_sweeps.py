@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -22,7 +23,7 @@ from epmdiag.sweeps import (
     write_reconstruction,
     write_sweep,
 )
-from helpers import write_probability_table
+from helpers import surface, write_probability_table
 
 
 def test_single_point_null_error():
@@ -52,10 +53,10 @@ def test_single_point_fidelity_null():
 def test_sweep_surface_shape_and_bounds():
     config = SweepConfig(theta_points=4, phi_points=3, n_samples=100, master_seed=1)
     result = run_sweep(config)
-    surface = result.surface(MeritKind.ETA_CHI)
-    assert surface.shape == (4, 3)
-    assert np.all(surface >= 0.0)
-    assert np.array_equal(surface[:, 0], np.zeros(4))  # phi = 0 column
+    values = surface(result, MeritKind.ETA_CHI)
+    assert values.shape == (4, 3)
+    assert np.all(values >= 0.0)
+    assert np.array_equal(values[:, 0], np.zeros(4))  # phi = 0 column
 
 
 def test_sweep_workers_do_not_change_results():
@@ -137,8 +138,7 @@ def test_preset_fig1_small():
     result = preset_fig1("b", resolution=3, n_samples=100, seed=2)
     assert result.config.error_family == "axis"
     assert result.config.merits == (MeritKind.ETA_CHI,)
-    surface = result.surface(MeritKind.ETA_CHI)
-    assert np.array_equal(surface[:, 0], np.zeros(3))
+    assert np.array_equal(surface(result, MeritKind.ETA_CHI)[:, 0], np.zeros(3))
     with pytest.raises(ValidationError):
         preset_fig1("e")
 
@@ -154,7 +154,7 @@ def test_preset_fig1_panel_matches_plain_sweep():
     both = run_sweep(config)
     panel = preset_fig1("b", resolution=3, n_samples=150, seed=4)
     assert np.array_equal(
-        both.surface(MeritKind.ETA_CHI), panel.surface(MeritKind.ETA_CHI)
+        surface(both, MeritKind.ETA_CHI), surface(panel, MeritKind.ETA_CHI)
     )
 
 
@@ -255,6 +255,19 @@ def test_reconstruction_pairs_tables_by_position_at_a_repeated_theta():
     assert report.eta_kernel[2] == expected > 0.1
     with pytest.raises(ValidationError, match="2 ideal"):
         run_reconstruction([(0.3, first), (0.3, second), (0.1, other)], ideal=[first, other])
+
+
+def test_reconstruction_reports_the_flags_of_ideal_tables():
+    # each theta's measured flags, then its ideal table's, marked "ideal"
+    rows = "01,0,1,0,0\n10,0,0,1,0\n11,0,0,0,1\n++,0.25,0.25,0.25,0.25\n"
+    off = load_probability_table(io.StringIO("input,p00,p01,p10,p11\n00,0.5,0,0,0\n" + rows))
+    good = load_probability_table(io.StringIO("input,p00,p01,p10,p11\n00,1,0,0,0\n" + rows))
+    flag = "row '00' sums to 0.5, outside tolerance 0.02"
+    assert off.flags == [flag] and good.flags == []
+    report = run_reconstruction([(0.4, off), (0.1, good)], ideal=[off, good])
+    assert report.flags == [f"theta 0.4: {flag}", f"theta 0.4: ideal {flag}"]
+    report = run_reconstruction([(0.4, good), (0.1, good)], ideal=[off, good])
+    assert report.flags == [f"theta 0.4: ideal {flag}"]
 
 
 def test_reconstruction_of_no_tables_writes_the_header_alone(tmp_path):
