@@ -7,6 +7,7 @@ seeded, reproducible Haar sampling backed by a counter-based bit generator.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,7 +55,47 @@ def plus_plus_state() -> np.ndarray:
     return np.full(4, 0.5, dtype=complex)
 
 
-def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int) -> np.ndarray:
+class Workspace:
+    """Scratch memory that one evaluation call leaves for the next to reuse.
+
+    Arrays are cut from one byte buffer in the order they are asked for, as
+    on a stack: `release(mark)` hands the bytes of every array asked for
+    since `mark()` to the requests after it, and `rewind()` starts a call.
+    A request past the end of the buffer gets an array of its own, and the
+    next call finds a buffer as large as this call needed at once, so calls
+    of one shape allocate nothing from the second on. An array stays valid
+    until its bytes are handed out again.
+    """
+
+    def __init__(self):
+        self._buffer = np.empty(0, np.uint8)
+        self._used = self._peak = 0
+
+    def rewind(self) -> "Workspace":
+        if self._peak > self._buffer.size:
+            self._buffer = np.empty(self._peak, np.uint8)
+        self._used = self._peak = 0
+        return self
+
+    def mark(self) -> int:
+        return self._used
+
+    def release(self, mark: int) -> None:
+        self._used = mark
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start = self._used
+        self._used += -(-nbytes // 64) * 64  # whole 64-byte steps keep each array aligned
+        self._peak = max(self._peak, self._used)
+        if self._used > self._buffer.size:
+            return np.empty(shape, dtype)
+        return self._buffer[start:start + nbytes].view(dtype).reshape(shape)
+
+
+def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int, *,
+                     workspace: Workspace | None = None) -> np.ndarray:
     """Draw n Haar-random pure states as the rows of an (n, dim) array.
 
     Each row is an i.i.d. standard complex Gaussian vector normalized to
@@ -62,14 +103,18 @@ def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int) -> 
     stream in order, so row 0 equals the single-state draw from the same
     stream and prefixes of a batch are batch-size independent. A sequence
     of B streams gives a (B, n, dim) stack whose slice b equals the draw
-    from stream b alone.
+    from stream b alone. The arrays, the states included, come from
+    `workspace` when one is given, and are new otherwise.
     """
     if dim not in SUPPORTED_DIMS:
         raise ValidationError(f"unsupported dimension {dim}, expected one of {SUPPORTED_DIMS}")
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
     streams = [rng] if isinstance(rng, RngStream) else list(rng)
-    gauss = np.empty((len(streams), n, 2 * dim))
+    ws = Workspace() if workspace is None else workspace
+    states = ws.empty((len(streams), n, dim), complex)
+    mark = ws.mark()
+    gauss = ws.empty((len(streams), n, 2 * dim), float)
     # One Philox re-keyed per stream: a fresh key with counter 0 and an empty
     # buffer is the state Philox(key=...) starts from, at a fraction of the
     # cost of building a generator per stream.
@@ -81,15 +126,17 @@ def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int) -> 
             [stream.master_seed & _MASK64, stream.stream_index & _MASK64], dtype=np.uint64)
         bit_generator.state = state
         generator.standard_normal(out=out)
-    squares = gauss * gauss
+    # The squares take the states' memory, which they leave before the states arrive.
+    squares = np.multiply(gauss, gauss, out=states.view(float))
     # |z_0|^2 + |z_1|^2 + ... summed left to right, as np.sum does along a row.
-    norms_sq = squares[..., 0] + squares[..., dim]
+    norms_sq = np.add(squares[..., 0], squares[..., dim], out=ws.empty(states.shape[:-1], float))
+    pair = ws.empty(norms_sq.shape, float)
     for k in range(1, dim):
-        norms_sq += squares[..., k] + squares[..., dim + k]
+        norms_sq += np.add(squares[..., k], squares[..., dim + k], out=pair)
     # Dividing a complex array by a real one multiplies by the reciprocal, so
     # scaling the two real halves by 1/norm gives the same bits as z / norm.
-    scale = (1.0 / np.sqrt(norms_sq))[..., None]
-    states = np.empty(gauss.shape[:-1] + (dim,), dtype=complex)
+    scale = np.divide(1.0, np.sqrt(norms_sq, out=pair), out=pair)[..., None]
     np.multiply(gauss[..., :dim], scale, out=states.real)
     np.multiply(gauss[..., dim:], scale, out=states.imag)
+    ws.release(mark)
     return states[0] if isinstance(rng, RngStream) else states

@@ -37,10 +37,14 @@ DEFAULT_PHI_RANGES = {"axis": (0.0, math.pi), "angle": (0.0, 2 * math.pi)}
 DEFAULT_SAMPLES = 5000
 DEFAULT_RESOLUTION = 41
 DEFAULT_MERITS = (MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI)
-# Ceiling on Haar samples per grid point: a draw of 10**6 states holds three
-# 64 MB arrays at once (the normals, their squares and the states), and a
-# larger request is far more likely a typo than a need.
+# Ceiling on Haar samples per grid point: a draw of 10**6 states holds two
+# 64 MB arrays at once (the normals, and the states, whose memory first holds
+# the squares), and a larger request is far more likely a typo than a need.
 MAX_SAMPLES = 10**6
+# Ceiling on fig3 theta points: each point keeps its probability table and
+# report row, ~5 kB, and costs ~0.2 ms, so 10**5 points take ~0.5 GB and
+# ~20 s; a larger request is far more likely a typo than a need.
+MAX_THETA_POINTS = 10**5
 # Most Haar states one evaluation call holds: a theta row is averaged in
 # calls of max(1, STATE_BUDGET // n_samples) consecutive points, which
 # spreads the fixed cost of a call over many points at low sample counts
@@ -207,8 +211,8 @@ def _evaluate_row(task) -> list[tuple[tuple[float, float], ...]]:
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Evaluate every requested merit on the configured (theta, phi) grid.
 
-    Workers > 1 fan theta rows out to a process pool; per-point seeds make
-    the result identical for any worker count.
+    Workers > 1 fan theta rows out to a process pool of at most one worker
+    per row; per-point seeds make the result identical for any worker count.
     """
     config.validate()
     if workers < 1:
@@ -222,6 +226,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
               [merit_seeds[i * len(phis):(i + 1) * len(phis)] for merit_seeds in seeds])
              for i, theta in enumerate(thetas)]
 
+    # a pool forks all its workers at the first submit, so start no more than there are rows
+    workers = min(workers, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_row, tasks))
@@ -348,8 +354,9 @@ def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> Reconstruct
     the conditional probabilities, and the report's kernels are the
     |++>-state eta_chi and coherence-mismatch curves.
     """
-    if theta_points < 1:
-        raise ValidationError(f"theta_points must be >= 1, got {theta_points}")
+    if not 1 <= theta_points <= MAX_THETA_POINTS:
+        raise ValidationError(f"theta_points must be in [1, {MAX_THETA_POINTS}], "
+                              f"got {theta_points}")
     thetas = np.linspace(0.0, math.pi / 4, theta_points).tolist()
     return run_reconstruction([(theta, gate_probability_table(v_axis(theta, phi)))
                                for theta in thetas], phi=phi)

@@ -1,5 +1,6 @@
 """Test-only helpers: constants, samplers and writers no library path uses."""
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,17 @@ def write_probability_table(table, path, metadata: dict | None = None) -> None:
     for label, values in table.rows.items():
         lines.append(label + "," + ",".join(repr(float(v)) for v in values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def child_env():
+    """This environment with the checkout's src first on PYTHONPATH and
+    RuntimeWarnings turned into errors.
+
+    pyproject's `pythonpath` and `filterwarnings` reach the pytest process
+    but not the interpreters it starts, so without this a child finds the
+    package only when it is installed, and a numpy overflow or invalid
+    value in it passes unseen.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}

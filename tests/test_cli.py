@@ -11,21 +11,7 @@ import numpy as np
 import epmdiag
 from epmdiag.reconstruct import gate_probability_table
 from epmdiag.gates import v_axis
-from helpers import write_probability_table
-
-
-def child_env():
-    """This environment with the checkout's src first on PYTHONPATH and
-    RuntimeWarnings turned into errors.
-
-    pyproject's `pythonpath` and `filterwarnings` reach the pytest process
-    but not the interpreters it starts, so without this a child finds the
-    package only when it is installed, and a numpy overflow or invalid
-    value in it passes unseen.
-    """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+from helpers import child_env, write_probability_table
 
 
 def run_cli(*args, **kwargs):
@@ -363,6 +349,16 @@ def test_absurd_sizes_exit_code(tmp_path):
         assert result.returncode == 2, (args, result.stderr)
         assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_fig3_theta_points_above_the_ceiling_exit_code(tmp_path):
+    # each theta point holds two probability tables: 10**9 of them would run
+    # until memory runs out, so the count is refused before any table is built
+    out = tmp_path / "f.csv"
+    result = run_cli("fig3", "--theta-points", "1000000000", "--out", str(out), timeout=10)
+    assert result.returncode == 2, result.stderr
+    assert "theta_points" in result.stderr and "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workers_below_one_exit_code(tmp_path):

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,8 @@ from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import RngStream, basis_state, haar_pure_states, plus_plus_state
 from epmdiag.merit import ETA_KINDS, MeritKind, haar_average, kernel_coherence_fid, kernel_values
-from helpers import haar_random_unitary, l1_coherence
+from epmdiag.sweeps import SweepConfig, point_seed, run_sweep
+from helpers import child_env, haar_random_unitary, l1_coherence
 
 H = local_hamiltonian_2q()
 
@@ -314,3 +319,93 @@ def test_stacked_haar_average_equals_single_calls():
             singles = [haar_average(kind, u, v, H, n_samples=n_samples, seed=s)
                        for v, s in zip(gates, seeds)]
             assert stacked == singles
+
+
+def _bits(averages):
+    """The exact bits of one HaarAverage or a list of them."""
+    averages = averages if isinstance(averages, list) else [averages]
+    return [(a.mean.hex(), a.std_error.hex()) for a in averages]
+
+
+def _in_a_fresh_thread(fn):
+    """fn() run on a new thread, whose haar_average has no workspace yet."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def test_haar_average_workspace_reuse_keeps_every_bit():
+    # the (B, n) keys change from case to case and come back, and each case
+    # runs twice, the second time on the workspace of the first; every
+    # result must equal the same call made first, before any workspace existed
+    theta = 0.7
+    u = g_gate(theta)
+    calls = []
+    for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY):
+        for b, n in ((2, 5000), (1, 5000), (81, 100), (2, 5000)):
+            phis = np.linspace(0.0, 3.0, b)  # phi = 0: the null point, where no row differs
+            seeds = point_seed(11, np.arange(b) + 1000 * len(calls), kind).tolist()
+            gates = np.stack([v_axis(theta, phi) for phi in phis])
+            if b == 1:  # one gate pair and one seed, as a 5000-sample fig1 row calls it
+                gates, seeds = gates[0], seeds[0]
+            calls.append((kind, gates, n, seeds))
+
+    def call(kind, gates, n, seeds):
+        return haar_average(kind, u, gates, H, n_samples=n, seed=seeds)
+
+    fresh = [_in_a_fresh_thread(lambda args=args: _bits(call(*args))) for args in calls]
+    for args, expected in zip(calls, fresh):
+        assert [_bits(call(*args)), _bits(call(*args))] == [expected, expected], args[0]
+
+
+def test_draws_and_kernels_outside_haar_average_return_new_arrays():
+    u, v = g_gate(0.4), v_axis(0.4, 1.1)
+    first_states = haar_pure_states(RngStream(3, 0), 4, 500)
+    second_states = haar_pure_states(RngStream(4, 0), 4, 500)
+    assert not np.shares_memory(first_states, second_states)
+    for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY, MeritKind.FIDELITY):
+        first = kernel_values(kind, first_states, u, v, H)
+        kept = first.copy()
+        haar_average(kind, u, v, H, n_samples=500, seed=3)
+        second = kernel_values(kind, second_states, u, v, H)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, first_states)
+        assert np.array_equal(first, kept)
+
+
+# One warm-up row, then the minor page faults of a second 41-point row of
+# 5000-sample averages, in a new interpreter: how often the allocator hands
+# memory back depends on what the process allocated before, so a pytest
+# process that ran other tests first can hide the churn.
+_FAULT_PROBE = """
+import resource
+from epmdiag.merit import MeritKind
+from epmdiag.sweeps import SweepConfig, run_sweep
+for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY):
+    def row(seed):
+        run_sweep(SweepConfig(theta_lo=0.7, theta_hi=0.7, theta_points=1, phi_points=41,
+                              merits=(kind,), n_samples=5000, master_seed=seed))
+    row(1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    row(2)
+    print(kind.value, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_fig1_rows_do_not_fault_their_arrays_in_again():
+    # Without a reused workspace, glibc hands each evaluation's ~320 kB arrays
+    # back to the kernel and every point faults them in again: ~200 minor
+    # faults per 5000-sample point, about a quarter of fig1's wall time.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
+        pytest.skip("getrusage reports no minor faults")
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True,
+                           text=True, env=child_env(), timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    faults = dict(line.split() for line in probe.stdout.splitlines())
+    assert set(faults) == {"eta_chi", "coherence_fidelity"}
+    assert all(int(count) < 20 * 41 for count in faults.values()), faults

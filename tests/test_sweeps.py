@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import io
 import json
 import math
@@ -64,6 +66,35 @@ def test_sweep_workers_do_not_change_results():
     serial = run_sweep(config, workers=1)
     parallel = run_sweep(config, workers=2)
     assert serial.records == parallel.records
+
+
+def test_sweep_pool_has_at_most_one_worker_per_row(monkeypatch):
+    # a real pool forks every worker at the first submit; this one records
+    # how many it was asked for and maps in this process
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config = SweepConfig(theta_points=3, phi_points=2, n_samples=20, master_seed=4)
+    serial = run_sweep(config)
+    assert run_sweep(config, workers=64).records == serial.records
+    assert run_sweep(config, workers=2).records == serial.records
+    assert asked == [3, 2]
+    one_row = dataclasses.replace(config, theta_points=1)
+    assert run_sweep(one_row, workers=64).records == run_sweep(one_row).records
+    assert asked == [3, 2]
 
 
 def test_sweep_validation():
