@@ -3,13 +3,14 @@
 States and operators are plain complex numpy arrays. This module fixes the
 conventions used everywhere else: computational basis order |00>, |01>,
 |10>, |11> with the LEFT tensor factor acting as the control qubit, and
-seeded, reproducible Haar sampling backed by a counter-based bit generator.
+seeded, reproducible Haar sampling backed by a counter-based bit generator:
+a draw's seed is its 128-bit Philox key.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +24,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SUPPORTED_DIMS = (2, 4)
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Deterministic random substream keyed by (master_seed, stream_index).
-
-    Backed by the counter-based Philox generator with the 128-bit key
-    (stream_index << 64) | master_seed, so every (seed, index) pair is an
-    independent stream whose output never depends on what other streams
-    were consumed, or in which order.
-    """
-
-    master_seed: int
-    stream_index: int
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -94,36 +81,42 @@ class Workspace:
         return self._buffer[start:start + nbytes].view(dtype).reshape(shape)
 
 
-def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int, *,
+def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
                      workspace: Workspace | None = None) -> np.ndarray:
     """Draw n Haar-random pure states as the rows of an (n, dim) array.
 
     Each row is an i.i.d. standard complex Gaussian vector normalized to
-    unit length (the exact Haar construction). Rows are filled from the
-    stream in order, so row 0 equals the single-state draw from the same
-    stream and prefixes of a batch are batch-size independent. A sequence
-    of B streams gives a (B, n, dim) stack whose slice b equals the draw
-    from stream b alone. The arrays, the states included, come from
-    `workspace` when one is given, and are new otherwise.
+    unit length (the exact Haar construction). The normals come from the
+    Philox stream whose 128-bit key is `key`, in [0, 2**128): a
+    counter-based generator takes any key as its seed, with no seeding
+    hash, and its output for one key never depends on what other keys were
+    drawn, or in which order. Rows are filled in order, so row 0 equals the
+    single-state draw from the same key and prefixes of a batch are
+    batch-size independent. A sequence of B keys gives a (B, n, dim) stack
+    whose slice b equals the draw from key b alone. The arrays, the states
+    included, come from `workspace` when one is given, and are new otherwise.
     """
     if dim not in SUPPORTED_DIMS:
         raise ValidationError(f"unsupported dimension {dim}, expected one of {SUPPORTED_DIMS}")
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
-    streams = [rng] if isinstance(rng, RngStream) else list(rng)
+    single = isinstance(key, (int, np.integer))
+    keys = [operator.index(key)] if single else list(map(operator.index, key))
+    refused = [k for k in keys if not 0 <= k < 2**128]
+    if refused:
+        raise ValidationError(f"a Philox key lies in [0, 2**128), got {refused[0]}")
     ws = Workspace() if workspace is None else workspace
-    states = ws.empty((len(streams), n, dim), complex)
+    states = ws.empty((len(keys), n, dim), complex)
     mark = ws.mark()
-    gauss = ws.empty((len(streams), n, 2 * dim), float)
-    # One Philox re-keyed per stream: a fresh key with counter 0 and an empty
+    gauss = ws.empty((len(keys), n, 2 * dim), float)
+    # One Philox re-keyed per key: a fresh key with counter 0 and an empty
     # buffer is the state Philox(key=...) starts from, at a fraction of the
-    # cost of building a generator per stream.
+    # cost of building a generator per key.
     bit_generator = np.random.Philox(key=0)
     generator = np.random.Generator(bit_generator)
     state = bit_generator.state
-    for out, stream in zip(gauss, streams):
-        state["state"]["key"] = np.array(
-            [stream.master_seed & _MASK64, stream.stream_index & _MASK64], dtype=np.uint64)
+    for out, k in zip(gauss, keys):
+        state["state"]["key"] = np.array([k & _MASK64, k >> 64], dtype=np.uint64)
         bit_generator.state = state
         generator.standard_normal(out=out)
     # The squares take the states' memory, which they leave before the states arrive.
@@ -139,4 +132,4 @@ def haar_pure_states(rng: RngStream | Sequence[RngStream], dim: int, n: int, *,
     np.multiply(gauss[..., :dim], scale, out=states.real)
     np.multiply(gauss[..., dim:], scale, out=states.imag)
     ws.release(mark)
-    return states[0] if isinstance(rng, RngStream) else states
+    return states[0] if single else states

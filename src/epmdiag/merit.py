@@ -28,7 +28,7 @@ import numpy as np
 
 from .energetics import LocalHamiltonian
 from .errors import ValidationError
-from .linalg import RngStream, Workspace, haar_pure_states
+from .linalg import Workspace, haar_pure_states
 
 
 class MeritKind(enum.Enum):
@@ -41,10 +41,6 @@ class MeritKind(enum.Enum):
     ETA_EPM = "eta_epm"
     ETA_CHI = "eta_chi"
 
-
-# Stable ordinals used to derive per-merit random substreams; independent of
-# which merits a particular sweep requests.
-MERIT_ORDINAL = {kind: i for i, kind in enumerate(MeritKind)}
 
 ETA_KINDS = (MeritKind.ETA_TPM, MeritKind.ETA_P, MeritKind.ETA_EPM, MeritKind.ETA_CHI)
 
@@ -360,10 +356,11 @@ def haar_average(
 ) -> HaarAverage | list[HaarAverage]:
     """Average a merit kernel over Haar-random pure inputs.
 
-    All samples come from the stream keyed by `seed`, drawn as one batch,
-    so the estimate is a pure function of (kind, gates, n_samples, seed)
-    and does not depend on evaluation order elsewhere. The standard error
-    is the sample standard deviation (ddof=1) over sqrt(n_samples).
+    All samples come from the Philox stream whose key is `seed` (see
+    linalg.haar_pure_states), drawn as one batch, so the estimate is a pure
+    function of (kind, gates, n_samples, seed) and does not depend on
+    evaluation order elsewhere. The standard error is the sample standard
+    deviation (ddof=1) over sqrt(n_samples).
 
     With a stack of B noisy gates (B, dim, dim) and a sequence of B seeds,
     returns the list of B averages, each equal to the call on its own gate
@@ -378,8 +375,7 @@ def haar_average(
     seeds = [seed] if single else seed
     dim = u_ideal.shape[0]
     workspace = _workspace((len(seeds), n_samples, dim))
-    states = haar_pure_states([RngStream(s, 0) for s in seeds], dim, n_samples,
-                              workspace=workspace)
+    states = haar_pure_states(seeds, dim, n_samples, workspace=workspace)
     v_stack = np.reshape(np.asarray(v_noisy, dtype=complex), (-1,) + u_ideal.shape)
     values = kernel_values(kind, states, u_ideal, v_stack, hamiltonian, workspace=workspace)
     means = np.mean(values, axis=-1).tolist()

@@ -1,15 +1,17 @@
 """Parameter sweeps over (theta, phi) grids and the figure presets.
 
 A sweep evaluates Haar-averaged merits on a rectangular grid of ideal gate
-angle theta and error parameter phi. Randomness is derived per (grid
-point, merit) from the master seed, so results are independent of worker
-count and scheduling, and output files are byte-identical across runs.
+angle theta and error parameter phi. Randomness is derived per grid point
+from the master seed, and every merit of a point reads the same states, so
+results are independent of worker count and scheduling, and output files
+are byte-identical across runs.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from .errors import ValidationError
 from .gates import g_gate, v_angle, v_axis
 from .linalg import plus_plus_state
 # kernel_coherence_fid is not called here; perfbench/tracing.py patches it by this name.
-from .merit import MERIT_ORDINAL, MeritKind, haar_average, kernel_coherence_fid, kernel_values
+from .merit import MeritKind, haar_average, kernel_coherence_fid, kernel_values
 from .reconstruct import (
     BASIS_LABELS,
     ProbabilityTable,
@@ -41,6 +43,14 @@ DEFAULT_MERITS = (MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI)
 # 64 MB arrays at once (the normals, and the states, whose memory first holds
 # the squares), and a larger request is far more likely a typo than a need.
 MAX_SAMPLES = 10**6
+# Ceiling on grid points: each point keeps its records (~0.47 kB) and costs
+# at least ~17 us, so 10**6 points take ~0.5 GB and ~20 s at one sample,
+# and a larger request is far more likely a typo than a need.
+MAX_GRID_POINTS = 10**6
+# Ceiling on |angle| in radians: the gates take cos and sin of small
+# multiples of an angle, which overflow to inf (and give nan) near the
+# largest double; at 1e6 a double still resolves the angle to ~1e-10.
+MAX_ANGLE = 1e6
 # Ceiling on fig3 theta points: each point keeps its probability table and
 # report row, ~5 kB, and costs ~0.2 ms, so 10**5 points take ~0.5 GB and
 # ~20 s; a larger request is far more likely a typo than a need.
@@ -79,18 +89,16 @@ class SweepConfig:
             raise ValidationError(f"unknown error family {self.error_family!r}")
         if self.theta_points < 1 or self.phi_points < 1:
             raise ValidationError("grid point counts must be >= 1")
-        if self.theta_points * self.phi_points >= 2**32:
-            raise ValidationError("a grid holds fewer than 2**32 points "
-                                  "(each point seed hashes a 32-bit grid index)")
+        if self.theta_points * self.phi_points > MAX_GRID_POINTS:
+            raise ValidationError(f"a grid holds at most {MAX_GRID_POINTS} points, got "
+                                  f"{self.theta_points} x {self.phi_points}")
         if not 1 <= self.n_samples <= MAX_SAMPLES:
             raise ValidationError(f"n_samples must be in [1, {MAX_SAMPLES}]")
-        if self.master_seed < 0:
-            raise ValidationError("the master seed must be >= 0")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValidationError(f"the master seed must be in [0, 2**64), got {self.master_seed}")
         if not self.merits:
             raise ValidationError("at least one merit must be requested")
-        bounds = (self.theta_lo, self.theta_hi) + self.phi_bounds()
-        if not all(math.isfinite(x) for x in bounds):
-            raise ValidationError("sweep ranges must be finite")
+        _check_angles((self.theta_lo, self.theta_hi) + self.phi_bounds(), "sweep range")
         return self
 
     def phi_bounds(self) -> tuple[float, float]:
@@ -124,67 +132,24 @@ class SweepResult:
     records: list[SweepRecord]
 
 
-# The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+def _check_angles(angles, what: str) -> None:
+    for angle in angles:
+        if not abs(angle) <= MAX_ANGLE:  # also refuses nan
+            raise ValidationError(f"{what} {angle!r} is not a finite angle in "
+                                  f"[-{MAX_ANGLE:g}, {MAX_ANGLE:g}]")
 
 
 def point_seed(master_seed: int, grid_index, kind: MeritKind):
-    """Derive the integer substream seed for one (grid point, merit) pair.
+    """The Philox key of one grid point's draw: master_seed | grid_index << 64.
 
-    The seed is SeedSequence(master_seed, spawn_key=(grid_index,
-    ordinal)).generate_state(1, np.uint64)[0], computed here with the same
-    32-bit hash so that an array of grid indices is hashed in one pass: an
-    int index gives an int, an array of indices a uint64 array. The words
-    are Python ints until the indices are mixed in and uint32 arrays after;
-    the 32-bit masks cut the ints and leave the arrays, which wrap by
-    themselves, unchanged. Grid indices are one word each, so below 2**32.
+    The merit `kind` does not enter the key, so every merit of a point reads
+    the same states; perfbench passes the merit whose average it checks.
+    SweepConfig.validate keeps the master seed below 2**64, so no two points
+    share a key. An int index gives an int key, a sequence a list of keys.
     """
-    index = np.asarray(grid_index)
-    if master_seed < 0 or index.size and (index.min() < 0 or index.max() > _MASK32):
-        raise ValidationError("point seeds need a master seed >= 0 and grid indices "
-                              "in [0, 2**32)")
-    words, rest = [], int(master_seed)
-    while rest or not words:
-        words.append(rest & _MASK32)
-        rest >>= 32
-    words += [0] * (4 - len(words))  # the pool-size padding SeedSequence adds before a spawn key
-    entropy = words + [int(index) if index.ndim == 0 else index.astype(np.uint32),
-                       MERIT_ORDINAL[kind]]
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const, halves = _INIT_B, []
-    for word in pool[:2]:
-        word = word ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        word = word * hash_const & _MASK32
-        halves.append(word ^ (word >> 16))
-    if index.ndim == 0:
-        return halves[0] | halves[1] << 32
-    return halves[0].astype(np.uint64) | halves[1].astype(np.uint64) << np.uint64(32)
+    if isinstance(grid_index, (int, np.integer)):
+        return master_seed | operator.index(grid_index) << 64
+    return [master_seed | operator.index(gi) << 64 for gi in grid_index]
 
 
 def _evaluate_row(task) -> list[tuple[tuple[float, float], ...]]:
@@ -193,17 +158,17 @@ def _evaluate_row(task) -> list[tuple[tuple[float, float], ...]]:
     Consecutive points of the row are averaged together, as many per call
     as fit in STATE_BUDGET states (at least one).
     """
-    family, theta, phis, merits, n_samples, seeds = task
+    family, theta, phis, merits, n_samples, keys = task
     u = g_gate(theta)
     noisy = np.stack([ERROR_FAMILIES[family](theta, phi) for phi in phis])
     hamiltonian = local_hamiltonian_2q()
     step = max(1, STATE_BUDGET // n_samples)
     per_merit = []
-    for kind, merit_seeds in zip(merits, seeds):
+    for kind in merits:
         averages = []
         for start in range(0, len(phis), step):
             averages += haar_average(kind, u, noisy[start:start + step], hamiltonian,
-                                     n_samples=n_samples, seed=merit_seeds[start:start + step])
+                                     n_samples=n_samples, seed=keys[start:start + step])
         per_merit.append([(a.mean, a.std_error) for a in averages])
     return list(zip(*per_merit))
 
@@ -212,18 +177,17 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Evaluate every requested merit on the configured (theta, phi) grid.
 
     Workers > 1 fan theta rows out to a process pool of at most one worker
-    per row; per-point seeds make the result identical for any worker count.
+    per row; per-point keys make the result identical for any worker count.
     """
     config.validate()
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     thetas = config.thetas().tolist()
     phis = config.phis().tolist()
-    grid_index = np.arange(len(thetas) * len(phis))
-    seeds = [point_seed(config.master_seed, grid_index, kind).tolist()
-             for kind in config.merits]
+    # the merit does not enter a key, so the first one stands for all
+    keys = point_seed(config.master_seed, range(len(thetas) * len(phis)), config.merits[0])
     tasks = [(config.error_family, theta, phis, config.merits, config.n_samples,
-              [merit_seeds[i * len(phis):(i + 1) * len(phis)] for merit_seeds in seeds])
+              keys[i * len(phis):(i + 1) * len(phis)])
              for i, theta in enumerate(thetas)]
 
     # a pool forks all its workers at the first submit, so start no more than there are rows
@@ -311,9 +275,8 @@ def run_reconstruction(
     """
     if error_family not in ERROR_FAMILIES:
         raise ValidationError(f"unknown error family {error_family!r}")
-    angles = [theta for theta, _ in measured] + ([] if phi is None else [phi])
-    if not all(math.isfinite(x) for x in angles):
-        raise ValidationError("theta and phi must be finite")
+    _check_angles([theta for theta, _ in measured], "theta")
+    _check_angles([] if phi is None else [phi], "phi")
     if ideal is not None and len(ideal) != len(measured):
         raise ValidationError(f"{len(measured)} measured tables but {len(ideal)} ideal tables")
     hamiltonian = local_hamiltonian_2q()

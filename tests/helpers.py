@@ -5,28 +5,25 @@ from pathlib import Path
 
 import numpy as np
 
-from epmdiag.linalg import PAULI_X, PAULI_Y, RngStream
+from epmdiag.linalg import PAULI_X, PAULI_Y
 from epmdiag.reconstruct import OUTCOME_COLUMNS
 
 SIGMA_PLUS = (PAULI_X + 1j * PAULI_Y) / 2
 SIGMA_MINUS = (PAULI_X - 1j * PAULI_Y) / 2
 
-_MASK64 = (1 << 64) - 1
 
-
-def philox_generator(stream: RngStream) -> np.random.Generator:
-    """A fresh generator on the Philox key (stream_index << 64) | master_seed of a stream."""
-    key = ((stream.stream_index & _MASK64) << 64) | (stream.master_seed & _MASK64)
+def philox_generator(key: int) -> np.random.Generator:
+    """A fresh generator on a 128-bit Philox key."""
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_random_unitary(rng: RngStream, dim: int) -> np.ndarray:
+def haar_random_unitary(key: int, dim: int) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix.
 
     The R-diagonal phase fix makes the distribution exactly Haar rather
     than merely unitary.
     """
-    gen = philox_generator(rng)
+    gen = philox_generator(key)
     z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)

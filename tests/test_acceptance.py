@@ -15,7 +15,7 @@ import numpy as np
 from epmdiag.element_sums import element_sum_kernel, eta_chi_haar_average
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.linalg import RngStream, haar_pure_states, plus_plus_state
+from epmdiag.linalg import haar_pure_states, plus_plus_state
 from epmdiag.merit import MeritKind, haar_average, kernel_values
 from epmdiag.reconstruct import (
     gate_probability_table,
@@ -72,7 +72,7 @@ def criterion(num: int, name: str, budget: float | None = None):
 
 def test_criterion_1_null_error_identity():
     with criterion(1, "null-error identity at phi = 0", budget=1.0):
-        states = haar_pure_states(RngStream(1001, 0), 4, 40)
+        states = haar_pure_states(1001, 4, 40)
         for family in (v_axis, v_angle):
             for theta in np.linspace(0.0, math.pi, 21):
                 u = g_gate(theta)
@@ -91,7 +91,7 @@ def test_criterion_2_oracle_equivalence():
             theta = gen.uniform(0, math.pi)
             phi = gen.uniform(0, 2 * math.pi)
             family = v_axis if gen.random() < 0.5 else v_angle
-            psi = haar_pure_states(RngStream(2003, i), 4, 1)[0]
+            psi = haar_pure_states(2003 | i << 64, 4, 1)[0]
             u, v = g_gate(theta), family(theta, phi)
             for kind in MeritKind:
                 fast = float(kernel_values(kind, psi, u, v, H)[0])
@@ -183,7 +183,7 @@ def test_criterion_5_reconstruction_round_trip():
 
         plans = {kind: protocol_plan(kind) for kind in ("straightforward", "separable")}
         for k in range(20):
-            w = haar_random_unitary(RngStream(5005, k), 4)
+            w = haar_random_unitary(5005 | k << 64, 4)
             reference = transition_tensor_from_unitary(w).entries
             recovered = {}
             for kind, plan in plans.items():
@@ -201,7 +201,7 @@ def test_criterion_6_statistical_soundness():
         assert avg.mean == 1.0
         assert avg.std_error == 0.0
 
-        states = haar_pure_states(RngStream(6006, 0), 4, 100_000)
+        states = haar_pure_states(6006, 4, 100_000)
         moment = float(np.mean(np.abs(states[:, 0]) ** 2))
         assert abs(moment - 0.25) <= 0.005
 

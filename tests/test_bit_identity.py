@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, RngStream, haar_pure_states
+from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, haar_pure_states
 from helpers import SIGMA_MINUS, SIGMA_PLUS, philox_generator
 
 
@@ -18,8 +18,8 @@ def _bits(array):
     return np.ascontiguousarray(array).view(np.uint64)
 
 
-def frozen_haar_pure_states(rng, dim, n):
-    gauss = philox_generator(rng).standard_normal((n, 2 * dim))
+def frozen_haar_pure_states(key, dim, n):
+    gauss = philox_generator(key).standard_normal((n, 2 * dim))
     z = gauss[:, :dim] + 1j * gauss[:, dim:]
     norms = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=1))
     return z / norms[:, None]
@@ -53,8 +53,8 @@ def frozen_v_angle(theta, phi):
 @pytest.mark.parametrize("n", [1, 7, 5000])
 def test_haar_draw_matches_frozen_expression(dim, n):
     for seed, index in ((0, 0), (3, 1), (2**63 + 11, 5), (123456789, 2**40)):
-        drawn = haar_pure_states(RngStream(seed, index), dim, n)
-        frozen = frozen_haar_pure_states(RngStream(seed, index), dim, n)
+        drawn = haar_pure_states(seed | index << 64, dim, n)
+        frozen = frozen_haar_pure_states(seed | index << 64, dim, n)
         assert drawn.shape == frozen.shape and drawn.dtype == frozen.dtype
         assert np.array_equal(_bits(drawn), _bits(frozen)), (seed, index)
 

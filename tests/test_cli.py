@@ -280,6 +280,29 @@ def test_non_finite_angle_exit_code(tmp_path):
         assert not out.exists()
 
 
+def test_overflowing_angle_exit_code(tmp_path):
+    # finite angles whose gate arithmetic would overflow to nan are refused by
+    # name, before any draw; the child turns a RuntimeWarning into an error
+    table = tmp_path / "t.csv"
+    write_probability_table(gate_probability_table(v_axis(0.2, 0.3)), table,
+                            metadata={"theta": 0.2})
+    out = tmp_path / "out.csv"
+    for args, angle in ((("haar-avg", "--theta", "1e308", "--phi", "0", "--samples", "5"),
+                         "1e+308"),
+                        (("haar-avg", "--theta", "0.4", "--phi=-2e6", "--samples", "5"),
+                         "-2000000.0"),
+                        (("sweep", "--theta-range", "0", "1e308", "--resolution", "2",
+                          "--samples", "5"), "1e+308"),
+                        (("reconstruct", "--measured", str(table), "--thetas", "1e308"),
+                         "1e+308"),
+                        (("fig3", "--theta-points", "3", "--phi", "1e300"), "1e+300")):
+        result = run_cli(*args, "--out", str(out))
+        assert result.returncode == 2, (args, result.stderr)
+        assert f"{angle} is not a finite angle" in result.stderr, result.stderr
+        assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+        assert not out.exists()
+
+
 def test_haar_avg_equals_one_point_sweep(tmp_path):
     point = ("--seed", "3", "--samples", "200", "--merit", "eta_chi",
              "--merit", "coherence_fidelity", "--merit", "eta_tpm")
@@ -323,18 +346,25 @@ def test_reconstruct_bad_sum_tolerance_exit_code(tmp_path):
 
 def test_negative_seed_exit_code(tmp_path):
     out = tmp_path / "s.csv"
+    # a master seed is the low 64-bit word of each point's Philox key
     for args in (("sweep", "--resolution", "2", "--samples", "10", "--seed", "-1",
                   "--out", str(out)),
-                 ("haar-avg", "--theta", "0.4", "--phi", "0.7", "--seed", "-5")):
+                 ("haar-avg", "--theta", "0.4", "--phi", "0.7", "--seed", "-5"),
+                 ("sweep", "--resolution", "2", "--samples", "10",
+                  "--seed", "18446744073709551616", "--out", str(out)),
+                 ("haar-avg", "--theta", "0.4", "--phi", "0.7",
+                  "--seed", "18446744073709551616")):
         result = run_cli(*args)
         assert result.returncode == 2, (args, result.stderr)
         assert "seed" in result.stderr and "Traceback" not in result.stderr
+        assert args[args.index("--seed") + 1] in result.stderr
     assert not out.exists()
 
 
 def test_absurd_sizes_exit_code(tmp_path):
     # refused before any draw: the 10**12-sample request would need ~58 TiB,
-    # and a 65536 x 65536 grid has 2**32 points, past the 32-bit grid index;
+    # a 65536 x 65536 grid of 2**32 points ~2 TB, and a 1001 x 1001 grid is
+    # the smallest square grid past the 10**6-point ceiling;
     # fig3 needs at least one theta point; argparse refuses a merit name
     # that is not a MeritKind value
     out = tmp_path / "s.csv"
@@ -343,6 +373,7 @@ def test_absurd_sizes_exit_code(tmp_path):
                  ("sweep", "--resolution", "2", "--merit", "eta_zeta", "--out", str(out)),
                  ("sweep", "--resolution", "2", "--samples", "1000001", "--out", str(out)),
                  ("sweep", "--resolution", "65536", "--samples", "1", "--out", str(out)),
+                 ("sweep", "--resolution", "1001", "--samples", "1", "--out", str(out)),
                  ("fig3", "--theta-points", "0", "--out", str(out)),
                  ("fig3", "--theta-points", "-1", "--out", str(out))):
         result = run_cli(*args, timeout=10)

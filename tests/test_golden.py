@@ -29,18 +29,18 @@ NUMPY_VERSION = "2.4.6"
 
 GOLDEN = {
     "sweep-axis-csv": {
-        "out.csv": "aad3a863cfe25f75b039108c2075833c35a8ce11f980f390c0104e884eb1396e",
+        "out.csv": "096c3e4947085a5ed127cc06741001d56b7f3ee537efa7d0059ca4d2865fedc8",
         "out.meta.json": "eb0fb84c8dc2c36803ec74a07fe1edecdb7debe445b6d8a03e97bbf8bb49a66c",
     },
     "sweep-axis-json": {
-        "out.json": "fc888cdd4393ae91f1bd62100505fc657a20da4557bf7db50aa67102e1592bbb",
+        "out.json": "dca13ad92862cd07c8a910b43c8c3625dab3f165c3f2d84d48b912146f4b943f",
     },
     "sweep-angle-csv": {
-        "out.csv": "ad76b90fc1919fe4f11c3345b0630871d2de08bc56f5a181abde8002584306d9",
+        "out.csv": "d4538eef9cdab7edf88470c75436ce7f16fb9cad8711c775562e2740e0736cb5",
         "out.meta.json": "e714cf03ccb7e97c7788bb7451cc0208cd225a91db9b37492dc3a43920d86a10",
     },
     "sweep-angle-json": {
-        "out.json": "6c19eaff4488a335d4ee4cf0a20a5e62d78331965d7273fd5d1ee6fb63332ad9",
+        "out.json": "3312ba812d973d4620aaf76ec509297c9018d1254e2e391019586603b2b5dd49",
     },
     "fig3-csv": {
         "out.csv": "e3b7c90a7a17bed9c0a019c1739f5f17a1aab1744c192c74d36bd07bc4c4bf49",
@@ -79,22 +79,22 @@ GOLDEN = {
         "out.json": "2a036a3efb24bb58920259343569f71ec1bce9f7db78dc7cb2d3afa49a516417",
     },
     "sweep-one-sample-csv": {
-        "out.csv": "c915da37de21ad9196cb6ef0c41fdf8c93fcec36522617d21a37826f574eb890",
+        "out.csv": "4db97a5626c7d62ef534c7872738993f170b663939dc7458104486f1ba84e30c",
         "out.meta.json": "22fd3b37f624894c02bd98d10e693bcb33c27d44e3bc1cc6517b58a4e236ffb0",
     },
     "sweep-one-point-per-call-csv": {
-        "out.csv": "e8b92c9fe5003ad75c5ff480b3f9998044d17af6f7d2845d04b7ba01436d8a75",
+        "out.csv": "242d73fdff60ee5fe89f0443592c906fcd3cb728ba26013b4dbc4c21233d4894",
         "out.meta.json": "faa4f4dff9bf3031043643ff5b30bed8a475f0104823f3e88f1b70fd697f11dd",
     },
     "sweep-uneven-rows-csv": {
-        "out.csv": "189480f8acdc6f8f287f3626d313f4b5148cc045b1bcd6ee3ad5313ca87f4982",
+        "out.csv": "21cf3845c66cf7c4aad17d075d4be0f7362aa726f050eddb2a1864a5f8a77af6",
         "out.meta.json": "ee8aa8878a9ba2ab07d1cdff4646e56a0f73397af51b9d7d681e236943f48aeb",
     },
     "haar-avg-csv": {
-        "out.csv": "0a180852227b17144c720b6dff879fd10b80a15960922ea9d30e584fd8284c15",
+        "out.csv": "d4338d0fabdcf0adc512eb5de070d476161f8a91ec3967b3d6731da6e1eeb81b",
     },
     "haar-avg-json": {
-        "out.json": "51ee9b446b1a765693a24f055b246d0a3d84f977d349c095f5245c51bf70da3b",
+        "out.json": "839e1fcd87002126002bb2effdc4c2375fd01383c92e981aa89b33242ab0fe2c",
     },
     "protocol-separable-json": {
         "out.json": "e5e3828767eb0d4f88a4d41cd540aab8576edf8f52433947e6d288112d636f67",

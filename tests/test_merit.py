@@ -11,7 +11,7 @@ from epmdiag.element_sums import element_sum_coherence_fid, element_sum_kernel
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.linalg import RngStream, basis_state, haar_pure_states, plus_plus_state
+from epmdiag.linalg import basis_state, haar_pure_states, plus_plus_state
 from epmdiag.merit import ETA_KINDS, MeritKind, haar_average, kernel_coherence_fid, kernel_values
 from epmdiag.sweeps import SweepConfig, point_seed, run_sweep
 from helpers import child_env, haar_random_unitary, l1_coherence
@@ -23,7 +23,7 @@ def random_tuple(index, gen):
     theta = gen.uniform(0, np.pi)
     phi = gen.uniform(0, 2 * np.pi)
     family = v_axis if gen.random() < 0.5 else v_angle
-    psi = haar_pure_states(RngStream(7000, index), 4, 1)[0]
+    psi = haar_pure_states(7000 | index << 64, 4, 1)[0]
     return psi, g_gate(theta), family(theta, phi)
 
 
@@ -36,7 +36,7 @@ def test_l1_coherence_examples():
 
 def test_coherence_kernel_zero_for_equal_gates():
     for i in range(10):
-        psi = haar_pure_states(RngStream(71, i), 4, 1)[0]
+        psi = haar_pure_states(71 | i << 64, 4, 1)[0]
         u = g_gate(0.1 * i)
         assert kernel_coherence_fid(psi, u, u) == 0.0
 
@@ -74,7 +74,7 @@ def test_coherence_kernel_closed_form_grid():
 
 def test_fidelity_kernel_exact_one_for_equal_gates():
     for i in range(10):
-        psi = haar_pure_states(RngStream(73, i), 4, 1)[0]
+        psi = haar_pure_states(73 | i << 64, 4, 1)[0]
         u = v_angle(0.2 * i, 0.0)
         assert kernel_values(MeritKind.FIDELITY, psi, u, u)[0] == 1.0
 
@@ -107,7 +107,7 @@ def test_fidelity_kernel_range():
 def test_eta_kernels_zero_for_equal_gates():
     for kind in ETA_KINDS:
         for i in range(5):
-            psi = haar_pure_states(RngStream(89, i), 4, 1)[0]
+            psi = haar_pure_states(89 | i << 64, 4, 1)[0]
             u = v_axis(0.3 * i, 0.0)
             assert kernel_values(kind, psi, u, u, H)[0] == 0.0
 
@@ -151,8 +151,8 @@ AMPLITUDES = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=8, max_siz
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2**64 - 1), amplitudes=AMPLITUDES)
 def test_kernels_match_element_sums_on_dense_gates(seed, amplitudes):
-    u = haar_random_unitary(RngStream(seed, 0), 4)
-    v = haar_random_unitary(RngStream(seed, 1), 4)
+    u = haar_random_unitary(seed, 4)
+    v = haar_random_unitary(seed | 1 << 64, 4)
     psi = np.array(amplitudes[:4]) + 1j * np.array(amplitudes[4:])
     psi /= np.linalg.norm(psi)
     for kind in MeritKind:
@@ -165,11 +165,11 @@ def test_mixed_stack_against_the_element_sums():
     # entry class or shared row is common to all of them: dense gates, a
     # basis permutation against the identity, the null pair and a
     # controlled pair, with a stacked ideal gate as reconstruct passes.
-    ideal = np.stack([g_gate(0.0), haar_random_unitary(RngStream(127, 0), 4), np.eye(4),
+    ideal = np.stack([g_gate(0.0), haar_random_unitary(127, 4), np.eye(4),
                       g_gate(np.pi / 4)])
-    noisy = np.stack([v_axis(0.0, 0.0), haar_random_unitary(RngStream(127, 1), 4),
+    noisy = np.stack([v_axis(0.0, 0.0), haar_random_unitary(127 | 1 << 64, 4),
                       np.eye(4)[[2, 0, 3, 1]], v_angle(np.pi / 4, 0.7)])
-    states = haar_pure_states([RngStream(131, b) for b in range(4)], 4, 20)
+    states = haar_pure_states([131 | b << 64 for b in range(4)], 4, 20)
     for kind in MeritKind:
         values = kernel_values(kind, states, ideal, noisy, H)
         for b in range(4):
@@ -183,10 +183,10 @@ def test_signed_traces_decompose_exactly():
     # ETA_P, ETA_CHI and ETA_EPM over <e^H> are |Tr[e^-H (V Q V^dag - U Q U^dag)]|
     # with Q the diagonal part, the coherence part and the full rho
     gen = np.random.default_rng(101)
-    states = haar_pure_states(RngStream(103, 0), 4, 200)
+    states = haar_pure_states(103, 4, 200)
     w_minus = np.diag(H.exp_diag(-1.0))
     mean_exp_h = (np.abs(states) ** 2) @ H.exp_diag(1.0)
-    dense = (haar_random_unitary(RngStream(105, 0), 4), haar_random_unitary(RngStream(105, 1), 4))
+    dense = (haar_random_unitary(105, 4), haar_random_unitary(105 | 1 << 64, 4))
     for u, v in ((g_gate(0.77), v_axis(0.77, gen.uniform(0, np.pi))), dense):
         values = {kind: kernel_values(kind, states, u, v, H) / mean_exp_h
                   for kind in (MeritKind.ETA_P, MeritKind.ETA_CHI, MeritKind.ETA_EPM)}
@@ -203,10 +203,10 @@ def test_haar_unitary_invariance_of_average():
     # averaging kernel(psi) and kernel(W psi) over independent Haar batches
     # must agree within Monte Carlo error
     n = 100_000
-    w = haar_random_unitary(RngStream(107, 0), 4)
+    w = haar_random_unitary(107, 4)
     u, v = g_gate(0.6), v_axis(0.6, 0.8)
-    plain = haar_pure_states(RngStream(109, 0), 4, n)
-    rotated = haar_pure_states(RngStream(113, 0), 4, n) @ w.T
+    plain = haar_pure_states(109, 4, n)
+    rotated = haar_pure_states(113, 4, n) @ w.T
     for kind in (MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI):
         x = kernel_values(kind, plain, u, v, H)
         y = kernel_values(kind, rotated, u, v, H)
@@ -234,7 +234,7 @@ def test_haar_average_deterministic():
 def test_haar_average_mean_within_sample_range():
     u, v = g_gate(0.5), v_axis(0.5, 0.8)
     avg = haar_average(MeritKind.ETA_CHI, u, v, H, n_samples=300, seed=21)
-    states = haar_pure_states(RngStream(21, 0), 4, 300)
+    states = haar_pure_states(21, 4, 300)
     values = kernel_values(MeritKind.ETA_CHI, states, u, v, H)
     assert values.min() <= avg.mean <= values.max()
 
@@ -281,7 +281,7 @@ BATCH_SETTINGS = settings(max_examples=300, deadline=None, database=None, derand
        zeroed=st.integers(0, 14))
 def test_stacked_kernel_values_equal_single_gate_calls(kind, family, gates, shared_u, n, seed,
                                                        zeroed):
-    states = haar_pure_states([RngStream(seed, b) for b in range(len(gates))], 4, n)
+    states = haar_pure_states([seed | b << 64 for b in range(len(gates))], 4, n)
     # exact zero amplitudes in the first slice, as basis-like inputs have
     states[0][:, [k for k in range(4) if zeroed >> k & 1]] = 0.0
     if shared_u:  # one ideal gate for the stack, as a sweep row has
@@ -300,11 +300,11 @@ def test_stacked_kernel_values_equal_single_gate_calls(kind, family, gates, shar
 @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
        index=st.integers(0, 2**64 - 1), dim=st.sampled_from([2, 4]), n=st.integers(1, 64))
 def test_stacked_haar_draw_equals_single_stream_draws(seeds, index, dim, n):
-    streams = [RngStream(seed, index) for seed in seeds]
-    stacked = haar_pure_states(streams, dim, n)
+    keys = [seed | index << 64 for seed in seeds]
+    stacked = haar_pure_states(keys, dim, n)
     assert stacked.shape == (len(seeds), n, dim)
-    for slab, stream in zip(stacked, streams):
-        single = haar_pure_states(stream, dim, n)
+    for slab, key in zip(stacked, keys):
+        single = haar_pure_states(key, dim, n)
         assert np.array_equal(slab.view(np.uint64), single.view(np.uint64))
 
 
@@ -347,7 +347,7 @@ def test_haar_average_workspace_reuse_keeps_every_bit():
     for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY):
         for b, n in ((2, 5000), (1, 5000), (81, 100), (2, 5000)):
             phis = np.linspace(0.0, 3.0, b)  # phi = 0: the null point, where no row differs
-            seeds = point_seed(11, np.arange(b) + 1000 * len(calls), kind).tolist()
+            seeds = point_seed(11, np.arange(b) + 1000 * len(calls), kind)
             gates = np.stack([v_axis(theta, phi) for phi in phis])
             if b == 1:  # one gate pair and one seed, as a 5000-sample fig1 row calls it
                 gates, seeds = gates[0], seeds[0]
@@ -363,8 +363,8 @@ def test_haar_average_workspace_reuse_keeps_every_bit():
 
 def test_draws_and_kernels_outside_haar_average_return_new_arrays():
     u, v = g_gate(0.4), v_axis(0.4, 1.1)
-    first_states = haar_pure_states(RngStream(3, 0), 4, 500)
-    second_states = haar_pure_states(RngStream(4, 0), 4, 500)
+    first_states = haar_pure_states(3, 4, 500)
+    second_states = haar_pure_states(4, 4, 500)
     assert not np.shares_memory(first_states, second_states)
     for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY, MeritKind.FIDELITY):
         first = kernel_values(kind, first_states, u, v, H)
@@ -376,22 +376,22 @@ def test_draws_and_kernels_outside_haar_average_return_new_arrays():
         assert np.array_equal(first, kept)
 
 
-# One warm-up row, then the minor page faults of a second 41-point row of
-# 5000-sample averages, in a new interpreter: how often the allocator hands
-# memory back depends on what the process allocated before, so a pytest
-# process that ran other tests first can hide the churn.
+# Two passes over a 5 x 41 grid with theta in [0, pi] at 5000 samples, then
+# the minor page faults of the second pass, in a new interpreter per merit:
+# how often the allocator hands memory back depends on what the process
+# allocated before, so running another merit or other tests first can hide
+# the churn, and the five theta rows give the kernels gates of each structure.
 _FAULT_PROBE = """
-import resource
+import resource, sys
 from epmdiag.merit import MeritKind
 from epmdiag.sweeps import SweepConfig, run_sweep
-for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY):
-    def row(seed):
-        run_sweep(SweepConfig(theta_lo=0.7, theta_hi=0.7, theta_points=1, phi_points=41,
-                              merits=(kind,), n_samples=5000, master_seed=seed))
-    row(1)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    row(2)
-    print(kind.value, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+def grid(seed):
+    run_sweep(SweepConfig(theta_points=5, phi_points=41, merits=(MeritKind(sys.argv[1]),),
+                          n_samples=5000, master_seed=seed))
+grid(1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+grid(2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
@@ -400,12 +400,15 @@ def test_fig1_rows_do_not_fault_their_arrays_in_again():
     # Without a reused workspace, glibc hands each evaluation's ~320 kB arrays
     # back to the kernel and every point faults them in again: ~200 minor
     # faults per 5000-sample point, about a quarter of fig1's wall time.
+    # Kernels that allocate their own arrays next to a reused draw fault
+    # ~5,000 times over the second pass; a reused workspace, ~0.
     resource = pytest.importorskip("resource")
     if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
         pytest.skip("getrusage reports no minor faults")
-    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True,
-                           text=True, env=child_env(), timeout=120)
-    assert probe.returncode == 0, probe.stderr
-    faults = dict(line.split() for line in probe.stdout.splitlines())
-    assert set(faults) == {"eta_chi", "coherence_fidelity"}
-    assert all(int(count) < 20 * 41 for count in faults.values()), faults
+    faults = {}
+    for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY):
+        probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kind.value],
+                               capture_output=True, text=True, env=child_env(), timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        faults[kind.value] = int(probe.stdout)
+    assert all(count < 500 for count in faults.values()), faults

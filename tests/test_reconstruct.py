@@ -10,7 +10,7 @@ from epmdiag.element_sums import epm_char_fn
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ParseError, ValidationError
 from epmdiag.gates import v_axis
-from epmdiag.linalg import RngStream, basis_state, haar_pure_states, plus_plus_state
+from epmdiag.linalg import basis_state, haar_pure_states, plus_plus_state
 from epmdiag.reconstruct import (
     char_fn_from_tensor,
     chi_populations,
@@ -137,7 +137,7 @@ def test_transition_tensor_identity_gate():
 
 def test_transition_tensor_round_trip_both_plans():
     for k in range(20):
-        w = haar_random_unitary(RngStream(881, k), 4)
+        w = haar_random_unitary(881 | k << 64, 4)
         reference = transition_tensor_from_unitary(w).entries
         results = {}
         for kind in ("straightforward", "separable"):
@@ -150,7 +150,7 @@ def test_transition_tensor_round_trip_both_plans():
 
 
 def test_transition_tensor_properties():
-    w = haar_random_unitary(RngStream(883, 0), 4)
+    w = haar_random_unitary(883, 4)
     plan = protocol_plan("separable")
     entries = transition_tensor_from_tables(plan, table_from_plan(w, plan)).entries
     for alpha in range(4):
@@ -181,7 +181,7 @@ def test_transition_tensor_returns_flags_and_leaves_table_alone():
 
 
 def test_transition_tensor_least_squares_residual_on_noisy_table():
-    w = haar_random_unitary(RngStream(887, 0), 4)
+    w = haar_random_unitary(887, 4)
     plan = protocol_plan("straightforward")
     table = table_from_plan(w, plan)
     gen = np.random.default_rng(5)
@@ -204,11 +204,11 @@ def test_char_fn_from_tensor_basis_state():
 
 
 def test_char_fn_from_tensor_matches_trace():
-    w = haar_random_unitary(RngStream(907, 0), 4)
+    w = haar_random_unitary(907, 4)
     plan = protocol_plan("straightforward")
     tensor = transition_tensor_from_tables(plan, table_from_plan(w, plan))
     for i in range(100):
-        psi = haar_pure_states(RngStream(911, i), 4, 1)[0]
+        psi = haar_pure_states(911 | i << 64, 4, 1)[0]
         value = char_fn_from_tensor(psi, tensor, H)
         rho_out = w @ np.outer(psi, psi.conj()) @ w.conj().T
         reference = float(np.real(np.sum(H.exp_diag(-1.0) * np.diag(rho_out))))
@@ -217,7 +217,7 @@ def test_char_fn_from_tensor_matches_trace():
 
 def test_char_fn_from_identity_tensor():
     tensor = transition_tensor_from_unitary(np.eye(4))
-    psi = haar_pure_states(RngStream(919, 0), 4, 1)[0]
+    psi = haar_pure_states(919, 4, 1)[0]
     expected = float(np.sum(H.exp_diag(-1.0) * (np.abs(psi) ** 2)))
     assert abs(char_fn_from_tensor(psi, tensor, H) - expected) < 1e-12
 

@@ -10,7 +10,7 @@ import pytest
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_axis
-from epmdiag.merit import MERIT_ORDINAL, MeritKind
+from epmdiag.merit import MeritKind, haar_average
 from epmdiag.reconstruct import g_chi_from_table, gate_probability_table, load_probability_table
 from epmdiag.sweeps import (
     SweepConfig,
@@ -108,54 +108,71 @@ def test_sweep_validation():
         SweepConfig(theta_hi=math.inf).validate()
     with pytest.raises(ValidationError):
         SweepConfig(merits=()).validate()
-    with pytest.raises(ValidationError):
-        SweepConfig(master_seed=-1).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match=str(seed)):
+            SweepConfig(master_seed=seed).validate()
     with pytest.raises(ValidationError):
         SweepConfig(n_samples=10**6 + 1).validate()
-    with pytest.raises(ValidationError):
-        SweepConfig(theta_points=2**16, phi_points=2**16).validate()
-    SweepConfig(n_samples=10**6, theta_points=2**16, phi_points=2**16 - 1).validate()
+    for points in ((2**16, 2**16), (1000, 1001)):
+        with pytest.raises(ValidationError):
+            SweepConfig(theta_points=points[0], phi_points=points[1]).validate()
+    for field, angle in (("theta_hi", 1e308), ("phi_lo", -2e6), ("phi_hi", math.nan)):
+        with pytest.raises(ValidationError) as refused:
+            SweepConfig(**{field: angle}).validate()
+        assert repr(angle) in str(refused.value)
+    SweepConfig(n_samples=10**6, theta_points=1000, phi_points=1000, master_seed=2**64 - 1,
+                theta_lo=-1e6, theta_hi=1e6).validate()
 
 
-def test_point_seed_depends_on_all_inputs():
+SEED_MASTERS = (0, 1, 2**32, 2**64 - 1)
+SEED_INDICES = (0, 1, 40, 6560, 2**32, 2**63)
+
+
+def test_point_seed_depends_on_the_grid_point_not_the_merit():
     base = point_seed(0, 0, MeritKind.ETA_CHI)
-    assert point_seed(0, 0, MeritKind.ETA_CHI) == base
     assert point_seed(0, 1, MeritKind.ETA_CHI) != base
     assert point_seed(1, 0, MeritKind.ETA_CHI) != base
-    assert point_seed(0, 0, MeritKind.COHERENCE_FIDELITY) != base
+    # every merit of a point reads the same states
+    assert {point_seed(0, 0, kind) for kind in MeritKind} == {base}
 
 
-SEED_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3, 2**130 + 99)
-SEED_INDICES = (0, 1, 2, 40, 6560, 2**31, 2**32 - 2, 2**32 - 1)
-
-
-def _seed_sequence_word(master, gi, kind):
-    seq = np.random.SeedSequence(master, spawn_key=(gi, MERIT_ORDINAL[kind]))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-def test_point_seed_is_the_seed_sequence_word():
+def test_point_seed_is_the_philox_key_of_the_grid_point():
     for master in SEED_MASTERS:
         for kind in MeritKind:
             for gi in SEED_INDICES:
-                assert point_seed(master, gi, kind) == _seed_sequence_word(master, gi, kind)
+                assert point_seed(master, gi, kind) == master | gi << 64
 
 
-def test_point_seed_hashes_an_index_array_like_the_scalar_calls():
-    indices = np.array(SEED_INDICES)
+def test_point_seed_keys_a_sequence_like_the_scalar_calls():
     for master in SEED_MASTERS:
+        keys = [master | gi << 64 for gi in SEED_INDICES]
         for kind in MeritKind:
-            seeds = point_seed(master, indices, kind)
-            assert seeds.dtype == np.uint64 and seeds.shape == indices.shape
-            assert seeds.tolist() == [point_seed(master, gi, kind) for gi in SEED_INDICES]
-            assert seeds.tolist() == [_seed_sequence_word(master, gi, kind)
-                                      for gi in SEED_INDICES]
+            assert point_seed(master, SEED_INDICES, kind) == keys
+            assert point_seed(master, range(3), kind) == point_seed(master, np.arange(3), kind)
+            assert point_seed(master, range(3), kind) == [point_seed(master, gi, kind)
+                                                          for gi in range(3)]
+            assert point_seed(master, np.int64(40), kind) == keys[2]
 
 
-def test_point_seed_rejects_what_the_hash_cannot_take():
-    for master, index in ((-1, 0), (0, -1), (0, 2**32), (0, np.array([0, 2**32]))):
-        with pytest.raises(ValidationError):
-            point_seed(master, index, MeritKind.ETA_CHI)
+def test_every_merit_of_a_point_reads_the_point_key():
+    # a merit's value at a point is the average on that point's key, and it
+    # does not depend on which other merits the sweep asks for
+    merits = (MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI)
+    config = SweepConfig(error_family="axis", theta_points=3, phi_points=3, merits=merits,
+                         n_samples=150, master_seed=4)
+    both = run_sweep(config)
+    thetas, phis = config.thetas().tolist(), config.phis().tolist()
+    for kind in merits:
+        alone = run_sweep(dataclasses.replace(config, merits=(kind,)))
+        for which in ("mean", "std_error"):
+            assert np.array_equal(surface(both, kind, which), surface(alone, kind, which))
+        for gi in range(9):
+            i, j = divmod(gi, 3)
+            avg = haar_average(kind, g_gate(thetas[i]), v_axis(thetas[i], phis[j]),
+                               local_hamiltonian_2q(), n_samples=150,
+                               seed=point_seed(4, gi, kind))
+            assert surface(both, kind)[i, j] == avg.mean, (kind, gi)
+            assert surface(both, kind, "std_error")[i, j] == avg.std_error, (kind, gi)
 
 
 def test_default_phi_ranges():
@@ -176,7 +193,7 @@ def test_preset_fig1_small():
 
 def test_preset_fig1_panel_matches_plain_sweep():
     # a panel run must reproduce the same merit computed inside a two-merit
-    # sweep: substreams are keyed by merit identity, not list position
+    # sweep: draws are keyed by grid point, not by the merits requested
     config = SweepConfig(
         error_family="axis", theta_points=3, phi_points=3,
         merits=(MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI),
