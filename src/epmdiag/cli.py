@@ -38,8 +38,8 @@ _MERIT_NAMES = [kind.value for kind in MeritKind]
 
 def _add_common(parser: argparse.ArgumentParser, samples: bool = True,
                 out_required: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
     if samples:
+        parser.add_argument("--seed", type=int, default=0, help="master seed")
         parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                             help="Haar samples per grid point")
     parser.add_argument("--out", required=out_required, default=None, help="output file path")

@@ -43,39 +43,30 @@ def plus_plus_state() -> np.ndarray:
 
 
 class Workspace:
-    """Scratch memory that one evaluation call leaves for the next to reuse.
+    """Scratch memory that one Haar draw leaves for the next to reuse.
 
-    Arrays are cut from one byte buffer in the order they are asked for, as
-    on a stack: `release(mark)` hands the bytes of every array asked for
-    since `mark()` to the requests after it, and `rewind()` starts a call.
-    A request past the end of the buffer gets an array of its own, and the
-    next call finds a buffer as large as this call needed at once, so calls
-    of one shape allocate nothing from the second on. An array stays valid
-    until its bytes are handed out again.
+    Arrays are cut from one byte buffer in the order they are asked for, and
+    `rewind()` starts a draw. A request past the end of the buffer gets an
+    array of its own, and the next draw finds a buffer as large as this one
+    needed, so draws of one shape allocate nothing from the second on. An
+    array stays valid until the next `rewind()` hands its bytes out again.
     """
 
     def __init__(self):
         self._buffer = np.empty(0, np.uint8)
-        self._used = self._peak = 0
+        self._used = 0
 
     def rewind(self) -> "Workspace":
-        if self._peak > self._buffer.size:
-            self._buffer = np.empty(self._peak, np.uint8)
-        self._used = self._peak = 0
+        if self._used > self._buffer.size:
+            self._buffer = np.empty(self._used, np.uint8)
+        self._used = 0
         return self
-
-    def mark(self) -> int:
-        return self._used
-
-    def release(self, mark: int) -> None:
-        self._used = mark
 
     def empty(self, shape, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         start = self._used
         self._used += -(-nbytes // 64) * 64  # whole 64-byte steps keep each array aligned
-        self._peak = max(self._peak, self._used)
         if self._used > self._buffer.size:
             return np.empty(shape, dtype)
         return self._buffer[start:start + nbytes].view(dtype).reshape(shape)
@@ -107,7 +98,6 @@ def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
         raise ValidationError(f"a Philox key lies in [0, 2**128), got {refused[0]}")
     ws = Workspace() if workspace is None else workspace
     states = ws.empty((len(keys), n, dim), complex)
-    mark = ws.mark()
     gauss = ws.empty((len(keys), n, 2 * dim), float)
     # One Philox re-keyed per key: a fresh key with counter 0 and an empty
     # buffer is the state Philox(key=...) starts from, at a fraction of the
@@ -131,5 +121,4 @@ def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
     scale = np.divide(1.0, np.sqrt(norms_sq, out=pair), out=pair)[..., None]
     np.multiply(gauss[..., :dim], scale, out=states.real)
     np.multiply(gauss[..., dim:], scale, out=states.imag)
-    ws.release(mark)
     return states[0] if single else states

@@ -1,14 +1,23 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epmdiag
+from epmdiag import cli
+from epmdiag.merit import MeritKind
 from epmdiag.reconstruct import gate_probability_table
 from epmdiag.gates import v_axis
 from helpers import child_env, write_probability_table
@@ -365,8 +374,8 @@ def test_absurd_sizes_exit_code(tmp_path):
     # refused before any draw: the 10**12-sample request would need ~58 TiB,
     # a 65536 x 65536 grid of 2**32 points ~2 TB, and a 1001 x 1001 grid is
     # the smallest square grid past the 10**6-point ceiling;
-    # fig3 needs at least one theta point; argparse refuses a merit name
-    # that is not a MeritKind value
+    # fig3 needs at least one theta point and draws nothing, so takes no
+    # --seed; argparse refuses a merit name that is not a MeritKind value
     out = tmp_path / "s.csv"
     for args in (("haar-avg", "--theta", "0.4", "--phi", "0.7", "--samples", "1000000000000"),
                  ("haar-avg", "--theta", "0.4", "--phi", "0.7", "--merit", "eta_zeta"),
@@ -375,7 +384,8 @@ def test_absurd_sizes_exit_code(tmp_path):
                  ("sweep", "--resolution", "65536", "--samples", "1", "--out", str(out)),
                  ("sweep", "--resolution", "1001", "--samples", "1", "--out", str(out)),
                  ("fig3", "--theta-points", "0", "--out", str(out)),
-                 ("fig3", "--theta-points", "-1", "--out", str(out))):
+                 ("fig3", "--theta-points", "-1", "--out", str(out)),
+                 ("fig3", "--theta-points", "2", "--seed", "0", "--out", str(out))):
         result = run_cli(*args, timeout=10)
         assert result.returncode == 2, (args, result.stderr)
         assert "Traceback" not in result.stderr
@@ -401,3 +411,148 @@ def test_workers_below_one_exit_code(tmp_path):
         assert result.returncode == 2, (args, result.stderr)
         assert "workers" in result.stderr
     assert not out.exists()
+
+
+# The CLI contract, fuzzed in-process: every argv of the six subcommands ends
+# in exit 0, 2, 3 or 4 with no exception escaping main, writes only finite,
+# parseable output on 0, and leaves no output file behind on any other code.
+# Sizes stay small (grids <= 3 x 3, <= 5 samples, <= 2 workers); the
+# out-of-range values are those refused before anything is drawn.
+def _mostly(valid, refused):
+    """A value from `valid` three times in four, else one from `refused`."""
+    return st.integers(0, 3).flatmap(lambda i: refused if i == 0 else valid)
+
+
+ANGLES = _mostly(st.floats(-4.0, 4.0).map(repr),
+                 st.sampled_from(["1e6", "-1000000.5", "1e308", "nan", "inf", "-inf", "x"]))
+SEEDS = _mostly(st.sampled_from(["0", "7", "18446744073709551615"]),
+                st.sampled_from(["18446744073709551616", "-1"]))
+SAMPLES = _mostly(st.sampled_from(["1", "2", "5"]), st.sampled_from(["0", "-3", "1000001"]))
+RESOLUTIONS = _mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "1001"]))
+WORKERS = _mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1"]))
+MERITS = st.lists(_mostly(st.sampled_from([kind.value for kind in MeritKind]),
+                          st.just("eta_zeta")),
+                  max_size=2).map(lambda names: [a for n in names for a in ("--merit", n)])
+ERRORS = _mostly(st.sampled_from(["axis", "angle"]), st.just("tilt"))
+FORMATS = st.sampled_from(["csv", "json"])
+OUTS = st.sampled_from(["out/o.csv", "out/nested/o.json", "blocker/o.csv", None])
+
+
+def _given(flag, values, nargs=1):
+    """[flag, value, ...] with nargs values drawn from `values`."""
+    return st.lists(values, min_size=nargs, max_size=nargs).map(lambda vs: [flag, *vs])
+
+
+def _option(flag, values, nargs=1):
+    """[] or _given(flag, values, nargs)."""
+    return st.one_of(st.just([]), _given(flag, values, nargs))
+
+
+def _argv(command, *options):
+    return st.tuples(*options).map(lambda parts: [command, *(a for p in parts for a in p)])
+
+
+TABLE_FILES = ["t0.csv", "t1.csv", "no_theta.csv", "malformed.csv", "latin1.csv",
+               "missing.csv"]
+CLI_ARGV = st.one_of(
+    _argv("sweep", _option("--error", ERRORS), _option("--theta-range", ANGLES, 2),
+          _option("--phi-range", ANGLES, 2), _given("--resolution", RESOLUTIONS), MERITS,
+          _option("--workers", WORKERS), _option("--seed", SEEDS),
+          _given("--samples", SAMPLES), _option("--format", FORMATS)),
+    _argv("fig1", _given("--panel", _mostly(st.sampled_from("abcd"), st.just("e"))),
+          _given("--resolution", RESOLUTIONS), _option("--workers", WORKERS),
+          _option("--seed", SEEDS), _given("--samples", SAMPLES),
+          _option("--format", FORMATS)),
+    _argv("fig3", _given("--theta-points", _mostly(st.sampled_from(["1", "3"]),
+                                                   st.sampled_from(["0", "-1", "100001"]))),
+          _option("--phi", ANGLES), _option("--seed", SEEDS), _option("--format", FORMATS)),
+    _argv("reconstruct",
+          st.lists(st.sampled_from(TABLE_FILES), min_size=1, max_size=3).map(
+              lambda names: ["--measured", *(f"tables/{n}" for n in names)]),
+          st.one_of(st.just([]), st.lists(st.sampled_from(TABLE_FILES[:3]), min_size=1,
+                                          max_size=2).map(
+              lambda names: ["--ideal", *(f"tables/{n}" for n in names)])),
+          st.one_of(st.just([]), st.lists(ANGLES, min_size=1, max_size=3).map(
+              lambda values: ["--thetas", *values])),
+          _option("--phi", ANGLES), _option("--error", ERRORS),
+          _option("--sum-tolerance", _mostly(st.sampled_from(["0.02", "0", "0.5"]),
+                                             st.sampled_from(["-1", "nan", "inf"]))),
+          st.sampled_from([[], ["--renormalize"]]), _option("--format", FORMATS)),
+    _argv("protocol", _option("--kind", _mostly(st.sampled_from(["straightforward", "separable"]),
+                                                st.just("x"))),
+          _option("--phase-theta", ANGLES), _option("--theta", ANGLES), _option("--phi", ANGLES)),
+    _argv("haar-avg", _option("--error", ERRORS), _given("--theta", ANGLES),
+          _given("--phi", ANGLES), MERITS, _option("--seed", SEEDS),
+          _given("--samples", SAMPLES), _option("--format", FORMATS)),
+)
+
+
+def _write_cli_inputs(directory: Path) -> None:
+    tables = directory / "tables"
+    tables.mkdir()
+    for i, theta in enumerate((0.2, 0.6)):
+        write_probability_table(gate_probability_table(v_axis(theta, 0.35)),
+                                tables / f"t{i}.csv", metadata={"theta": theta, "phi": 0.35})
+    write_probability_table(gate_probability_table(v_axis(0.4, 0.35)), tables / "no_theta.csv")
+    (tables / "malformed.csv").write_text("input,p00,p01,p10,p11\n00,0.5,oops,0.2,0.1\n")
+    (tables / "latin1.csv").write_bytes("# theta = 0.1 é\ninput,p00\n".encode("latin-1"))
+    (directory / "blocker").write_text("a file where --out wants a directory\n")
+
+
+def _assert_finite_document(text: str, output_format: str) -> None:
+    if output_format == "json":
+        def refuse(constant):
+            raise AssertionError(f"non-finite JSON constant {constant}")
+
+        stack = [json.loads(text, parse_constant=refuse)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, list):
+                stack.extend(item)
+            elif isinstance(item, float):
+                assert math.isfinite(item), text
+        return
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows and all(len(row) == len(rows[0]) for row in rows), text
+    for cell in (cell for row in rows[1:] for cell in row):
+        try:
+            value = float(cell)
+        except ValueError:
+            continue
+        assert math.isfinite(value), text
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(argv=CLI_ARGV, out=OUTS)
+def test_cli_contract_holds_for_any_argv(argv, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _write_cli_inputs(work)
+        argv = [str(work / arg) if arg.startswith("tables/") else arg for arg in argv]
+        if out is not None:
+            argv += ["--out", str(work / out)]
+        stdout = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses the argv
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code)
+        written = sorted(p for p in (work / "out").rglob("*") if p.is_file()) \
+            if (work / "out").exists() else []
+        if code != 0:
+            assert written == [], (argv, code, written)
+            return
+        output_format = "json" if argv[0] == "protocol" else \
+            (argv[argv.index("--format") + 1] if "--format" in argv else "csv")
+        if out is None and argv[0] in ("protocol", "haar-avg"):
+            _assert_finite_document(stdout.getvalue(), output_format)
+        assert written or out is None, argv
+        for path in written:
+            is_json = path.name.endswith(".meta.json") or output_format == "json"
+            _assert_finite_document(path.read_text(encoding="utf-8"),
+                                    "json" if is_json else "csv")

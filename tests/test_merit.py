@@ -344,7 +344,7 @@ def test_haar_average_workspace_reuse_keeps_every_bit():
     theta = 0.7
     u = g_gate(theta)
     calls = []
-    for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY):
+    for kind in MeritKind:
         for b, n in ((2, 5000), (1, 5000), (81, 100), (2, 5000)):
             phis = np.linspace(0.0, 3.0, b)  # phi = 0: the null point, where no row differs
             seeds = point_seed(11, np.arange(b) + 1000 * len(calls), kind)
@@ -397,16 +397,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
 def test_fig1_rows_do_not_fault_their_arrays_in_again():
-    # Without a reused workspace, glibc hands each evaluation's ~320 kB arrays
+    # Without a reused workspace, glibc hands each draw's ~320 kB arrays
     # back to the kernel and every point faults them in again: ~200 minor
     # faults per 5000-sample point, about a quarter of fig1's wall time.
-    # Kernels that allocate their own arrays next to a reused draw fault
-    # ~5,000 times over the second pass; a reused workspace, ~0.
+    # Next to a reused draw, a coherence kernel that holds every complex
+    # amplitude until the sums faults ~5,000 times over the second pass;
+    # one that takes each magnitude as soon as its amplitude is made, ~0.
     resource = pytest.importorskip("resource")
     if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
         pytest.skip("getrusage reports no minor faults")
     faults = {}
-    for kind in (MeritKind.ETA_CHI, MeritKind.COHERENCE_FIDELITY):
+    for kind in MeritKind:
         probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kind.value],
                                capture_output=True, text=True, env=child_env(), timeout=120)
         assert probe.returncode == 0, probe.stderr
