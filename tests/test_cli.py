@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epmdiag
@@ -416,74 +416,87 @@ def test_workers_below_one_exit_code(tmp_path):
 # The CLI contract, fuzzed in-process: every argv of the six subcommands ends
 # in exit 0, 2, 3 or 4 with no exception escaping main, writes only finite,
 # parseable output on 0, and leaves no output file behind on any other code.
-# Sizes stay small (grids <= 3 x 3, <= 5 samples, <= 2 workers); the
-# out-of-range values are those refused before anything is drawn.
-def _mostly(valid, refused):
-    """A value from `valid` three times in four, else one from `refused`."""
-    return st.integers(0, 3).flatmap(lambda i: refused if i == 0 else valid)
+# Sizes stay small (grids <= 3 x 3, <= 5 samples, <= 2 workers). Each value
+# comes as (valid, refused) strategies; an argv takes at most one refused
+# value, so no other refusal can hide a check that is missing. Names that
+# argparse's choices refuse are left out of the refused values.
+ANGLES = (st.one_of(st.floats(-4.0, 4.0).map(repr), st.sampled_from(["1e6", "-1e6"])),
+          st.sampled_from(["-1000000.5", "1e308", "nan", "inf", "-inf"]))
+SEEDS = (st.sampled_from(["0", "7", "18446744073709551615"]),
+         st.sampled_from(["18446744073709551616", "-1"]))
+SAMPLES = (st.sampled_from(["1", "2", "5"]), st.sampled_from(["0", "-3", "1000001"]))
+RESOLUTIONS = (st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "1001"]))
+WORKERS = (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1"]))
+ERRORS = (st.sampled_from(["axis", "angle"]), None)
+FORMATS = (st.sampled_from(["csv", "json"]), None)
+TABLE_FILES = [f"tables/{name}.csv" for name in ("t0", "t1", "no_theta", "malformed",
+                                                  "latin1", "missing")]
+WRITABLE = st.sampled_from(["out/o.csv", "out/nested/o.json"]).map(lambda path: ["--out", path])
+BLOCKED = st.just(["--out", "blocker/o.csv"])  # a file where a directory must be
+OUT = (WRITABLE, st.one_of(st.just([]), BLOCKED))
+OPTIONAL_OUT = (st.one_of(st.just([]), WRITABLE), BLOCKED)
 
 
-ANGLES = _mostly(st.floats(-4.0, 4.0).map(repr),
-                 st.sampled_from(["1e6", "-1000000.5", "1e308", "nan", "inf", "-inf", "x"]))
-SEEDS = _mostly(st.sampled_from(["0", "7", "18446744073709551615"]),
-                st.sampled_from(["18446744073709551616", "-1"]))
-SAMPLES = _mostly(st.sampled_from(["1", "2", "5"]), st.sampled_from(["0", "-3", "1000001"]))
-RESOLUTIONS = _mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "1001"]))
-WORKERS = _mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1"]))
-MERITS = st.lists(_mostly(st.sampled_from([kind.value for kind in MeritKind]),
-                          st.just("eta_zeta")),
-                  max_size=2).map(lambda names: [a for n in names for a in ("--merit", n)])
-ERRORS = _mostly(st.sampled_from(["axis", "angle"]), st.just("tilt"))
-FORMATS = st.sampled_from(["csv", "json"])
-OUTS = st.sampled_from(["out/o.csv", "out/nested/o.json", "blocker/o.csv", None])
+def _flag(flag, values, size=(1, 1), optional=False):
+    """(valid, refused) strategies of [flag, value, ...], size values each.
+
+    The refused one puts one refused value first; an optional flag may be
+    absent from the valid one.
+    """
+    valid, refused = values
+    lo, hi = size
+    good = st.lists(valid, min_size=lo, max_size=hi).map(lambda vs: [flag, *vs])
+    bad = None if refused is None else st.tuples(
+        refused, st.lists(valid, min_size=lo - 1, max_size=hi - 1)).map(
+        lambda t: [flag, t[0], *t[1]])
+    return (st.one_of(st.just([]), good) if optional else good), bad
 
 
-def _given(flag, values, nargs=1):
-    """[flag, value, ...] with nargs values drawn from `values`."""
-    return st.lists(values, min_size=nargs, max_size=nargs).map(lambda vs: [flag, *vs])
+def _option(flag, values, size=(1, 1)):
+    return _flag(flag, values, size, optional=True)
 
 
-def _option(flag, values, nargs=1):
-    """[] or _given(flag, values, nargs)."""
-    return st.one_of(st.just([]), _given(flag, values, nargs))
+def _argv(command, *flags):
+    """[command, *argv parts]: every flag valid, or all but one."""
+    refusable = [i for i, (_, bad) in enumerate(flags) if bad is not None]
+    return st.one_of(st.none(), st.sampled_from(refusable)).flatmap(
+        lambda odd: st.tuples(*(bad if i == odd else good
+                                for i, (good, bad) in enumerate(flags)))).map(
+        lambda parts: [command, *(arg for part in parts for arg in part)])
 
 
-def _argv(command, *options):
-    return st.tuples(*options).map(lambda parts: [command, *(a for p in parts for a in p)])
-
-
-TABLE_FILES = ["t0.csv", "t1.csv", "no_theta.csv", "malformed.csv", "latin1.csv",
-               "missing.csv"]
+MERITS = (st.lists(st.sampled_from([kind.value for kind in MeritKind]), max_size=2).map(
+              lambda names: [arg for name in names for arg in ("--merit", name)]), None)
+RENORMALIZE = (st.sampled_from([[], ["--renormalize"]]), None)
 CLI_ARGV = st.one_of(
-    _argv("sweep", _option("--error", ERRORS), _option("--theta-range", ANGLES, 2),
-          _option("--phi-range", ANGLES, 2), _given("--resolution", RESOLUTIONS), MERITS,
+    _argv("sweep", _option("--error", ERRORS), _option("--theta-range", ANGLES, (2, 2)),
+          _option("--phi-range", ANGLES, (2, 2)), _flag("--resolution", RESOLUTIONS), MERITS,
           _option("--workers", WORKERS), _option("--seed", SEEDS),
-          _given("--samples", SAMPLES), _option("--format", FORMATS)),
-    _argv("fig1", _given("--panel", _mostly(st.sampled_from("abcd"), st.just("e"))),
-          _given("--resolution", RESOLUTIONS), _option("--workers", WORKERS),
-          _option("--seed", SEEDS), _given("--samples", SAMPLES),
-          _option("--format", FORMATS)),
-    _argv("fig3", _given("--theta-points", _mostly(st.sampled_from(["1", "3"]),
-                                                   st.sampled_from(["0", "-1", "100001"]))),
-          _option("--phi", ANGLES), _option("--seed", SEEDS), _option("--format", FORMATS)),
+          _flag("--samples", SAMPLES), _option("--format", FORMATS), OUT),
+    _argv("fig1", _flag("--panel", (st.sampled_from("abcd"), None)),
+          _flag("--resolution", RESOLUTIONS), _option("--workers", WORKERS),
+          _option("--seed", SEEDS), _flag("--samples", SAMPLES), _option("--format", FORMATS),
+          OUT),
+    _argv("fig3", _flag("--theta-points", (st.sampled_from(["1", "3"]),
+                                           st.sampled_from(["0", "-1", "100001"]))),
+          _option("--phi", ANGLES), _option("--seed", (st.nothing(), SEEDS[0])),
+          _option("--format", FORMATS), OUT),
     _argv("reconstruct",
-          st.lists(st.sampled_from(TABLE_FILES), min_size=1, max_size=3).map(
-              lambda names: ["--measured", *(f"tables/{n}" for n in names)]),
-          st.one_of(st.just([]), st.lists(st.sampled_from(TABLE_FILES[:3]), min_size=1,
-                                          max_size=2).map(
-              lambda names: ["--ideal", *(f"tables/{n}" for n in names)])),
-          st.one_of(st.just([]), st.lists(ANGLES, min_size=1, max_size=3).map(
-              lambda values: ["--thetas", *values])),
-          _option("--phi", ANGLES), _option("--error", ERRORS),
-          _option("--sum-tolerance", _mostly(st.sampled_from(["0.02", "0", "0.5"]),
-                                             st.sampled_from(["-1", "nan", "inf"]))),
-          st.sampled_from([[], ["--renormalize"]]), _option("--format", FORMATS)),
-    _argv("protocol", _option("--kind", _mostly(st.sampled_from(["straightforward", "separable"]),
-                                                st.just("x"))),
-          _option("--phase-theta", ANGLES), _option("--theta", ANGLES), _option("--phi", ANGLES)),
-    _argv("haar-avg", _option("--error", ERRORS), _given("--theta", ANGLES),
-          _given("--phi", ANGLES), MERITS, _option("--seed", SEEDS),
-          _given("--samples", SAMPLES), _option("--format", FORMATS)),
+          _flag("--measured", (st.sampled_from(TABLE_FILES[:2]),
+                               st.sampled_from(TABLE_FILES[2:])), (1, 3)),
+          _option("--ideal", (st.sampled_from(TABLE_FILES[:2]),
+                              st.sampled_from(TABLE_FILES[2:])), (1, 2)),
+          _option("--thetas", ANGLES, (1, 3)), _option("--phi", ANGLES),
+          _option("--error", ERRORS),
+          _option("--sum-tolerance", (st.sampled_from(["0.02", "0", "0.5"]),
+                                      st.sampled_from(["-1", "nan", "inf"]))),
+          RENORMALIZE, _option("--format", FORMATS), OUT),
+    _argv("protocol", _flag("--kind", (st.sampled_from(["straightforward", "separable"]), None)),
+          _option("--phase-theta", ANGLES), _option("--theta", ANGLES), _option("--phi", ANGLES),
+          OPTIONAL_OUT),
+    _argv("haar-avg", _option("--error", ERRORS), _flag("--theta", ANGLES),
+          _flag("--phi", ANGLES), MERITS, _option("--seed", SEEDS),
+          _flag("--samples", SAMPLES), _option("--format", FORMATS), OPTIONAL_OUT),
 )
 
 
@@ -500,6 +513,7 @@ def _write_cli_inputs(directory: Path) -> None:
 
 
 def _assert_finite_document(text: str, output_format: str) -> None:
+    """`text` parses as `output_format`, and every number in it is finite."""
     if output_format == "json":
         def refuse(constant):
             raise AssertionError(f"non-finite JSON constant {constant}")
@@ -525,14 +539,19 @@ def _assert_finite_document(text: str, output_format: str) -> None:
 
 
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
-@given(argv=CLI_ARGV, out=OUTS)
-def test_cli_contract_holds_for_any_argv(argv, out):
+@given(argv=CLI_ARGV)
+# inputs that broke the contract before: a finite angle whose double makes
+# cos(2 theta) nan, and a nan angle that reached an SVD
+@example(argv=["haar-avg", "--theta", "1e308", "--phi", "0", "--samples", "1"])
+@example(argv=["sweep", "--theta-range", "0", "1e308", "--resolution", "2", "--samples", "1",
+               "--out", "out/o.csv"])
+@example(argv=["protocol", "--kind", "separable", "--phase-theta", "nan"])
+def test_cli_contract_holds_for_any_argv(argv):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _write_cli_inputs(work)
-        argv = [str(work / arg) if arg.startswith("tables/") else arg for arg in argv]
-        if out is not None:
-            argv += ["--out", str(work / out)]
+        argv = [str(work / arg) if arg.startswith(("tables/", "out/", "blocker/")) else arg
+                for arg in argv]
         stdout = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -542,16 +561,15 @@ def test_cli_contract_holds_for_any_argv(argv, out):
             except SystemExit as exc:  # argparse refuses the argv
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, code)
-        written = sorted(p for p in (work / "out").rglob("*") if p.is_file()) \
-            if (work / "out").exists() else []
+        written = sorted(p for p in (work / "out").rglob("*") if p.is_file())
         if code != 0:
             assert written == [], (argv, code, written)
             return
         output_format = "json" if argv[0] == "protocol" else \
             (argv[argv.index("--format") + 1] if "--format" in argv else "csv")
-        if out is None and argv[0] in ("protocol", "haar-avg"):
+        if "--out" not in argv:  # protocol and haar-avg print to stdout
             _assert_finite_document(stdout.getvalue(), output_format)
-        assert written or out is None, argv
+        assert written or "--out" not in argv, argv
         for path in written:
             is_json = path.name.endswith(".meta.json") or output_format == "json"
             _assert_finite_document(path.read_text(encoding="utf-8"),
