@@ -400,9 +400,10 @@ def test_fig1_rows_do_not_fault_their_arrays_in_again():
     # Without a reused workspace, glibc hands each draw's ~320 kB arrays
     # back to the kernel and every point faults them in again: ~200 minor
     # faults per 5000-sample point, about a quarter of fig1's wall time.
-    # Next to a reused draw, a coherence kernel that holds every complex
-    # amplitude until the sums faults ~5,000 times over the second pass;
-    # one that takes each magnitude as soon as its amplitude is made, ~0.
+    # Next to a reused draw, kernels that hold every output amplitude until
+    # the sums fault ~5,000 (coherence_fidelity) to ~10,000 (fidelity)
+    # times over the second pass; kernels that take each magnitude, or add
+    # each row pair's terms, as soon as its amplitudes are made, ~0.
     resource = pytest.importorskip("resource")
     if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
         pytest.skip("getrusage reports no minor faults")
