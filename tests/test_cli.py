@@ -479,7 +479,8 @@ CLI_ARGV = st.one_of(
           OUT),
     _argv("fig3", _flag("--theta-points", (st.sampled_from(["1", "3"]),
                                            st.sampled_from(["0", "-1", "100001"]))),
-          _option("--phi", ANGLES), _option("--seed", (st.nothing(), SEEDS[0])),
+          _option("--phi", ANGLES),
+          _option("--seed", (st.nothing(), SEEDS[0])),  # fig3 draws nothing: refused
           _option("--format", FORMATS), OUT),
     _argv("reconstruct",
           _flag("--measured", (st.sampled_from(TABLE_FILES[:2]),
