@@ -12,7 +12,9 @@ coherent error families perturb the target block only:
   angle error  V_angle(theta, phi): rotation angle perturbed through
                alpha = (phi + pi)/2, block i cos(alpha) I + sin(alpha) R(theta)
 
-Both reduce exactly (bit for bit) to G(theta) at phi = 0.
+Both reduce exactly (bit for bit) to G(theta) at phi = 0. Each constructor
+takes scalar angles for one matrix, or arrays (theta and phi broadcast) for
+a (..., dim, dim) stack whose slices equal the scalar calls bit for bit.
 """
 from __future__ import annotations
 
@@ -23,31 +25,36 @@ import numpy as np
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 
 
-def r_gate(theta: float) -> np.ndarray:
+def _scaled(coef, matrix: np.ndarray) -> np.ndarray:
+    """coef * matrix, each entry of a scalar or array coef scaling a whole 2x2 matrix."""
+    return np.asarray(coef)[..., None, None] * matrix
+
+
+def r_gate(theta) -> np.ndarray:
     """Single-qubit pi rotation cos(2 theta) sz + sin(2 theta) sx (Hermitian)."""
-    return np.cos(2 * theta) * PAULI_Z + np.sin(2 * theta) * PAULI_X
+    return _scaled(np.cos(2 * theta), PAULI_Z) + _scaled(np.sin(2 * theta), PAULI_X)
 
 
 def _controlled(block: np.ndarray) -> np.ndarray:
-    """s+ (x) I + s- (x) block, written out without np.kron.
+    """s+ (x) I + s- (x) block, written out without np.kron, for a (..., 2, 2) block.
 
     s+ (x) I puts ones at (0, 2) and (1, 3); s- (x) block fills the
     lower-left 2x2 corner. Adding 0.0 turns every -0.0 of the block into
     +0.0, as adding the zeros of the other Kronecker term does, so the
     result equals the kron sum bit for bit.
     """
-    gate = np.zeros((4, 4), dtype=complex)
-    gate[0, 2] = gate[1, 3] = 1.0
-    gate[2:, :2] = block + 0.0
+    gate = np.zeros(block.shape[:-2] + (4, 4), dtype=complex)
+    gate[..., 0, 2] = gate[..., 1, 3] = 1.0
+    gate[..., 2:, :2] = block + 0.0
     return gate
 
 
-def g_gate(theta: float) -> np.ndarray:
+def g_gate(theta) -> np.ndarray:
     """Ideal conditional two-qubit gate s+ (x) I + s- (x) R(theta)."""
     return _controlled(r_gate(theta))
 
 
-def v_axis(theta: float, phi: float) -> np.ndarray:
+def v_axis(theta, phi) -> np.ndarray:
     """Rotation-axis error unitary: the target rotation axis is tilted by phi.
 
     Returns s+ (x) I + i s- (x) (-i)(n~ . sigma); the phases i (-i)
@@ -58,10 +65,10 @@ def v_axis(theta: float, phi: float) -> np.ndarray:
     nx = np.sin(2 * theta) * cos_phi
     ny = np.sin(phi)
     nz = np.cos(2 * theta) * cos_phi
-    return _controlled(nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z)
+    return _controlled(_scaled(nx, PAULI_X) + _scaled(ny, PAULI_Y) + _scaled(nz, PAULI_Z))
 
 
-def v_angle(theta: float, phi: float) -> np.ndarray:
+def v_angle(theta, phi) -> np.ndarray:
     """Rotation-angle error unitary with alpha = (phi + pi)/2.
 
     The target block is i cos(alpha) I + sin(alpha) R(theta); cos(alpha)
@@ -71,7 +78,7 @@ def v_angle(theta: float, phi: float) -> np.ndarray:
     """
     cos_alpha = -np.sin(phi / 2)
     sin_alpha = np.cos(phi / 2)
-    block = 1j * cos_alpha * IDENTITY_2 + sin_alpha * r_gate(theta)
+    block = _scaled(1j * cos_alpha, IDENTITY_2) + _scaled(sin_alpha, r_gate(theta))
     return _controlled(block)
 
 

@@ -285,13 +285,13 @@ def _workspace(key: tuple[int, int, int]) -> Workspace:
 
 
 def haar_average(
-    kind: MeritKind,
+    kind: MeritKind | tuple[MeritKind, ...],
     u_ideal: np.ndarray,
     v_noisy: np.ndarray,
     hamiltonian: LocalHamiltonian | None = None,
     n_samples: int = 5000,
     seed: int | Sequence[int] = 0,
-) -> HaarAverage | list[HaarAverage]:
+) -> HaarAverage | list[HaarAverage] | tuple:
     """Average a merit kernel over Haar-random pure inputs.
 
     All samples come from the Philox stream whose key is `seed` (see
@@ -302,10 +302,12 @@ def haar_average(
 
     With a stack of B noisy gates (B, dim, dim) and a sequence of B seeds,
     returns the list of B averages, each equal to the call on its own gate
-    and seed; the B draws, kernels and reductions run as one batch. The
-    draw's arrays, the states included, live in a workspace that the
-    thread's next call of the same (B, n_samples, dim) reuses, so a row of
-    such calls allocates them once.
+    and seed; the B draws, kernels and reductions run as one batch. With a
+    tuple of kinds, the states are drawn once and every kind's kernel runs
+    on them; the result is a tuple with one entry per kind, each equal to
+    the call with that kind alone. The draw's arrays, the states included,
+    live in a workspace that the thread's next call of the same
+    (B, n_samples, dim) reuses, so a row of such calls allocates them once.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
@@ -316,11 +318,14 @@ def haar_average(
     workspace = _workspace((len(seeds), n_samples, dim))
     states = haar_pure_states(seeds, dim, n_samples, workspace=workspace)
     v_stack = np.reshape(np.asarray(v_noisy, dtype=complex), (-1,) + u_ideal.shape)
-    values = kernel_values(kind, states, u_ideal, v_stack, hamiltonian)
-    means = np.mean(values, axis=-1).tolist()
-    if n_samples > 1:
-        errors = (np.std(values, axis=-1, ddof=1) / math.sqrt(n_samples)).tolist()
-    else:
-        errors = [0.0] * len(means)
-    averages = [HaarAverage(mean=m, std_error=e) for m, e in zip(means, errors)]
-    return averages[0] if single else averages
+    results = []
+    for one_kind in kind if isinstance(kind, tuple) else (kind,):
+        values = kernel_values(one_kind, states, u_ideal, v_stack, hamiltonian)
+        means = np.mean(values, axis=-1).tolist()
+        if n_samples > 1:
+            errors = (np.std(values, axis=-1, ddof=1) / math.sqrt(n_samples)).tolist()
+        else:
+            errors = [0.0] * len(means)
+        averages = [HaarAverage(mean=m, std_error=e) for m, e in zip(means, errors)]
+        results.append(averages[0] if single else averages)
+    return tuple(results) if isinstance(kind, tuple) else results[0]

@@ -2,9 +2,10 @@
 
 A sweep evaluates Haar-averaged merits on a rectangular grid of ideal gate
 angle theta and error parameter phi. Randomness is derived per grid point
-from the master seed, and every merit of a point reads the same states, so
-results are independent of worker count and scheduling, and output files
-are byte-identical across runs.
+from the master seed, so results are independent of worker count and
+scheduling, and output files are byte-identical across runs. A row is
+averaged in chunks of points with one Haar draw per chunk, shared by the
+merits; every point of the draw keeps its own key.
 """
 from __future__ import annotations
 
@@ -155,22 +156,22 @@ def point_seed(master_seed: int, grid_index, kind: MeritKind):
 def _evaluate_row(task) -> list[tuple[tuple[float, float], ...]]:
     """(mean, std_error) per phi point and merit along one theta row.
 
-    Consecutive points of the row are averaged together, as many per call
-    as fit in STATE_BUDGET states (at least one).
+    The row's noisy gates are built as one stack. Consecutive points of the
+    row are averaged together, as many per call as fit in STATE_BUDGET
+    states (at least one), and each call draws its points' states once for
+    all the merits; each point keeps its own key.
     """
     family, theta, phis, merits, n_samples, keys = task
     u = g_gate(theta)
-    noisy = np.stack([ERROR_FAMILIES[family](theta, phi) for phi in phis])
+    noisy = ERROR_FAMILIES[family](theta, np.array(phis))
     hamiltonian = local_hamiltonian_2q()
     step = max(1, STATE_BUDGET // n_samples)
-    per_merit = []
-    for kind in merits:
-        averages = []
-        for start in range(0, len(phis), step):
-            averages += haar_average(kind, u, noisy[start:start + step], hamiltonian,
-                                     n_samples=n_samples, seed=keys[start:start + step])
-        per_merit.append([(a.mean, a.std_error) for a in averages])
-    return list(zip(*per_merit))
+    points = []
+    for start in range(0, len(phis), step):
+        per_merit = haar_average(tuple(merits), u, noisy[start:start + step], hamiltonian,
+                                 n_samples=n_samples, seed=keys[start:start + step])
+        points += zip(*([(a.mean, a.std_error) for a in averages] for averages in per_merit))
+    return points
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
@@ -283,20 +284,21 @@ def run_reconstruction(
     order = sorted(range(len(measured)), key=lambda k: measured[k][0])
     thetas = [measured[k][0] for k in order]
     tables = [measured[k][1] for k in order]
-    coherence = None if phi is None else np.zeros(0)
-    if phi is not None and thetas:  # np.stack needs at least one gate
+    theta_array = np.array(thetas, dtype=float)
+    ideal_gates = g_gate(theta_array)
+    coherence = None
+    if phi is not None:
         # one batched kernel call over every table's (ideal, noisy) gate pair
         coherence = kernel_values(
             MeritKind.COHERENCE_FIDELITY, np.broadcast_to(plus_plus_state(), (len(thetas), 1, 4)),
-            np.stack([g_gate(theta) for theta in thetas]),
-            np.stack([ERROR_FAMILIES[error_family](theta, phi) for theta in thetas]))[:, 0]
+            ideal_gates, ERROR_FAMILIES[error_family](theta_array, phi))[:, 0]
     pops = np.zeros((len(tables), 4))
     g_measured, g_ideal, row_error = np.zeros((3, len(tables)))
     flags: list[str] = []
     # a flagged row may hold values whose sums overflow; the writer refuses what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (k, theta, table) in enumerate(zip(order, thetas, tables)):
-            ideal_table = gate_probability_table(g_gate(theta)) if ideal is None else ideal[k]
+            ideal_table = gate_probability_table(ideal_gates[i]) if ideal is None else ideal[k]
             pops[i] = chi_populations(table)
             g_measured[i] = g_chi_from_table(table, hamiltonian)
             g_ideal[i] = g_chi_from_table(ideal_table, hamiltonian)
@@ -304,7 +306,7 @@ def run_reconstruction(
             flags.extend(f"theta {theta!r}: {flag}" for flag in table.flags)
             flags.extend(f"theta {theta!r}: ideal {flag}" for flag in ideal_table.flags)
     return ReconstructionReport(
-        thetas=np.array(thetas, dtype=float), tables=tables, chi_pops=pops,
+        thetas=theta_array, tables=tables, chi_pops=pops,
         g_chi_measured=g_measured, g_chi_ideal=g_ideal, eta_kernel=np.abs(g_measured - g_ideal),
         coherence_kernel=coherence, max_row_sum_error=row_error, error_family=error_family,
         phi=phi, flags=flags)

@@ -3,7 +3,8 @@
 Every seeded output of the package starts from `haar_pure_states` and the
 three gate constructors, so they are compared with frozen reference
 expressions (Gaussian pairs divided by their norms; the `np.kron` sums of
-the gate definitions) as raw 64-bit words. That makes signed zeros count,
+the gate definitions) as raw 64-bit words, and the constructors' stacked
+calls with their scalar ones. That makes signed zeros count,
 which `np.array_equal` would not.
 """
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, haar_pure_states
+from epmdiag.sweeps import MAX_ANGLE
 from helpers import SIGMA_MINUS, SIGMA_PLUS, philox_generator
 
 
@@ -85,3 +87,29 @@ def test_gates_match_kron_sums_on_a_dense_grid():
                                   _bits(frozen_v_axis(theta, phi))), (theta, phi)
             assert np.array_equal(_bits(v_angle(theta, phi)),
                                   _bits(frozen_v_angle(theta, phi))), (theta, phi)
+
+
+def test_stacked_gates_equal_the_scalar_calls_bit_for_bit():
+    # every (theta, phi) pair of the special angles, and random ones near and
+    # far from zero, as one broadcast grid, one row stack (scalar theta, as a
+    # sweep row builds it) and one column stack (scalar phi, as reconstruct does)
+    special = [0.0, -0.0, np.pi / 4, np.pi, 2 * np.pi, MAX_ANGLE, -MAX_ANGLE]
+    rng = np.random.default_rng(13)
+    angles = np.array(special + rng.uniform(-7.0, 7.0, 30).tolist()
+                      + rng.uniform(-MAX_ANGLE, MAX_ANGLE, 10).tolist())
+    assert g_gate(0.3).shape == v_axis(0.3, 0.2).shape == v_angle(0.3, 0.2).shape == (4, 4)
+    stacked = g_gate(angles)
+    assert stacked.shape == (len(angles), 4, 4)
+    for theta, gate in zip(angles.tolist(), stacked):
+        assert np.array_equal(_bits(gate), _bits(g_gate(theta))), theta
+    for family in (v_axis, v_angle):
+        grid = family(angles[:, None], angles[None, :])
+        assert grid.shape == (len(angles), len(angles), 4, 4)
+        for i, theta in enumerate(angles.tolist()):
+            row, column = family(theta, angles), family(angles, theta)
+            for j, phi in enumerate(angles.tolist()):
+                scalar = _bits(family(theta, phi))
+                assert np.array_equal(_bits(grid[i, j]), scalar), (family, theta, phi)
+                assert np.array_equal(_bits(row[j]), scalar), (family, theta, phi)
+                assert np.array_equal(_bits(column[j]), _bits(family(phi, theta))), \
+                    (family, phi, theta)

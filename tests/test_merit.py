@@ -12,7 +12,14 @@ from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import basis_state, haar_pure_states, plus_plus_state
-from epmdiag.merit import ETA_KINDS, MeritKind, haar_average, kernel_coherence_fid, kernel_values
+from epmdiag.merit import (
+    ETA_KINDS,
+    HaarAverage,
+    MeritKind,
+    haar_average,
+    kernel_coherence_fid,
+    kernel_values,
+)
 from epmdiag.sweeps import SweepConfig, point_seed, run_sweep
 from helpers import child_env, haar_random_unitary, l1_coherence
 
@@ -322,9 +329,34 @@ def test_stacked_haar_average_equals_single_calls():
 
 
 def _bits(averages):
-    """The exact bits of one HaarAverage or a list of them."""
+    """The exact bits of one HaarAverage, a list of them, or a tuple of either (one per kind)."""
+    if isinstance(averages, tuple):
+        return [_bits(per_kind) for per_kind in averages]
     averages = averages if isinstance(averages, list) else [averages]
     return [(a.mean.hex(), a.std_error.hex()) for a in averages]
+
+
+def test_haar_average_of_a_tuple_of_kinds_equals_the_single_kind_calls():
+    # one draw for every kind of the tuple, each result bit-equal to the call
+    # with that kind alone: on a stack and on one pair, at the phi = 0 null,
+    # at one sample, and with a kind repeated
+    u = g_gate(0.7)
+    gates = v_axis(0.7, np.array([0.0, 0.4, 2.1]))
+    seeds = point_seed(3, range(3), MeritKind.ETA_CHI)
+    cases = [(gates, seeds), (gates[1], seeds[1]), (gates[0], seeds[0])]
+    for kinds in (tuple(MeritKind), (MeritKind.ETA_CHI, MeritKind.FIDELITY, MeritKind.ETA_CHI)):
+        for v, seed in cases:
+            for n_samples in (1, 2, 300):
+                together = haar_average(kinds, u, v, H, n_samples=n_samples, seed=seed)
+                assert isinstance(together, tuple) and len(together) == len(kinds)
+                alone = [haar_average(kind, u, v, H, n_samples=n_samples, seed=seed)
+                         for kind in kinds]
+                assert _bits(together) == [_bits(average) for average in alone], (kinds, seed)
+    null = haar_average(tuple(MeritKind), u, gates[0], H, n_samples=300, seed=seeds[0])
+    assert [a.mean for a in null] == [1.0 if kind is MeritKind.FIDELITY else 0.0
+                                      for kind in MeritKind]
+    single = haar_average(MeritKind.ETA_CHI, u, gates[1], H, n_samples=300, seed=seeds[1])
+    assert isinstance(single, HaarAverage)
 
 
 def _in_a_fresh_thread(fn):
@@ -339,15 +371,16 @@ def _in_a_fresh_thread(fn):
 
 def test_haar_average_workspace_reuse_keeps_every_bit():
     # the (B, n) keys change from case to case and come back, and each case
-    # runs twice, the second time on the workspace of the first; every
-    # result must equal the same call made first, before any workspace existed
+    # runs twice, the second time on the workspace of the first; calls of one
+    # kind alternate with calls of every kind at once; every result must
+    # equal the same call made first, before any workspace existed
     theta = 0.7
     u = g_gate(theta)
     calls = []
-    for kind in MeritKind:
+    for kind in [kinds for single in MeritKind for kinds in (single, tuple(MeritKind))]:
         for b, n in ((2, 5000), (1, 5000), (81, 100), (2, 5000)):
             phis = np.linspace(0.0, 3.0, b)  # phi = 0: the null point, where no row differs
-            seeds = point_seed(11, np.arange(b) + 1000 * len(calls), kind)
+            seeds = point_seed(11, np.arange(b) + 1000 * len(calls), MeritKind.ETA_CHI)
             gates = np.stack([v_axis(theta, phi) for phi in phis])
             if b == 1:  # one gate pair and one seed, as a 5000-sample fig1 row calls it
                 gates, seeds = gates[0], seeds[0]

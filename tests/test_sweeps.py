@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+import epmdiag.merit
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_axis
 from epmdiag.merit import MeritKind, haar_average
 from epmdiag.reconstruct import g_chi_from_table, gate_probability_table, load_probability_table
 from epmdiag.sweeps import (
+    STATE_BUDGET,
     SweepConfig,
     fig3_series,
     max_normalize,
@@ -173,6 +175,27 @@ def test_every_merit_of_a_point_reads_the_point_key():
                                seed=point_seed(4, gi, kind))
             assert surface(both, kind)[i, j] == avg.mean, (kind, gi)
             assert surface(both, kind, "std_error")[i, j] == avg.std_error, (kind, gi)
+
+
+@pytest.mark.parametrize("n_samples", [1, 3000])
+@pytest.mark.parametrize("merits", [(MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI),
+                                    tuple(MeritKind)])
+def test_each_chunk_draws_its_states_once_for_every_merit(monkeypatch, merits, n_samples):
+    # a 3 x 5 grid averaged in chunks of max(1, STATE_BUDGET // n) points:
+    # one draw per chunk whatever the number of merits, and each point's key
+    # in exactly one draw
+    draws = []
+    draw = epmdiag.merit.haar_pure_states
+
+    def counted(seeds, *args, **kwargs):
+        draws.append(list(seeds))
+        return draw(seeds, *args, **kwargs)
+
+    monkeypatch.setattr(epmdiag.merit, "haar_pure_states", counted)
+    run_sweep(SweepConfig(theta_points=3, phi_points=5, merits=merits, n_samples=n_samples,
+                          master_seed=6))
+    assert len(draws) == 3 * math.ceil(5 / max(1, STATE_BUDGET // n_samples))
+    assert sorted(key for seeds in draws for key in seeds) == point_seed(6, range(15), merits[0])
 
 
 def test_default_phi_ranges():
