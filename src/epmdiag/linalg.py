@@ -26,17 +26,6 @@ SUPPORTED_DIMS = (2, 4)
 _MASK64 = (1 << 64) - 1
 
 
-def basis_state(dim: int, index: int) -> np.ndarray:
-    """Computational basis vector |index> of the given dimension."""
-    if dim not in SUPPORTED_DIMS:
-        raise ValidationError(f"unsupported dimension {dim}, expected one of {SUPPORTED_DIMS}")
-    if not 0 <= index < dim:
-        raise ValidationError(f"basis index {index} out of range for dim {dim}")
-    psi = np.zeros(dim, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
 def plus_plus_state() -> np.ndarray:
     """The product state (|0> + |1>)(|0> + |1>)/2 in the two-qubit basis."""
     return np.full(4, 0.5, dtype=complex)
@@ -48,8 +37,9 @@ class Workspace:
     Arrays are cut from one byte buffer in the order they are asked for, and
     `rewind()` starts a draw. A request past the end of the buffer gets an
     array of its own, and the next draw finds a buffer as large as this one
-    needed, so draws of one shape allocate nothing from the second on. An
-    array stays valid until the next `rewind()` hands its bytes out again.
+    needed. The buffer never shrinks, so a draw no larger than an earlier one
+    allocates nothing. An array stays valid until the next `rewind()` hands
+    its bytes out again.
     """
 
     def __init__(self):

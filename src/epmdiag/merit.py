@@ -272,15 +272,15 @@ class HaarAverage:
     std_error: float
 
 
-# The workspace of this thread's last haar_average call and its (B, n, dim) key.
+# The workspace of this thread's haar_average calls.
 _held = threading.local()
 
 
-def _workspace(key: tuple[int, int, int]) -> Workspace:
-    """The workspace for a haar_average call of this key, rewound: the last
-    call's when its key matches, else a new one that replaces it."""
-    if getattr(_held, "key", None) != key:
-        _held.key, _held.workspace = key, Workspace()
+def _workspace() -> Workspace:
+    """This thread's workspace, rewound. It grows to the thread's largest
+    draw and serves every smaller one, such as the tail chunk of a row."""
+    if not hasattr(_held, "workspace"):
+        _held.workspace = Workspace()
     return _held.workspace.rewind()
 
 
@@ -306,17 +306,15 @@ def haar_average(
     tuple of kinds, the states are drawn once and every kind's kernel runs
     on them; the result is a tuple with one entry per kind, each equal to
     the call with that kind alone. The draw's arrays, the states included,
-    live in a workspace that the thread's next call of the same
-    (B, n_samples, dim) reuses, so a row of such calls allocates them once.
+    live in one workspace per thread that every later call of the thread
+    reuses, so a row's calls allocate them once.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     u_ideal = np.asarray(u_ideal, dtype=complex)
     single = np.ndim(v_noisy) == 2
     seeds = [seed] if single else seed
-    dim = u_ideal.shape[0]
-    workspace = _workspace((len(seeds), n_samples, dim))
-    states = haar_pure_states(seeds, dim, n_samples, workspace=workspace)
+    states = haar_pure_states(seeds, u_ideal.shape[0], n_samples, workspace=_workspace())
     v_stack = np.reshape(np.asarray(v_noisy, dtype=complex), (-1,) + u_ideal.shape)
     results = []
     for one_kind in kind if isinstance(kind, tuple) else (kind,):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .energetics import LocalHamiltonian
 from .errors import ParseError, ValidationError
-from .linalg import basis_state, plus_plus_state
+from .linalg import plus_plus_state
 
 BASIS_LABELS = ("00", "01", "10", "11")
 OUTCOME_COLUMNS = ("p00", "p01", "p10", "p11")
@@ -45,30 +45,33 @@ class ProbabilityTable:
     metadata: dict[str, float] = field(default_factory=dict)
     flags: list[str] = field(default_factory=list)
 
-    def missing(self, labels) -> list[str]:
-        return [label for label in labels if label not in self.rows]
+    def require(self, labels) -> None:
+        """Raise ValidationError naming each of `labels` that has no row."""
+        missing = [label for label in labels if label not in self.rows]
+        if missing:
+            raise ValidationError(f"probability table is missing required row(s) {missing}")
 
 
-def outcome_probabilities(v: np.ndarray, input_state: np.ndarray) -> np.ndarray:
-    """Probabilities p(kq | input) = |<kq| V |input>|^2 in basis order."""
+def _synthetic_table(v: np.ndarray, labels, states: np.ndarray) -> ProbabilityTable:
+    """Rows p(kq | psi) = |<kq| V |psi>|^2, one per labelled row psi of `states`,
+    from one product; for a (..., 4, 4) stack of gates V, a row is (..., 4)."""
     v = np.asarray(v, dtype=complex)
-    if v.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 unitary, got shape {v.shape}")
-    out = v @ np.asarray(input_state, dtype=complex)
-    return out.real**2 + out.imag**2
+    if v.shape[-2:] != (4, 4):
+        raise ValidationError(f"expected a 4x4 unitary or a stack of them, got shape {v.shape}")
+    out = states @ np.swapaxes(v, -1, -2)  # (..., rows, 4)
+    return ProbabilityTable(rows=dict(zip(labels, np.moveaxis(out.real**2 + out.imag**2, -2, 0))))
 
 
 def gate_probability_table(v: np.ndarray) -> ProbabilityTable:
-    """Synthetic five-row table (four basis inputs plus |++>) for a gate."""
-    rows = {label: outcome_probabilities(v, basis_state(4, i)) for i, label in enumerate(BASIS_LABELS)}
-    rows["++"] = outcome_probabilities(v, plus_plus_state())
-    return ProbabilityTable(rows=rows)
+    """Synthetic five-row table (four basis inputs plus |++>) for a gate, or
+    one table of (..., 4) rows for a (..., 4, 4) stack of gates."""
+    states = np.vstack([np.eye(4, dtype=complex), plus_plus_state()])
+    return _synthetic_table(v, BASIS_LABELS + ("++",), states)
 
 
 def table_from_plan(v: np.ndarray, plan: "ProtocolPlan") -> ProbabilityTable:
     """Synthetic table with one row per protocol-plan state."""
-    rows = {label: outcome_probabilities(v, state) for label, state in plan.states}
-    return ProbabilityTable(rows=rows)
+    return _synthetic_table(v, plan.labels, np.array([state for _, state in plan.states]))
 
 
 def chi_populations(table: ProbabilityTable) -> np.ndarray:
@@ -77,22 +80,21 @@ def chi_populations(table: ProbabilityTable) -> np.ndarray:
     p(kq; chi) = p(kq | ++) - (1/4) sum_nm p(kq | nm); the four values sum
     to zero because chi is traceless.
     """
-    missing = table.missing(BASIS_LABELS + ("++",))
-    if missing:
-        raise ValidationError(f"probability table is missing required row(s) {missing}")
+    table.require(BASIS_LABELS + ("++",))
     basis_mean = sum(table.rows[label] for label in BASIS_LABELS) / 4.0
     return table.rows["++"] - basis_mean
 
 
-def g_chi_from_table(table: ProbabilityTable, hamiltonian: LocalHamiltonian) -> float:
+def g_chi_from_table(table: ProbabilityTable, hamiltonian: LocalHamiltonian):
     """Coherence contribution to the characteristic function at u = i.
 
     Returns Tr[e^H |++><++|] * sum_kq e^{-E_kq} p(kq; chi); the first factor,
     the initial moment of the |++> input, is sum_k e^{E_k} / 4 (cosh(1)^2 here).
+    A stacked table, of (..., 4) rows, gives one value per gate of its stack.
     """
     plus_plus_moment = float(hamiltonian.exp_diag(1.0).sum()) / 4
     populations = chi_populations(table)
-    return float(plus_plus_moment * np.sum(hamiltonian.exp_diag(-1.0) * populations))
+    return plus_plus_moment * np.sum(hamiltonian.exp_diag(-1.0) * populations, axis=-1)
 
 
 def schmidt_rank(psi: np.ndarray) -> int:
@@ -135,9 +137,7 @@ def protocol_plan(kind: str, phase_theta: float = math.pi / 2) -> ProtocolPlan:
     The default phase_theta = pi/2 makes the phase-state row read out the
     difference of the two real parts that |++> only provides the sum of.
     """
-    states: list[tuple[str, np.ndarray]] = [
-        (label, basis_state(4, i)) for i, label in enumerate(BASIS_LABELS)
-    ]
+    states: list[tuple[str, np.ndarray]] = list(zip(BASIS_LABELS, np.eye(4, dtype=complex)))
     if kind == "straightforward":
         for i in range(4):
             for j in range(i + 1, 4):
@@ -149,10 +149,7 @@ def protocol_plan(kind: str, phase_theta: float = math.pi / 2) -> ProtocolPlan:
         for i, j in separable_pairs:
             states.append((f"{BASIS_LABELS[i]}+{BASIS_LABELS[j]}", _pair_state(i, j, 1.0)))
         for i, j in separable_pairs:
-            psi = np.zeros(4, dtype=complex)
-            psi[i] = 1.0
-            psi[j] = -1j
-            states.append((f"{BASIS_LABELS[i]}-i{BASIS_LABELS[j]}", psi / math.sqrt(2)))
+            states.append((f"{BASIS_LABELS[i]}-i{BASIS_LABELS[j]}", _pair_state(j, i, -1j)))
         states.append(("++", plus_plus_state()))
         phase = np.exp(1j * phase_theta)
         states.append(("phase", 0.5 * np.array([1j * phase, 1j, phase, 1.0])))
@@ -216,9 +213,7 @@ def transition_tensor_from_tables(plan: ProtocolPlan, table: ProbabilityTable) -
     by least squares and the largest column residual is reported.
     The input table is not modified.
     """
-    missing = table.missing(plan.labels)
-    if missing:
-        raise ValidationError(f"probability table is missing required row(s) {missing}")
+    table.require(plan.labels)
     amplitudes = np.array([state for _, state in plan.states])
     i, j = np.triu_indices(4, 1)  # the six entries above the diagonal
     cross = amplitudes[:, i].conj() * amplitudes[:, j]
@@ -257,26 +252,21 @@ def load_probability_table(
 ) -> ProbabilityTable:
     """Parse a probability-table CSV (header ``input,p00,p01,p10,p11``).
 
-    ``#`` lines are comments; ``# key = value`` comments become table
-    metadata. Rows with probabilities outside [0, 1] or sums off 1 beyond
-    `sum_tolerance` are flagged (and renormalized when `renormalize` is
-    set), never rejected: counting data is allowed to be noisy. Structural
-    problems (bad header, wrong field count, non-numeric or non-finite
-    values) raise ParseError with the line number, and so does a source
-    that is not UTF-8 text, without one; duplicate labels raise
-    ValidationError, as does a non-finite or negative `sum_tolerance`.
+    `source` is a path or the file's bytes, UTF-8 with or without a
+    byte-order mark. ``#`` lines are comments; ``# key = value`` comments
+    become table metadata. Rows with probabilities outside [0, 1] or sums
+    off 1 beyond `sum_tolerance` are flagged (and renormalized when
+    `renormalize` is set), never rejected: counting data is allowed to be
+    noisy. Structural problems (bad header, wrong field count, non-numeric
+    or non-finite values) raise ParseError with the line number, and so
+    does a source that is not UTF-8 text, without one; duplicate labels
+    raise ValidationError, as does a non-finite or negative `sum_tolerance`.
     """
     if not (math.isfinite(sum_tolerance) and sum_tolerance >= 0):
         raise ValidationError(f"sum tolerance must be finite and >= 0, got {sum_tolerance!r}")
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        elif isinstance(source, bytes):
-            text = source.decode("utf-8")
-        else:
-            text = source.read()
-            if isinstance(text, bytes):
-                text = text.decode("utf-8")
+        text = data.decode("utf-8-sig")  # drops the byte-order mark of a "CSV UTF-8" export
     except UnicodeDecodeError as exc:
         raise ParseError(f"the table is not UTF-8 text ({exc.reason})") from None
 
@@ -284,7 +274,8 @@ def load_probability_table(
     metadata: dict[str, float] = {}
     flags: list[str] = []
     header_seen = False
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
+    # newline=None: \r\n, \r and \n all end a line, as in a file opened as text
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line:
             continue

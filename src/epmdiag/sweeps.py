@@ -269,10 +269,10 @@ def run_reconstruction(
     """Recover chi populations, G_chi and the eta_chi kernel per theta point.
 
     `measured` pairs each table with its theta. The k-th table of `ideal`
-    goes with the k-th measured table; when `ideal` is None each ideal
-    table is synthesized from the perfect gate at its theta. Rows come out
-    sorted by theta. A theory coherence-mismatch curve is included when phi
-    is given.
+    goes with the k-th measured table; when `ideal` is None the ideal
+    tables, of the perfect gate at every theta, are built as one stacked
+    table. Rows come out sorted by theta. A theory coherence-mismatch
+    curve is included when phi is given.
     """
     if error_family not in ERROR_FAMILIES:
         raise ValidationError(f"unknown error family {error_family!r}")
@@ -294,17 +294,19 @@ def run_reconstruction(
             ideal_gates, ERROR_FAMILIES[error_family](theta_array, phi))[:, 0]
     pops = np.zeros((len(tables), 4))
     g_measured, g_ideal, row_error = np.zeros((3, len(tables)))
+    if ideal is None:  # every synthetic table at once, and no flags to report
+        g_ideal = g_chi_from_table(gate_probability_table(ideal_gates), hamiltonian)
     flags: list[str] = []
     # a flagged row may hold values whose sums overflow; the writer refuses what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (k, theta, table) in enumerate(zip(order, thetas, tables)):
-            ideal_table = gate_probability_table(ideal_gates[i]) if ideal is None else ideal[k]
             pops[i] = chi_populations(table)
             g_measured[i] = g_chi_from_table(table, hamiltonian)
-            g_ideal[i] = g_chi_from_table(ideal_table, hamiltonian)
             row_error[i] = max(abs(float(np.sum(values)) - 1.0) for values in table.rows.values())
             flags.extend(f"theta {theta!r}: {flag}" for flag in table.flags)
-            flags.extend(f"theta {theta!r}: ideal {flag}" for flag in ideal_table.flags)
+            if ideal is not None:
+                g_ideal[i] = g_chi_from_table(ideal[k], hamiltonian)
+                flags.extend(f"theta {theta!r}: ideal {flag}" for flag in ideal[k].flags)
     return ReconstructionReport(
         thetas=theta_array, tables=tables, chi_pops=pops,
         g_chi_measured=g_measured, g_chi_ideal=g_ideal, eta_kernel=np.abs(g_measured - g_ideal),

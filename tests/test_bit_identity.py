@@ -1,19 +1,28 @@
-"""Bit-for-bit pins of the Haar draw and the gate constructors.
+"""Bit-for-bit pins of the Haar draw, the gate constructors and the synthetic tables.
 
 Every seeded output of the package starts from `haar_pure_states` and the
-three gate constructors, so they are compared with frozen reference
-expressions (Gaussian pairs divided by their norms; the `np.kron` sums of
-the gate definitions) as raw 64-bit words, and the constructors' stacked
-calls with their scalar ones. That makes signed zeros count,
-which `np.array_equal` would not.
+three gate constructors, and every theory table from the synthetic-table
+product, so they are compared with frozen reference expressions (Gaussian
+pairs divided by their norms; the `np.kron` sums of the gate definitions;
+|V psi|^2 row by row) as raw 64-bit words, and the stacked calls with
+their scalar ones. That makes signed zeros count, which `np.array_equal`
+would not.
 """
 import numpy as np
 import pytest
 
+from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, haar_pure_states
+from epmdiag.reconstruct import (
+    ProbabilityTable,
+    g_chi_from_table,
+    gate_probability_table,
+    protocol_plan,
+    table_from_plan,
+)
 from epmdiag.sweeps import MAX_ANGLE
-from helpers import SIGMA_MINUS, SIGMA_PLUS, philox_generator
+from helpers import SIGMA_MINUS, SIGMA_PLUS, haar_random_unitary, philox_generator
 
 
 def _bits(array):
@@ -49,6 +58,17 @@ def frozen_v_angle(theta, phi):
     sin_alpha = np.cos(phi / 2)
     block = 1j * cos_alpha * IDENTITY_2 + sin_alpha * frozen_r_gate(theta)
     return np.kron(SIGMA_PLUS, IDENTITY_2) + np.kron(SIGMA_MINUS, block)
+
+
+def frozen_row_probabilities(v, state):
+    out = v @ state
+    return out.real**2 + out.imag**2
+
+
+def frozen_gate_table_rows(v):
+    """The rows |V e_i|^2 (i = 0..3) and |V ++|^2, one matrix-vector product each."""
+    states = [*np.eye(4, dtype=complex), np.full(4, 0.5, dtype=complex)]
+    return np.array([frozen_row_probabilities(v, state) for state in states])
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -113,3 +133,55 @@ def test_stacked_gates_equal_the_scalar_calls_bit_for_bit():
                 assert np.array_equal(_bits(row[j]), scalar), (family, theta, phi)
                 assert np.array_equal(_bits(column[j]), _bits(family(phi, theta))), \
                     (family, phi, theta)
+
+
+def _table_stacks():
+    """g_gate over THETAS, and v_axis and v_angle over the THETAS x PHIS grid."""
+    thetas, phis = np.array(THETAS), np.array(PHIS)
+    return [g_gate(thetas), v_axis(thetas[:, None], phis), v_angle(thetas[:, None], phis)]
+
+
+def test_synthetic_tables_equal_the_per_row_builder_bit_for_bit():
+    # one product for all five rows, for one gate and for a stack of them,
+    # gives |V e_i|^2 and |V ++|^2 as the row-by-row products did
+    for stack in _table_stacks():
+        stacked = gate_probability_table(stack)
+        assert list(stacked.rows) == ["00", "01", "10", "11", "++"]
+        for index in np.ndindex(stack.shape[:-2]):
+            expected = _bits(frozen_gate_table_rows(stack[index]))
+            single = gate_probability_table(stack[index])
+            assert list(single.rows) == list(stacked.rows)
+            assert np.array_equal(_bits(np.array(list(single.rows.values()))), expected), index
+            sliced = np.array([row[index] for row in stacked.rows.values()])
+            assert np.array_equal(_bits(sliced), expected), index
+
+
+def test_stacked_g_chi_equals_the_per_table_calls_bit_for_bit():
+    # on the synthetic stacks, and on noisy rows that no gate makes
+    hamiltonian = local_hamiltonian_2q()
+    rng = np.random.default_rng(17)
+    noisy = ProbabilityTable(rows={label: rng.uniform(0.0, 1.0, (3, 50, 4))
+                                   for label in ("00", "01", "10", "11", "++")})
+    for stacked in [gate_probability_table(stack) for stack in _table_stacks()] + [noisy]:
+        values = g_chi_from_table(stacked, hamiltonian)
+        shape = next(iter(stacked.rows.values())).shape[:-1]
+        assert values.shape == shape
+        for index in np.ndindex(shape):
+            one = ProbabilityTable(rows={label: row[index] for label, row in stacked.rows.items()})
+            assert np.array_equal(_bits(values[index]),
+                                  _bits(np.float64(g_chi_from_table(one, hamiltonian)))), index
+
+
+def test_plan_tables_match_the_per_row_builder_to_rounding():
+    # plan states are not basis states, so one product may sum in another order
+    thetas, phis = np.array(THETAS), np.array(PHIS)
+    gates = [*g_gate(thetas), *v_axis(thetas[:, None], phis).reshape(-1, 4, 4),
+             *(haar_random_unitary(929 | k << 64, 4) for k in range(20))]
+    for kind in ("straightforward", "separable"):
+        plan = protocol_plan(kind)
+        for v in gates:
+            table = table_from_plan(v, plan)
+            assert list(table.rows) == list(plan.labels)
+            for label, state in plan.states:
+                frozen = frozen_row_probabilities(v, state)
+                assert np.max(np.abs(table.rows[label] - frozen)) <= 1e-15, (kind, label)

@@ -134,6 +134,24 @@ def test_reconstruct_non_utf8_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_reconstruct_reads_a_table_with_a_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export: a BOM before "# theta", and CRLF line ends
+    plain = tmp_path / "plain.csv"
+    write_probability_table(gate_probability_table(v_axis(0.3, 0.4)), plain,
+                            metadata={"theta": 0.3, "phi": 0.4})
+    text = plain.read_bytes().replace(b"\n", b"\r\n")
+    plain.write_bytes(text)
+    (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + text)
+    outputs = []
+    for name in ("plain", "marked"):
+        out = tmp_path / name / "r.csv"
+        result = run_cli("reconstruct", "--measured", str(tmp_path / f"{name}.csv"),
+                         "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        outputs.append((out.read_bytes(), out.with_name("r.meta.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_reconstruct_missing_row_exit_code(tmp_path):
     table = gate_probability_table(v_axis(0.2, 0.3))
     del table.rows["++"]

@@ -1,8 +1,10 @@
 import numpy as np
 
 from epmdiag.gates import g_gate, r_gate, v_angle, v_axis, waveplate_settings
-from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, basis_state
+from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 from helpers import SIGMA_PLUS
+
+BASIS = np.eye(4, dtype=complex)  # the computational basis states, as rows
 
 
 def test_r_gate_special_angles():
@@ -21,8 +23,8 @@ def test_r_gate_hermitian_unitary_periodic():
 
 
 def test_g_gate_flips_control_from_zero():
-    out = g_gate(0.0) @ basis_state(4, 0)
-    assert np.allclose(out, basis_state(4, 2), atol=1e-15)
+    out = g_gate(0.0) @ BASIS[0]
+    assert np.allclose(out, BASIS[2], atol=1e-15)
 
 
 def test_g_gate_unitary():
@@ -32,8 +34,8 @@ def test_g_gate_unitary():
 
 
 def test_g_gate_hadamard_action():
-    out = g_gate(np.pi / 8) @ basis_state(4, 1)
-    expected = (basis_state(4, 2) - basis_state(4, 3)) / np.sqrt(2)
+    out = g_gate(np.pi / 8) @ BASIS[1]
+    expected = (BASIS[2] - BASIS[3]) / np.sqrt(2)
     assert np.max(np.abs(out - expected)) < 1e-14
 
 

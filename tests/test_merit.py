@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epmdiag import merit, sweeps
 from epmdiag.element_sums import element_sum_coherence_fid, element_sum_kernel
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.linalg import basis_state, haar_pure_states, plus_plus_state
+from epmdiag.linalg import haar_pure_states, plus_plus_state
 from epmdiag.merit import (
     ETA_KINDS,
     HaarAverage,
@@ -24,6 +25,7 @@ from epmdiag.sweeps import SweepConfig, point_seed, run_sweep
 from helpers import child_env, haar_random_unitary, l1_coherence
 
 H = local_hamiltonian_2q()
+BASIS = np.eye(4, dtype=complex)  # the computational basis states, as rows
 
 
 def random_tuple(index, gen):
@@ -49,7 +51,7 @@ def test_coherence_kernel_zero_for_equal_gates():
 
 
 def test_coherence_kernel_analytic_point():
-    value = kernel_coherence_fid(basis_state(4, 0), g_gate(np.pi / 8), v_axis(np.pi / 8, np.pi / 2))
+    value = kernel_coherence_fid(BASIS[0], g_gate(np.pi / 8), v_axis(np.pi / 8, np.pi / 2))
     assert abs(value - 1.0) < 1e-12
     # the |++> input of the fig3 curves, against the element-sum oracle
     psi = plus_plus_state()
@@ -62,7 +64,7 @@ def test_coherence_kernel_closed_form_grid():
     # 2 |cos 2t cos p| sqrt(sin^2 2t cos^2 p + sin^2 p); cross-checked by a
     # dense-matrix computation of the two output coherences.
     phi = np.pi / 9
-    psi = basis_state(4, 0)
+    psi = BASIS[0]
     for theta in np.linspace(0.0, np.pi / 4, 5):
         u, v = g_gate(theta), v_axis(theta, phi)
         closed = abs(
@@ -98,7 +100,7 @@ def test_fidelity_kernel_matches_trace_form():
 
 
 def test_fidelity_kernel_orthogonal_outputs():
-    value = kernel_values(MeritKind.FIDELITY, basis_state(4, 0), g_gate(0.0),
+    value = kernel_values(MeritKind.FIDELITY, BASIS[0], g_gate(0.0),
                           v_axis(0.0, np.pi / 2))[0]
     assert value < 1e-12
 
@@ -120,7 +122,7 @@ def test_eta_kernels_zero_for_equal_gates():
 
 
 def test_eta_chi_zero_for_diagonal_input():
-    psi = basis_state(4, 1)
+    psi = BASIS[1]
     for theta in (0.0, 0.4, 1.1):
         for phi in (0.3, 1.0, 2.2):
             for family in (v_axis, v_angle):
@@ -370,15 +372,16 @@ def _in_a_fresh_thread(fn):
 
 
 def test_haar_average_workspace_reuse_keeps_every_bit():
-    # the (B, n) keys change from case to case and come back, and each case
-    # runs twice, the second time on the workspace of the first; calls of one
-    # kind alternate with calls of every kind at once; every result must
-    # equal the same call made first, before any workspace existed
+    # the (B, n) sizes change from case to case and come back, a tail-sized
+    # call sits between two calls of one size, and each case runs twice, the
+    # second time on the workspace of the first; calls of one kind alternate
+    # with calls of every kind at once; every result must equal the same
+    # call made first, before any workspace existed
     theta = 0.7
     u = g_gate(theta)
     calls = []
     for kind in [kinds for single in MeritKind for kinds in (single, tuple(MeritKind))]:
-        for b, n in ((2, 5000), (1, 5000), (81, 100), (2, 5000)):
+        for b, n in ((2, 5000), (1, 5000), (81, 100), (3, 100), (81, 100), (2, 5000)):
             phis = np.linspace(0.0, 3.0, b)  # phi = 0: the null point, where no row differs
             seeds = point_seed(11, np.arange(b) + 1000 * len(calls), MeritKind.ETA_CHI)
             gates = np.stack([v_axis(theta, phi) for phi in phis])
@@ -392,6 +395,25 @@ def test_haar_average_workspace_reuse_keeps_every_bit():
     fresh = [_in_a_fresh_thread(lambda args=args: _bits(call(*args))) for args in calls]
     for args, expected in zip(calls, fresh):
         assert [_bits(call(*args)), _bits(call(*args))] == [expected, expected], args[0]
+
+
+def test_one_workspace_serves_every_draw_of_a_thread(monkeypatch):
+    # rows of 5 points in chunks of 2, 2 and a 1-point tail: the thread's
+    # workspace grows to its largest draw and serves the smaller ones too
+    config = SweepConfig(theta_points=3, phi_points=5, n_samples=300, master_seed=5)
+    reference = run_sweep(config)  # 27 points per chunk: each row in one call
+    made = []
+
+    class CountingWorkspace(merit.Workspace):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(merit, "Workspace", CountingWorkspace)
+    monkeypatch.setattr(sweeps, "STATE_BUDGET", 2 * config.n_samples)
+    for threads in (1, 2):
+        assert _in_a_fresh_thread(lambda: run_sweep(config)).records == reference.records
+        assert len(made) == threads
 
 
 def test_draws_and_kernels_outside_haar_average_return_new_arrays():

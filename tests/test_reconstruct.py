@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -10,14 +9,13 @@ from epmdiag.element_sums import epm_char_fn
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ParseError, ValidationError
 from epmdiag.gates import v_axis
-from epmdiag.linalg import basis_state, haar_pure_states, plus_plus_state
+from epmdiag.linalg import haar_pure_states, plus_plus_state
 from epmdiag.reconstruct import (
     char_fn_from_tensor,
     chi_populations,
     g_chi_from_table,
     gate_probability_table,
     load_probability_table,
-    outcome_probabilities,
     protocol_plan,
     schmidt_rank,
     table_from_plan,
@@ -34,7 +32,7 @@ CHI_PP = RHO_PP - np.diag(np.diag(RHO_PP))
 def test_outcome_probabilities_axis_error_analytic():
     for theta in (0.0, 0.3, np.pi / 8):
         for phi in (0.2, np.pi / 9, 1.1):
-            probs = outcome_probabilities(v_axis(theta, phi), basis_state(4, 0))
+            probs = gate_probability_table(v_axis(theta, phi)).rows["00"]
             assert abs(probs[2] - np.cos(2 * theta) ** 2 * np.cos(phi) ** 2) < 1e-12
             expected_p11 = np.sin(2 * theta) ** 2 * np.cos(phi) ** 2 + np.sin(phi) ** 2
             assert abs(probs[3] - expected_p11) < 1e-12
@@ -42,11 +40,11 @@ def test_outcome_probabilities_axis_error_analytic():
 
 
 def test_outcome_probabilities_identity():
-    assert np.array_equal(outcome_probabilities(np.eye(4), basis_state(4, 1)), [0, 1, 0, 0])
+    assert np.array_equal(gate_probability_table(np.eye(4)).rows["01"], [0, 1, 0, 0])
 
 
 def test_outcome_probabilities_normalized():
-    probs = outcome_probabilities(v_axis(np.pi / 8, np.pi / 9), plus_plus_state())
+    probs = gate_probability_table(v_axis(np.pi / 8, np.pi / 9)).rows["++"]
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
@@ -200,7 +198,7 @@ def test_char_fn_from_tensor_basis_state():
         expected = float(
             sum(np.exp(-H.energies[a]) * tensor.entries[a, i, i].real for a in range(4))
         )
-        assert abs(char_fn_from_tensor(basis_state(4, i), tensor, H) - expected) < 1e-12
+        assert abs(char_fn_from_tensor(np.eye(4)[i], tensor, H) - expected) < 1e-12
 
 
 def test_char_fn_from_tensor_matches_trace():
@@ -234,7 +232,7 @@ input,p00,p01,p10,p11
 
 
 def test_load_well_formed_table():
-    table = load_probability_table(io.StringIO(WELL_FORMED))
+    table = load_probability_table(WELL_FORMED.encode())
     assert set(table.rows) == {"00", "01", "10", "11", "++"}
     assert table.metadata["theta"] == 0.25
     assert table.flags == []
@@ -246,38 +244,49 @@ def test_load_accepts_bytes():
     assert len(table.rows) == 5
 
 
+def test_load_ignores_a_byte_order_mark():
+    # spreadsheet "CSV UTF-8" exports start with one, before the first comment
+    plain = load_probability_table(WELL_FORMED.encode())
+    marked = load_probability_table(b"\xef\xbb\xbf" + WELL_FORMED.encode())
+    assert marked.metadata == plain.metadata == {"theta": 0.25}
+    assert marked.flags == plain.flags == []
+    assert list(marked.rows) == list(plain.rows)
+    for label, values in plain.rows.items():
+        assert np.array_equal(marked.rows[label], values)
+
+
 def test_load_flags_and_renormalizes_bad_sum():
     text = "input,p00,p01,p10,p11\n00,0.4,0.3,0.1,0.1\n"
-    table = load_probability_table(io.StringIO(text))
+    table = load_probability_table(text.encode())
     assert any("sums to" in flag for flag in table.flags)
     assert abs(table.rows["00"].sum() - 0.9) < 1e-12
 
-    renormalized = load_probability_table(io.StringIO(text), renormalize=True)
+    renormalized = load_probability_table(text.encode(), renormalize=True)
     assert abs(renormalized.rows["00"].sum() - 1.0) < 1e-12
     assert any("sums to" in flag for flag in renormalized.flags)
 
 
 def test_load_flags_out_of_range():
     text = "input,p00,p01,p10,p11\n00,1.02,-0.02,0.0,0.0\n"
-    table = load_probability_table(io.StringIO(text))
+    table = load_probability_table(text.encode())
     assert any("outside [0, 1]" in flag for flag in table.flags)
 
 
 def test_load_rejects_bad_header():
     with pytest.raises(ParseError, match="line 1"):
-        load_probability_table(io.StringIO("input,p00,p01,p10\n00,1,0,0\n"))
+        load_probability_table(b"input,p00,p01,p10\n00,1,0,0\n")
 
 
 def test_load_rejects_wrong_field_count():
     text = "input,p00,p01,p10,p11\n00,1.0,0.0,0.0\n"
     with pytest.raises(ParseError, match="line 2"):
-        load_probability_table(io.StringIO(text))
+        load_probability_table(text.encode())
 
 
 def test_load_rejects_non_numeric():
     text = "input,p00,p01,p10,p11\n00,1.0,zero,0.0,0.0\n"
     with pytest.raises(ParseError, match="line 2"):
-        load_probability_table(io.StringIO(text))
+        load_probability_table(text.encode())
 
 
 @pytest.mark.parametrize("text, line", [
@@ -288,13 +297,13 @@ def test_load_rejects_non_numeric():
 ])
 def test_load_rejects_non_finite(text, line):
     with pytest.raises(ParseError, match=f"line {line}: non-finite"):
-        load_probability_table(io.StringIO(text))
+        load_probability_table(text.encode())
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
 def test_load_rejects_bad_sum_tolerance(tolerance):
     with pytest.raises(ValidationError, match="sum tolerance"):
-        load_probability_table(io.StringIO(WELL_FORMED), sum_tolerance=tolerance)
+        load_probability_table(WELL_FORMED.encode(), sum_tolerance=tolerance)
 
 
 def test_load_rejects_non_utf8():
@@ -315,17 +324,14 @@ TABLE_ALPHABET = st.sampled_from(list("input,p0123456789.e-+#= \nnaif\x00\r") + 
     st.lists(TABLE_ALPHABET, max_size=80).map(
         lambda parts: "input,p00,p01,p10,p11\n" + "".join(parts)),
     st.binary(max_size=60).map(lambda tail: b"input,p00,p01,p10,p11\n00," + tail),
-), renormalize=st.booleans(), via=st.sampled_from(["object", "stream", "file"]))
+), renormalize=st.booleans(), via=st.sampled_from(["object", "file"]))
 def test_load_fuzz_raises_only_documented_errors(tmp_path_factory, source, renormalize, via):
-    # a str source is a path, so text goes in as a stream or a file
+    # a str source is a path, so text goes in as its bytes or as a file
+    source = source if isinstance(source, bytes) else source.encode("utf-8")
     if via == "file":
         path = tmp_path_factory.getbasetemp() / "fuzz_table.csv"
-        path.write_bytes(source if isinstance(source, bytes) else source.encode("utf-8"))
+        path.write_bytes(source)
         source = path
-    elif isinstance(source, str):
-        source = io.StringIO(source)
-    elif via == "stream":
-        source = io.BytesIO(source)
     try:
         load_probability_table(source, renormalize=renormalize)
     except (ParseError, ValidationError):
@@ -335,7 +341,7 @@ def test_load_fuzz_raises_only_documented_errors(tmp_path_factory, source, renor
 def test_load_rejects_duplicate_labels():
     text = "input,p00,p01,p10,p11\n00,1,0,0,0\n00,0,1,0,0\n"
     with pytest.raises(ValidationError, match="duplicate"):
-        load_probability_table(io.StringIO(text))
+        load_probability_table(text.encode())
 
 
 def test_write_read_round_trip(tmp_path):

@@ -1,6 +1,5 @@
 import concurrent.futures
 import dataclasses
-import io
 import json
 import math
 
@@ -331,8 +330,8 @@ def test_reconstruction_pairs_tables_by_position_at_a_repeated_theta():
 def test_reconstruction_reports_the_flags_of_ideal_tables():
     # each theta's measured flags, then its ideal table's, marked "ideal"
     rows = "01,0,1,0,0\n10,0,0,1,0\n11,0,0,0,1\n++,0.25,0.25,0.25,0.25\n"
-    off = load_probability_table(io.StringIO("input,p00,p01,p10,p11\n00,0.5,0,0,0\n" + rows))
-    good = load_probability_table(io.StringIO("input,p00,p01,p10,p11\n00,1,0,0,0\n" + rows))
+    off = load_probability_table(("input,p00,p01,p10,p11\n00,0.5,0,0,0\n" + rows).encode())
+    good = load_probability_table(("input,p00,p01,p10,p11\n00,1,0,0,0\n" + rows).encode())
     flag = "row '00' sums to 0.5, outside tolerance 0.02"
     assert off.flags == [flag] and good.flags == []
     report = run_reconstruction([(0.4, off), (0.1, good)], ideal=[off, good])
