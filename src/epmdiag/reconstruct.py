@@ -58,7 +58,8 @@ def _synthetic_table(v: np.ndarray, labels, states: np.ndarray) -> ProbabilityTa
     v = np.asarray(v, dtype=complex)
     if v.shape[-2:] != (4, 4):
         raise ValidationError(f"expected a 4x4 unitary or a stack of them, got shape {v.shape}")
-    out = states @ np.swapaxes(v, -1, -2)  # (..., rows, 4)
+    # einsum, not matmul: a BLAS matrix product would allocate its buffers and raise peak RSS
+    out = np.einsum("...kj,sj->...sk", v, states)  # (..., rows, 4)
     return ProbabilityTable(rows=dict(zip(labels, np.moveaxis(out.real**2 + out.imag**2, -2, 0))))
 
 
