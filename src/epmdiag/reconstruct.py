@@ -86,7 +86,7 @@ def chi_populations(table: ProbabilityTable) -> np.ndarray:
     return table.rows["++"] - basis_mean
 
 
-def g_chi_from_table(table: ProbabilityTable, hamiltonian: LocalHamiltonian):
+def g_chi_from_table(table: ProbabilityTable, hamiltonian: LocalHamiltonian) -> float | np.ndarray:
     """Coherence contribution to the characteristic function at u = i.
 
     Returns Tr[e^H |++><++|] * sum_kq e^{-E_kq} p(kq; chi); the first factor,
