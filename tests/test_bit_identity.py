@@ -169,7 +169,7 @@ def test_stacked_g_chi_equals_the_per_table_calls_bit_for_bit():
         for index in np.ndindex(shape):
             one = ProbabilityTable(rows={label: row[index] for label, row in stacked.rows.items()})
             assert np.array_equal(_bits(values[index]),
-                                  _bits(np.float64(g_chi_from_table(one, hamiltonian)))), index
+                                  _bits(g_chi_from_table(one, hamiltonian))), index
 
 
 def test_plan_tables_match_the_per_row_builder_to_rounding():
