@@ -14,13 +14,14 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .gates import waveplate_settings
 from .merit import MeritKind
-from .reconstruct import load_probability_table, protocol_plan, schmidt_rank
+from .reconstruct import BASIS_LABELS, load_probability_table, protocol_plan, schmidt_rank
 from .sweeps import (
     DEFAULT_MERITS,
     DEFAULT_RESOLUTION,
     DEFAULT_SAMPLES,
     ERROR_FAMILIES,
     SweepConfig,
+    _check_angles,
     _fmt,
     _json_text,
     preset_fig1,
@@ -154,10 +155,20 @@ def _cmd_fig3(args) -> None:
         print(f"wrote {path}")
 
 
+def _load_table(path: str, args):
+    """The table in `path`; a parse or validation error names the file."""
+    try:
+        table = load_probability_table(path, sum_tolerance=args.sum_tolerance,
+                                       renormalize=args.renormalize)
+        table.require(BASIS_LABELS + ("++",))
+    except (ParseError, ValidationError) as exc:
+        exc.args = (f"{path}: {exc}",)  # a ParseError keeps its line
+        raise
+    return table
+
+
 def _cmd_reconstruct(args) -> None:
-    tables = [load_probability_table(path, sum_tolerance=args.sum_tolerance,
-                                     renormalize=args.renormalize)
-              for path in args.measured]
+    tables = [_load_table(path, args) for path in args.measured]
     if args.thetas is not None:
         if len(args.thetas) != len(tables):
             raise ValidationError(
@@ -173,13 +184,7 @@ def _cmd_reconstruct(args) -> None:
                 )
             thetas.append(table.metadata["theta"])
     measured = list(zip(thetas, tables))
-    ideal = None
-    if args.ideal is not None:
-        if len(args.ideal) != len(args.measured):
-            raise ValidationError("--ideal must list one file per measured file")
-        ideal = [load_probability_table(path, sum_tolerance=args.sum_tolerance,
-                                        renormalize=args.renormalize)
-                 for path in args.ideal]
+    ideal = None if args.ideal is None else [_load_table(path, args) for path in args.ideal]
     phi = args.phi
     if phi is None:
         phis = {t.metadata["phi"] for t in tables if "phi" in t.metadata}
@@ -193,9 +198,8 @@ def _cmd_reconstruct(args) -> None:
 
 
 def _cmd_protocol(args) -> None:
-    angles = [args.phase_theta] + [x for x in (args.theta, args.phi) if x is not None]
-    if not all(math.isfinite(x) for x in angles):
-        raise ValidationError("--phase-theta, --theta and --phi must be finite")
+    _check_angles([x for x in (args.phase_theta, args.theta, args.phi) if x is not None],
+                  "protocol angle")
     plan = protocol_plan(args.kind, phase_theta=args.phase_theta)
     doc = {
         "kind": plan.kind,

@@ -8,8 +8,11 @@ a draw's seed is its 128-bit Philox key.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import mmap
 import operator
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -31,39 +34,34 @@ def plus_plus_state() -> np.ndarray:
     return np.full(4, 0.5, dtype=complex)
 
 
-class Workspace:
-    """Scratch memory that one Haar draw leaves for the next to reuse.
+class _Held(threading.local):  # a thread's draw buffer, and what its last draw needed
+    buffer = np.empty(0)
+    needed = 0
 
-    Arrays are cut from one byte buffer in the order they are asked for, and
-    `rewind()` starts a draw. A request past the end of the buffer gets an
-    array of its own, and the next draw finds a buffer as large as this one
-    needed. The buffer never shrinks, so a draw no larger than an earlier one
-    allocates nothing. An array stays valid until the next `rewind()` hands
-    its bytes out again.
-    """
 
-    def __init__(self):
-        self._buffer = np.empty(0, np.uint8)
-        self._used = 0
+_held = _Held()
 
-    def rewind(self) -> "Workspace":
-        if self._used > self._buffer.size:
-            self._buffer = np.empty(self._used, np.uint8)
-        self._used = 0
-        return self
 
-    def empty(self, shape, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        start = self._used
-        self._used += -(-nbytes // 64) * 64  # whole 64-byte steps keep each array aligned
-        if self._used > self._buffer.size:
-            return np.empty(shape, dtype)
-        return self._buffer[start:start + nbytes].view(dtype).reshape(shape)
+def _draw_arrays(shapes: list[tuple[int, ...]], reuse: bool) -> list[np.ndarray]:
+    """New float arrays of the given shapes, or with `reuse`, views of this
+    thread's buffer at 64-byte steps. A larger draw cuts its arrays from one
+    new block, and the next reusing draw maps (page-aligned, off the heap) a
+    buffer of that size. At fig1's size the block, unlike its arrays, is above
+    the mmap threshold the imports leave, so freeing it raises that threshold
+    and the kernels' temporaries stay on the heap."""
+    if not reuse:
+        return [np.empty(shape) for shape in shapes]
+    starts = list(itertools.accumulate((-(-math.prod(s) // 8) * 8 for s in shapes), initial=0))
+    if _held.needed > _held.buffer.size:  # the buffer never shrinks
+        mapping = mmap.mmap(-1, 8 * _held.needed, access=mmap.ACCESS_COPY)  # private to a fork
+        _held.buffer = np.frombuffer(mapping, float)
+    _held.needed = starts[-1]
+    memory = _held.buffer if _held.needed <= _held.buffer.size else np.empty(_held.needed)
+    return [memory[a:a + math.prod(s)].reshape(s) for a, s in zip(starts, shapes)]
 
 
 def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
-                     workspace: Workspace | None = None) -> np.ndarray:
+                     reuse: bool = False) -> np.ndarray:
     """Draw n Haar-random pure states as the rows of an (n, dim) array.
 
     Each row is an i.i.d. standard complex Gaussian vector normalized to
@@ -74,8 +72,9 @@ def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
     drawn, or in which order. Rows are filled in order, so row 0 equals the
     single-state draw from the same key and prefixes of a batch are
     batch-size independent. A sequence of B keys gives a (B, n, dim) stack
-    whose slice b equals the draw from key b alone. The arrays, the states
-    included, come from `workspace` when one is given, and are new otherwise.
+    whose slice b equals the draw from key b alone. With `reuse`, the arrays,
+    the states included, come from one buffer per thread that the thread's
+    next reusing draw hands out again; otherwise they are new.
     """
     if dim not in SUPPORTED_DIMS:
         raise ValidationError(f"unsupported dimension {dim}, expected one of {SUPPORTED_DIMS}")
@@ -86,9 +85,9 @@ def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
     refused = [k for k in keys if not 0 <= k < 2**128]
     if refused:
         raise ValidationError(f"a Philox key lies in [0, 2**128), got {refused[0]}")
-    ws = Workspace() if workspace is None else workspace
-    states = ws.empty((len(keys), n, dim), complex)
-    gauss = ws.empty((len(keys), n, 2 * dim), float)
+    shape = (len(keys), n)
+    states, gauss, norms_sq, pair = _draw_arrays([shape + (2 * dim,)] * 2 + [shape] * 2, reuse)
+    states = states.view(complex)
     # One Philox re-keyed per key: a fresh key with counter 0 and an empty
     # buffer is the state Philox(key=...) starts from, at a fraction of the
     # cost of building a generator per key.
@@ -102,8 +101,7 @@ def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
     # The squares take the states' memory, which they leave before the states arrive.
     squares = np.multiply(gauss, gauss, out=states.view(float))
     # |z_0|^2 + |z_1|^2 + ... summed left to right, as np.sum does along a row.
-    norms_sq = np.add(squares[..., 0], squares[..., dim], out=ws.empty(states.shape[:-1], float))
-    pair = ws.empty(norms_sq.shape, float)
+    np.add(squares[..., 0], squares[..., dim], out=norms_sq)
     for k in range(1, dim):
         norms_sq += np.add(squares[..., k], squares[..., dim + k], out=pair)
     # Dividing a complex array by a real one multiplies by the reciprocal, so

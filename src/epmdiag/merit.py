@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .energetics import LocalHamiltonian
 from .errors import ValidationError
-from .linalg import Workspace, haar_pure_states
+from .linalg import haar_pure_states
 
 
 class MeritKind(enum.Enum):
@@ -272,18 +271,6 @@ class HaarAverage:
     std_error: float
 
 
-# The workspace of this thread's haar_average calls.
-_held = threading.local()
-
-
-def _workspace() -> Workspace:
-    """This thread's workspace, rewound. It grows to the thread's largest
-    draw and serves every smaller one, such as the tail chunk of a row."""
-    if not hasattr(_held, "workspace"):
-        _held.workspace = Workspace()
-    return _held.workspace.rewind()
-
-
 def haar_average(
     kind: MeritKind | tuple[MeritKind, ...],
     u_ideal: np.ndarray,
@@ -305,16 +292,13 @@ def haar_average(
     and seed; the B draws, kernels and reductions run as one batch. With a
     tuple of kinds, the states are drawn once and every kind's kernel runs
     on them; the result is a tuple with one entry per kind, each equal to
-    the call with that kind alone. The draw's arrays, the states included,
-    live in one workspace per thread that every later call of the thread
-    reuses, so a row's calls allocate them once.
+    the call with that kind alone. The draw reuses its thread's buffer
+    (linalg.haar_pure_states), so a row's calls allocate its arrays once.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     u_ideal = np.asarray(u_ideal, dtype=complex)
     single = np.ndim(v_noisy) == 2
     seeds = [seed] if single else seed
-    states = haar_pure_states(seeds, u_ideal.shape[0], n_samples, workspace=_workspace())
+    states = haar_pure_states(seeds, u_ideal.shape[0], n_samples, reuse=True)
     v_stack = np.reshape(np.asarray(v_noisy, dtype=complex), (-1,) + u_ideal.shape)
     results = []
     for one_kind in kind if isinstance(kind, tuple) else (kind,):

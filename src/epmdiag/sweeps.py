@@ -99,6 +99,8 @@ class SweepConfig:
             raise ValidationError(f"the master seed must be in [0, 2**64), got {self.master_seed}")
         if not self.merits:
             raise ValidationError("at least one merit must be requested")
+        if len(set(self.merits)) < len(self.merits):
+            raise ValidationError("each merit may be requested once only")
         _check_angles((self.theta_lo, self.theta_hi) + self.phi_bounds(), "sweep range")
         return self
 

@@ -118,10 +118,15 @@ def test_reconstruct_identical_measured_and_ideal(tmp_path):
 def test_reconstruct_malformed_csv_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("input,p00,p01,p10,p11\n00,0.5,oops,0.2,0.1\n")
-    result = run_cli("reconstruct", "--measured", str(bad), "--thetas", "0.1",
-                     "--out", str(tmp_path / "r.csv"))
-    assert result.returncode == 4
-    assert "line 2" in result.stderr
+    good = tmp_path / "good.csv"
+    write_probability_table(gate_probability_table(v_axis(0.2, 0.3)), good,
+                            metadata={"theta": 0.2})
+    for files in (("--measured", str(bad), "--thetas", "0.1"),
+                  ("--measured", str(good), str(bad)),
+                  ("--measured", str(good), "--ideal", str(bad))):
+        result = run_cli("reconstruct", *files, "--out", str(tmp_path / "r.csv"))
+        assert result.returncode == 4, files
+        assert f"{bad}: line 2" in result.stderr, files
 
 
 def test_reconstruct_non_utf8_exit_code(tmp_path):
@@ -157,9 +162,13 @@ def test_reconstruct_missing_row_exit_code(tmp_path):
     del table.rows["++"]
     path = tmp_path / "incomplete.csv"
     write_probability_table(table, path, metadata={"theta": 0.2})
-    result = run_cli("reconstruct", "--measured", str(path), "--out", str(tmp_path / "r.csv"))
-    assert result.returncode == 2
-    assert "++" in result.stderr
+    good = tmp_path / "good.csv"
+    write_probability_table(gate_probability_table(v_axis(0.2, 0.3)), good,
+                            metadata={"theta": 0.2})
+    for files in (("--measured", str(path)), ("--measured", str(good), "--ideal", str(path))):
+        result = run_cli("reconstruct", *files, "--out", str(tmp_path / "r.csv"))
+        assert result.returncode == 2, files
+        assert f"{path}: " in result.stderr and "++" in result.stderr, files
 
 
 def test_reconstruct_requires_theta(tmp_path):
@@ -323,11 +332,25 @@ def test_overflowing_angle_exit_code(tmp_path):
                           "--samples", "5"), "1e+308"),
                         (("reconstruct", "--measured", str(table), "--thetas", "1e308"),
                          "1e+308"),
-                        (("fig3", "--theta-points", "3", "--phi", "1e300"), "1e+300")):
+                        (("fig3", "--theta-points", "3", "--phi", "1e300"), "1e+300"),
+                        (("protocol", "--kind", "separable", "--theta", "1e300", "--phi", "0.1"),
+                         "1e+300")):
         result = run_cli(*args, "--out", str(out))
         assert result.returncode == 2, (args, result.stderr)
         assert f"{angle} is not a finite angle" in result.stderr, result.stderr
         assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+        assert not out.exists()
+
+
+def test_repeated_merit_exit_code(tmp_path):
+    # a merit named twice would write each of its rows twice
+    out = tmp_path / "out.csv"
+    for args in (("sweep", "--resolution", "2", "--samples", "5", "--out", str(out)),
+                 ("haar-avg", "--theta", "0.4", "--phi", "0.1", "--samples", "5")):
+        result = run_cli(*args, "--merit", "eta_chi", "--merit", "fidelity",
+                         "--merit", "eta_chi")
+        assert result.returncode == 2, (args, result.stderr)
+        assert "once" in result.stderr and result.stdout == ""
         assert not out.exists()
 
 
@@ -486,8 +509,11 @@ def _argv(command, *flags):
         lambda parts: [command, *(arg for part in parts for arg in part)])
 
 
-MERITS = (st.lists(st.sampled_from([kind.value for kind in MeritKind]), max_size=2).map(
-              lambda names: [arg for name in names for arg in ("--merit", name)]), None)
+MERITS = (st.lists(st.sampled_from([kind.value for kind in MeritKind]), max_size=2,
+                   unique=True).map(
+              lambda names: [arg for name in names for arg in ("--merit", name)]),
+          st.sampled_from([kind.value for kind in MeritKind]).map(
+              lambda name: ["--merit", name, "--merit", name]))
 RENORMALIZE = (st.sampled_from([[], ["--renormalize"]]), None)
 CLI_ARGVS = {
     "sweep": _argv(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epmdiag import merit, sweeps
+from epmdiag import linalg, merit, sweeps
 from epmdiag.element_sums import element_sum_coherence_fid, element_sum_kernel
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
@@ -397,23 +397,27 @@ def test_haar_average_workspace_reuse_keeps_every_bit():
         assert [_bits(call(*args)), _bits(call(*args))] == [expected, expected], args[0]
 
 
-def test_one_workspace_serves_every_draw_of_a_thread(monkeypatch):
-    # rows of 5 points in chunks of 2, 2 and a 1-point tail: the thread's
-    # workspace grows to its largest draw and serves the smaller ones too
+def test_one_buffer_serves_every_draw_of_a_thread(monkeypatch):
+    # rows of 5 points in chunks of 2, 2 and a 1-point tail: a thread's first
+    # draw gets new arrays, its second allocates the buffer, and that buffer
+    # serves every later draw of the thread, the smaller tails included
     config = SweepConfig(theta_points=3, phi_points=5, n_samples=300, master_seed=5)
     reference = run_sweep(config)  # 27 points per chunk: each row in one call
-    made = []
+    draws = []
 
-    class CountingWorkspace(merit.Workspace):
-        def __init__(self):
-            made.append(self)
-            super().__init__()
+    def counting_draw(*args, **kwargs):
+        before = linalg._held.buffer
+        states = linalg.haar_pure_states(*args, **kwargs)
+        buffer = linalg._held.buffer
+        draws.append((buffer is not before, np.shares_memory(states, buffer)))
+        return states
 
-    monkeypatch.setattr(merit, "Workspace", CountingWorkspace)
+    monkeypatch.setattr(merit, "haar_pure_states", counting_draw)
     monkeypatch.setattr(sweeps, "STATE_BUDGET", 2 * config.n_samples)
-    for threads in (1, 2):
+    for _ in range(2):  # one thread, then a second with a buffer of its own
+        draws.clear()
         assert _in_a_fresh_thread(lambda: run_sweep(config)).records == reference.records
-        assert len(made) == threads
+        assert draws == [(False, False), (True, True)] + [(False, True)] * 7
 
 
 def test_draws_and_kernels_outside_haar_average_return_new_arrays():
