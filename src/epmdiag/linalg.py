@@ -49,7 +49,7 @@ def _draw_arrays(shapes: list[tuple[int, ...]], reuse: bool) -> list[np.ndarray]
     buffer of that size. At fig1's size the block, unlike its arrays, is above
     the mmap threshold the imports leave, so freeing it raises that threshold
     and the kernels' temporaries stay on the heap."""
-    if not reuse:
+    if not reuse:  # separate arrays, so kept states hold no normals alive
         return [np.empty(shape) for shape in shapes]
     starts = list(itertools.accumulate((-(-math.prod(s) // 8) * 8 for s in shapes), initial=0))
     if _held.needed > _held.buffer.size:  # the buffer never shrinks
