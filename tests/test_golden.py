@@ -5,7 +5,11 @@ writes: small sweeps for both error families with all six merits, one
 fig3, and a reconstruction over synthetic tables with and without phi,
 each as CSV (+ sidecar) and as JSON. A fig3 of a single theta point and a
 reconstruction given the ideal tables of the perfect gate pin the one-row
-normalization and the explicit ideal path, also in both formats. Three more CSV sweeps sit on the
+normalization and the explicit ideal path, also in both formats. Two more
+CSV reconstructions pin the loader's row sums: tables of every
+separable-plan row in shuffled order, where the worst row-sum error lies
+outside the five rows G_chi reads, and `--renormalize` on rows off their
+sums. Three more CSV sweeps sit on the
 edges of how a theta row is split into evaluation calls: one sample per
 point, more samples than one call holds, and rows of five points split
 unevenly, on a grid with theta from exactly 0 and phi symmetric about an
@@ -24,6 +28,7 @@ import pytest
 from epmdiag.cli import main
 from epmdiag.gates import g_gate, v_axis
 from epmdiag.merit import MeritKind
+from epmdiag.reconstruct import protocol_plan, table_from_plan
 
 NUMPY_VERSION = "2.4.6"
 
@@ -78,6 +83,14 @@ GOLDEN = {
     "reconstruct-ideal-json": {
         "out.json": "2a036a3efb24bb58920259343569f71ec1bce9f7db78dc7cb2d3afa49a516417",
     },
+    "reconstruct-extra-rows-csv": {
+        "out.csv": "3f3ffefd6b75f22a465f4adf1987bb8cd1a6783501b7c7d37cdf39c03c753cfa",
+        "out.meta.json": "0ecadf4751d6e435c3b0fbed27ce328ab70dd7fdb49493f1a6116d1e21e50a3c",
+    },
+    "reconstruct-renormalize-csv": {
+        "out.csv": "28f234a16a42a5ec6f906906964066730bfa9911e3830bf5cfe8338917e373b8",
+        "out.meta.json": "176036dc93fad22febd0622d0eb8e820de6bdd66a78fe818841b6baa2fcf793e",
+    },
     "sweep-one-sample-csv": {
         "out.csv": "4db97a5626c7d62ef534c7872738993f170b663939dc7458104486f1ba84e30c",
         "out.meta.json": "22fd3b37f624894c02bd98d10e693bcb33c27d44e3bc1cc6517b58a4e236ffb0",
@@ -108,24 +121,52 @@ TABLE_PHI = 0.35
 TABLE_THETAS = np.linspace(0.05, 1.2, 7)
 
 
-def _write_tables(directory, ideal=False):
-    """Seven five-row tables of the axis-error gate, one row pushed off its sum;
-    with `ideal`, the exact tables of the perfect gate."""
+# (table, row, factor): the rows pushed off their sums; row 4 is ++
+OFF_ROWS = ((3, 4, 0.9),)
+# for --renormalize: one above its sum, one nearly in tolerance, one halved
+RENORMALIZE_OFF_ROWS = ((3, 4, 0.9), (1, 0, 1.07), (5, 2, 0.975), (6, 1, 0.5))
+
+
+def _write_table_files(directory, tables):
+    """One CSV per (theta, [(label, row), ...]) of `tables`; the paths as str."""
     directory.mkdir()
-    inputs = np.vstack([np.eye(4), np.full(4, 0.5)])
     paths = []
-    for i, theta in enumerate(TABLE_THETAS):
-        gate = g_gate(float(theta)) if ideal else v_axis(float(theta), TABLE_PHI)
-        probabilities = np.abs(inputs @ gate.T) ** 2
-        if i == 3 and not ideal:
-            probabilities[4] *= 0.9
+    for i, (theta, rows) in enumerate(tables):
         lines = [f"# theta = {float(theta)!r}", "input,p00,p01,p10,p11"]
-        lines += [label + "," + ",".join(repr(float(p)) for p in row)
-                  for label, row in zip(("00", "01", "10", "11", "++"), probabilities)]
+        lines += [label + "," + ",".join(repr(float(p)) for p in row) for label, row in rows]
         path = directory / f"t{i}.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(str(path))
     return paths
+
+
+def _write_tables(directory, ideal=False, off_rows=OFF_ROWS):
+    """Seven five-row tables of the axis-error gate, the `off_rows` scaled off
+    their sums; with `ideal`, the exact tables of the perfect gate."""
+    inputs = np.vstack([np.eye(4), np.full(4, 0.5)])
+    tables = []
+    for i, theta in enumerate(TABLE_THETAS):
+        gate = g_gate(float(theta)) if ideal else v_axis(float(theta), TABLE_PHI)
+        probabilities = np.abs(inputs @ gate.T) ** 2
+        for table, row, factor in () if ideal else off_rows:
+            if table == i:
+                probabilities[row] *= factor
+        tables.append((theta, zip(("00", "01", "10", "11", "++"), probabilities)))
+    return _write_table_files(directory, tables)
+
+
+def _write_plan_tables(directory):
+    """Seven tables of all 14 separable-plan rows in shuffled order; in the
+    third, the row 00+01, outside the five that G_chi reads, is 10 % short."""
+    plan = protocol_plan("separable")
+    rng = np.random.default_rng(31)
+    tables = []
+    for i, theta in enumerate(TABLE_THETAS):
+        rows = table_from_plan(v_axis(float(theta), TABLE_PHI), plan).rows
+        labels = [str(label) for label in rng.permutation(plan.labels)]
+        tables.append((theta, [(label, rows[label] * (0.9 if i == 2 and label == "00+01" else 1))
+                               for label in labels]))
+    return _write_table_files(directory, tables)
 
 
 # Sweeps on the edges of the per-call state budget, all six merits.
@@ -161,14 +202,21 @@ def _argv(case, tmp_path):
     phi = ["--phi", repr(TABLE_PHI)] if name != "reconstruct-nophi" else []
     ideal = (["--ideal", *_write_tables(tmp_path / "ideal", ideal=True)]
              if name == "reconstruct-ideal" else [])
-    return ["reconstruct", "--measured", *_write_tables(tmp_path / "tables"), *ideal, *phi,
-            *tail]
+    if name == "reconstruct-extra-rows":
+        measured = _write_plan_tables(tmp_path / "tables")
+    elif name == "reconstruct-renormalize":
+        measured = [*_write_tables(tmp_path / "tables", off_rows=RENORMALIZE_OFF_ROWS),
+                    "--renormalize"]
+    else:
+        measured = _write_tables(tmp_path / "tables")
+    return ["reconstruct", "--measured", *measured, *ideal, *phi, *tail]
 
 
 CASES = [f"{name}-{fmt}" for name in ("sweep-axis", "sweep-angle", "fig3", "fig3-one-point",
                                       "reconstruct-phi", "reconstruct-nophi",
                                       "reconstruct-ideal", "haar-avg")
          for fmt in ("csv", "json")] + [f"{name}-csv" for name in BATCH_EDGE_SWEEPS] + [
+    "reconstruct-extra-rows-csv", "reconstruct-renormalize-csv",
     "protocol-separable-json", "protocol-straightforward-json"]
 
 
