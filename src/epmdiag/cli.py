@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .gates import waveplate_settings
 from .merit import MeritKind
-from .reconstruct import BASIS_LABELS, load_probability_table, protocol_plan, schmidt_rank
+from .reconstruct import CHI_LABELS, load_probability_table, protocol_plan, schmidt_rank
 from .sweeps import (
     DEFAULT_MERITS,
     DEFAULT_RESOLUTION,
@@ -160,7 +160,7 @@ def _load_table(path: str, args):
     try:
         table = load_probability_table(path, sum_tolerance=args.sum_tolerance,
                                        renormalize=args.renormalize)
-        table.require(BASIS_LABELS + ("++",))
+        table.require(CHI_LABELS)
     except (ParseError, ValidationError) as exc:
         exc.args = (f"{path}: {exc}",)  # a ParseError keeps its line
         raise

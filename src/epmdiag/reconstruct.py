@@ -30,6 +30,7 @@ from .linalg import plus_plus_state
 
 BASIS_LABELS = ("00", "01", "10", "11")
 OUTCOME_COLUMNS = ("p00", "p01", "p10", "p11")
+CHI_LABELS = BASIS_LABELS + ("++",)  # the five rows that chi populations read
 
 
 @dataclass
@@ -67,7 +68,7 @@ def gate_probability_table(v: np.ndarray) -> ProbabilityTable:
     """Synthetic five-row table (four basis inputs plus |++>) for a gate, or
     one table of (..., 4) rows for a (..., 4, 4) stack of gates."""
     states = np.vstack([np.eye(4, dtype=complex), plus_plus_state()])
-    return _synthetic_table(v, BASIS_LABELS + ("++",), states)
+    return _synthetic_table(v, CHI_LABELS, states)
 
 
 def table_from_plan(v: np.ndarray, plan: "ProtocolPlan") -> ProbabilityTable:
@@ -81,7 +82,7 @@ def chi_populations(table: ProbabilityTable) -> np.ndarray:
     p(kq; chi) = p(kq | ++) - (1/4) sum_nm p(kq | nm); the four values sum
     to zero because chi is traceless.
     """
-    table.require(BASIS_LABELS + ("++",))
+    table.require(CHI_LABELS)
     basis_mean = sum(table.rows[label] for label in BASIS_LABELS) / 4.0
     return table.rows["++"] - basis_mean
 
@@ -243,9 +244,6 @@ def char_fn_from_tensor(
     return float(moment.real)
 
 
-# a row sum or a renormalized value that overflows is inf (and flagged), not a warning;
-# one errstate per table, as entering it per row costs more than the row's arithmetic
-@np.errstate(over="ignore")
 def load_probability_table(
     source,
     sum_tolerance: float = 0.02,
@@ -262,6 +260,7 @@ def load_probability_table(
     or non-finite values) raise ParseError with the line number, and so
     does a source that is not UTF-8 text, without one; duplicate labels
     raise ValidationError, as does a non-finite or negative `sum_tolerance`.
+    Rows are checked as Python floats and stored as views of one array.
     """
     if not (math.isfinite(sum_tolerance) and sum_tolerance >= 0):
         raise ValidationError(f"sum tolerance must be finite and >= 0, got {sum_tolerance!r}")
@@ -271,7 +270,7 @@ def load_probability_table(
     except UnicodeDecodeError as exc:
         raise ParseError(f"the table is not UTF-8 text ({exc.reason})") from None
 
-    rows: dict[str, np.ndarray] = {}
+    rows: dict[str, list[float]] = {}
     metadata: dict[str, float] = {}
     flags: list[str] = []
     header_seen = False
@@ -307,20 +306,21 @@ def load_probability_table(
         if label in rows:
             raise ValidationError(f"duplicate input label {label!r}")
         try:
-            values = np.array([float(f) for f in fields[1:]])
+            row = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"non-numeric probability: {exc}", line=line_no) from None
-        lo, hi = float(values.min()), float(values.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):  # nan propagates through min/max
+        if not all(map(math.isfinite, row)):
             raise ParseError(f"non-finite probability in row {label!r}", line=line_no)
-        if lo < -1e-9 or hi > 1 + 1e-9:
+        if min(row) < -1e-9 or max(row) > 1 + 1e-9:
             flags.append(f"row {label!r} has probabilities outside [0, 1]")
-        row_sum = float(values.sum())
+        # numpy's bits for four values (not sum(), which compensates from 3.12); overflow is inf
+        row_sum = 0.0 + row[0] + row[1] + row[2] + row[3]
         if abs(row_sum - 1.0) > sum_tolerance:
             flags.append(f"row {label!r} sums to {row_sum!r}, outside tolerance {sum_tolerance}")
         if renormalize and row_sum != 0 and abs(row_sum - 1.0) > 1e-12:
-            values = values / row_sum
-        rows[label] = values
+            row = [x / row_sum for x in row]
+        rows[label] = row
     if not header_seen:
         raise ParseError("missing header line 'input,p00,p01,p10,p11'", line=1)
-    return ProbabilityTable(rows=rows, metadata=metadata, flags=flags)
+    return ProbabilityTable(rows=dict(zip(rows, np.array(list(rows.values())))),
+                            metadata=metadata, flags=flags)

@@ -26,6 +26,7 @@ from .linalg import plus_plus_state
 from .merit import MeritKind, haar_average, kernel_coherence_fid, kernel_values
 from .reconstruct import (
     BASIS_LABELS,
+    CHI_LABELS,
     ProbabilityTable,
     chi_populations,
     g_chi_from_table,
@@ -262,6 +263,14 @@ class ReconstructionReport:
     flags: list[str]
 
 
+def _stack(tables: list[ProbabilityTable]) -> ProbabilityTable:
+    """One table whose rows, the five that chi reads, are (T, 4) stacks over `tables`."""
+    for table in tables:
+        table.require(CHI_LABELS)
+    rows = np.array([[table.rows[label] for table in tables] for label in CHI_LABELS])
+    return ProbabilityTable(rows=dict(zip(CHI_LABELS, rows.reshape(5, len(tables), 4))))
+
+
 def run_reconstruction(
     measured: list[tuple[float, ProbabilityTable]],
     ideal: list[ProbabilityTable] | None = None,
@@ -274,7 +283,7 @@ def run_reconstruction(
     goes with the k-th measured table; when `ideal` is None the ideal
     tables, of the perfect gate at every theta, are built as one stacked
     table. Rows come out sorted by theta. A theory coherence-mismatch
-    curve is included when phi is given.
+    curve is included when phi is given. The columns come from one stack.
     """
     if error_family not in ERROR_FAMILIES:
         raise ValidationError(f"unknown error family {error_family!r}")
@@ -286,30 +295,30 @@ def run_reconstruction(
     order = sorted(range(len(measured)), key=lambda k: measured[k][0])
     thetas = [measured[k][0] for k in order]
     tables = [measured[k][1] for k in order]
+    ideal_tables = None if ideal is None else [ideal[k] for k in order]
     theta_array = np.array(thetas, dtype=float)
     ideal_gates = g_gate(theta_array)
-    # one stacked table, no flags; built after the coherence batch, it cost 0.1 MB of peak RSS
-    g_ideal = (g_chi_from_table(gate_probability_table(ideal_gates), hamiltonian)
-               if ideal is None else np.zeros(len(tables)))
     coherence = None
     if phi is not None:
         # one batched kernel call over every table's (ideal, noisy) gate pair
         coherence = kernel_values(
             MeritKind.COHERENCE_FIDELITY, np.broadcast_to(plus_plus_state(), (len(thetas), 1, 4)),
             ideal_gates, ERROR_FAMILIES[error_family](theta_array, phi))[:, 0]
-    pops = np.zeros((len(tables), 4))
-    g_measured, row_error = np.zeros((2, len(tables)))
-    flags: list[str] = []
-    # a flagged row may hold values whose sums overflow; the writer refuses what is not finite
+    # stacked after the coherence batch, as before it they added 0.4 MB of peak RSS; a flagged
+    # row may hold values whose sums overflow, and the writer refuses what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (k, theta, table) in enumerate(zip(order, thetas, tables)):
-            pops[i] = chi_populations(table)
-            g_measured[i] = g_chi_from_table(table, hamiltonian)
-            row_error[i] = max(abs(float(np.sum(values)) - 1.0) for values in table.rows.values())
-            flags.extend(f"theta {theta!r}: {flag}" for flag in table.flags)
-            if ideal is not None:
-                g_ideal[i] = g_chi_from_table(ideal[k], hamiltonian)
-                flags.extend(f"theta {theta!r}: ideal {flag}" for flag in ideal[k].flags)
+        g_ideal = g_chi_from_table(gate_probability_table(ideal_gates) if ideal is None
+                                   else _stack(ideal_tables), hamiltonian)
+        stacked = _stack(tables)
+        pops = chi_populations(stacked)
+        g_measured = g_chi_from_table(stacked, hamiltonian)
+        row_error = np.max([np.abs(rows.sum(axis=1) - 1.0) for rows in stacked.rows.values()], 0)
+        for i, table in enumerate(tables):
+            if len(table.rows) > 5:  # its rows outside the five count too
+                row_error[i] = max(abs(float(np.sum(row)) - 1.0) for row in table.rows.values())
+    groups = [("", tables)] + ([] if ideal is None else [("ideal ", ideal_tables)])
+    flags = [f"theta {theta!r}: {kind}{flag}"
+             for i, theta in enumerate(thetas) for kind, group in groups for flag in group[i].flags]
     return ReconstructionReport(
         thetas=theta_array, tables=tables, chi_pops=pops,
         g_chi_measured=g_measured, g_chi_ideal=g_ideal, eta_kernel=np.abs(g_measured - g_ideal),
@@ -407,11 +416,9 @@ def fig3_series(report: ReconstructionReport) -> list[tuple[str, np.ndarray]]:
     conditional probabilities, then the kernels and their max-normalized copies."""
     if report.coherence_kernel is None:
         raise ValidationError("fig3 series need the coherence curve of a report made with phi")
-    series = []
-    for label in (*BASIS_LABELS, "++"):
-        probabilities = np.array([table.rows[label] for table in report.tables])
-        series += [(f"p({outcome}|{label})", probabilities[:, col])
-                   for col, outcome in enumerate(BASIS_LABELS)]
+    series = [(f"p({outcome}|{label})", rows[:, col])
+              for label, rows in _stack(report.tables).rows.items()
+              for col, outcome in enumerate(BASIS_LABELS)]
     kernels = [("eta_chi_kernel", report.eta_kernel), ("coherence_kernel", report.coherence_kernel)]
     return series + kernels + [(name + "_max_norm", max_normalize(values))
                                for name, values in kernels]

@@ -1,27 +1,37 @@
-"""Bit-for-bit pins of the Haar draw, the gate constructors and the synthetic tables.
+"""Bit-for-bit pins of the Haar draw, the gate constructors, the synthetic tables and
+the table reader's row sums.
 
 Every seeded output of the package starts from `haar_pure_states` and the
 three gate constructors, and every theory table from the synthetic-table
 product, so they are compared with frozen reference expressions (Gaussian
 pairs divided by their norms; the `np.kron` sums of the gate definitions;
 |V psi|^2 row by row) as raw 64-bit words, and the stacked calls with
-their scalar ones. That makes signed zeros count, which `np.array_equal`
-would not.
+their scalar ones. The reader sums and renormalizes rows in Python floats
+and the reconstruction report works on one stack of tables, so both are
+compared with numpy's per-row and per-table results. That makes signed
+zeros count, which `np.array_equal` would not.
 """
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, haar_pure_states
 from epmdiag.reconstruct import (
+    CHI_LABELS,
     ProbabilityTable,
+    chi_populations,
     g_chi_from_table,
     gate_probability_table,
+    load_probability_table,
     protocol_plan,
     table_from_plan,
 )
-from epmdiag.sweeps import MAX_ANGLE
+from epmdiag.sweeps import MAX_ANGLE, run_reconstruction
 from helpers import SIGMA_MINUS, SIGMA_PLUS, haar_random_unitary, philox_generator
 
 
@@ -185,3 +195,60 @@ def test_plan_tables_match_the_per_row_builder_to_rounding():
             for label, state in plan.states:
                 frozen = frozen_row_probabilities(v, state)
                 assert np.max(np.abs(table.rows[label] - frozen)) <= 1e-15, (kind, label)
+
+
+# signed zeros, subnormals, overflowing magnitudes and values next to 1
+ROW_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+                     -1e308, 1.0, -1.0, 1 - 2**-53, 1 + 2**-52, 0.25, 0.1]),
+    st.floats(0.999, 1.001),
+    st.floats(-2.0, 2.0, allow_subnormal=True),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# one to three tables of the five rows chi reads; a sixth, outside them, in some
+TABLES = st.lists(st.tuples(st.lists(st.lists(ROW_VALUE, min_size=4, max_size=4),
+                                     min_size=5, max_size=5),
+                            st.none() | st.lists(ROW_VALUE, min_size=4, max_size=4)),
+                  min_size=1, max_size=3)
+
+
+def _same_bits(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(tables=TABLES)
+def test_reader_row_sums_and_report_equal_numpy_bit_for_bit(tables):
+    measured, expected_error = [], []
+    for t, (rows, extra) in enumerate(tables):
+        labelled = list(zip(CHI_LABELS, rows)) + ([] if extra is None else [("00+01", extra)])
+        text = "input,p00,p01,p10,p11\n" + "".join(
+            label + "," + ",".join(map(repr, row)) + "\n" for label, row in labelled)
+        # tolerance 0 flags every row whose sum is not exactly 1
+        table = load_probability_table(text.encode(), sum_tolerance=0.0)
+        renormalized = load_probability_table(text.encode(), sum_tolerance=0.0, renormalize=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = [np.array(row).sum() for _, row in labelled]
+            for (label, row), row_sum in zip(labelled, sums):
+                prefix = f"row {label!r} sums to "
+                flagged = [flag[len(prefix):].split(",")[0] for flag in table.flags
+                           if flag.startswith(prefix)]
+                assert flagged == ([] if row_sum == 1.0 else [repr(float(row_sum))]), label
+                if row_sum == 1.0:
+                    assert _same_bits(float(row_sum), 1.0)
+                else:
+                    assert _same_bits(float(flagged[0]), float(row_sum)), label
+                scaled = (np.array(row) / row_sum if row_sum != 0 and abs(row_sum - 1.0) > 1e-12
+                          else np.array(row))
+                assert np.array_equal(_bits(renormalized.rows[label]), _bits(scaled)), label
+                assert np.array_equal(_bits(table.rows[label]), _bits(np.array(row))), label
+            expected_error.append(max(abs(float(row_sum) - 1.0) for row_sum in sums))
+        measured.append((0.1 * t, table))
+
+    hamiltonian = local_hamiltonian_2q()
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_reconstruction(measured)
+        for t, (_, table) in enumerate(measured):
+            assert _same_bits(report.max_row_sum_error[t], expected_error[t]), t
+            assert np.array_equal(_bits(report.chi_pops[t]), _bits(chi_populations(table))), t
+            assert _same_bits(report.g_chi_measured[t], g_chi_from_table(table, hamiltonian)), t

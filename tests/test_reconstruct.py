@@ -289,11 +289,22 @@ def test_load_rejects_non_numeric():
         load_probability_table(text.encode())
 
 
+# nan, inf and -inf in each column of the second row; nan after a larger value,
+# which a check of the row's min and max alone would let through
+NON_FINITE_ROWS = [
+    "input,p00,p01,p10,p11\n00,1.0,0.0,0.0,0.0\n01,"
+    + ",".join(value if col == bad else "0.25" for col in range(4)) + "\n"
+    for value in ("nan", "inf", "-inf") for bad in range(4)
+]
+
+
 @pytest.mark.parametrize("text, line", [
     ("input,p00,p01,p10,p11\n00,nan,0.0,0.0,1.0\n", 2),
     ("input,p00,p01,p10,p11\n00,1.0,0.0,0.0,0.0\n01,0.0,inf,0.0,0.0\n", 3),
     ("input,p00,p01,p10,p11\n00,1.0,0.0,-inf,0.0\n", 2),
     ("# theta = nan\ninput,p00,p01,p10,p11\n00,1.0,0.0,0.0,0.0\n", 1),
+    ("input,p00,p01,p10,p11\n00,1.0,nan,0,0\n", 2),
+    *((text, 3) for text in NON_FINITE_ROWS),
 ])
 def test_load_rejects_non_finite(text, line):
     with pytest.raises(ParseError, match=f"line {line}: non-finite"):
