@@ -11,8 +11,6 @@ and the reconstruction report works on one stack of tables, so both are
 compared with numpy's per-row and per-table results. That makes signed
 zeros count, which `np.array_equal` would not.
 """
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,11 +210,7 @@ TABLES = st.lists(st.tuples(st.lists(st.lists(ROW_VALUE, min_size=4, max_size=4)
                   min_size=1, max_size=3)
 
 
-def _same_bits(a, b):
-    return struct.pack("<d", a) == struct.pack("<d", b)
-
-
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(tables=TABLES)
 def test_reader_row_sums_and_report_equal_numpy_bit_for_bit(tables):
     measured, expected_error = [], []
@@ -233,11 +227,8 @@ def test_reader_row_sums_and_report_equal_numpy_bit_for_bit(tables):
                 prefix = f"row {label!r} sums to "
                 flagged = [flag[len(prefix):].split(",")[0] for flag in table.flags
                            if flag.startswith(prefix)]
+                # repr() tells every two floats apart, signed zeros and inf included
                 assert flagged == ([] if row_sum == 1.0 else [repr(float(row_sum))]), label
-                if row_sum == 1.0:
-                    assert _same_bits(float(row_sum), 1.0)
-                else:
-                    assert _same_bits(float(flagged[0]), float(row_sum)), label
                 scaled = (np.array(row) / row_sum if row_sum != 0 and abs(row_sum - 1.0) > 1e-12
                           else np.array(row))
                 assert np.array_equal(_bits(renormalized.rows[label]), _bits(scaled)), label
@@ -249,6 +240,7 @@ def test_reader_row_sums_and_report_equal_numpy_bit_for_bit(tables):
     with np.errstate(over="ignore", invalid="ignore"):
         report = run_reconstruction(measured)
         for t, (_, table) in enumerate(measured):
-            assert _same_bits(report.max_row_sum_error[t], expected_error[t]), t
-            assert np.array_equal(_bits(report.chi_pops[t]), _bits(chi_populations(table))), t
-            assert _same_bits(report.g_chi_measured[t], g_chi_from_table(table, hamiltonian)), t
+            for column, value in ((report.max_row_sum_error, expected_error[t]),
+                                  (report.chi_pops, chi_populations(table)),
+                                  (report.g_chi_measured, g_chi_from_table(table, hamiltonian))):
+                assert np.array_equal(_bits(column[t]), _bits(value)), t

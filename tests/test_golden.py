@@ -202,14 +202,13 @@ def _argv(case, tmp_path):
     phi = ["--phi", repr(TABLE_PHI)] if name != "reconstruct-nophi" else []
     ideal = (["--ideal", *_write_tables(tmp_path / "ideal", ideal=True)]
              if name == "reconstruct-ideal" else [])
+    renormalize = ["--renormalize"] if name == "reconstruct-renormalize" else []
     if name == "reconstruct-extra-rows":
         measured = _write_plan_tables(tmp_path / "tables")
-    elif name == "reconstruct-renormalize":
-        measured = [*_write_tables(tmp_path / "tables", off_rows=RENORMALIZE_OFF_ROWS),
-                    "--renormalize"]
     else:
-        measured = _write_tables(tmp_path / "tables")
-    return ["reconstruct", "--measured", *measured, *ideal, *phi, *tail]
+        measured = _write_tables(tmp_path / "tables",
+                                 off_rows=RENORMALIZE_OFF_ROWS if renormalize else OFF_ROWS)
+    return ["reconstruct", "--measured", *measured, *ideal, *phi, *renormalize, *tail]
 
 
 CASES = [f"{name}-{fmt}" for name in ("sweep-axis", "sweep-angle", "fig3", "fig3-one-point",
