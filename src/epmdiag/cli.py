@@ -23,7 +23,8 @@ from .sweeps import (
     SweepConfig,
     _check_angles,
     _fmt,
-    _json_text,
+    _json_chunks,
+    _sweep_rows,
     preset_fig1,
     preset_fig3,
     run_reconstruction,
@@ -216,7 +217,7 @@ def _cmd_protocol(args) -> None:
     }
     if args.theta is not None and args.phi is not None:
         doc["waveplate_settings"] = dataclasses.asdict(waveplate_settings(args.theta, args.phi))
-    _emit(_json_text(doc), args.out)
+    _emit("".join(_json_chunks(doc)), args.out)
 
 
 def _cmd_haar_avg(args) -> None:
@@ -227,16 +228,17 @@ def _cmd_haar_avg(args) -> None:
         phi_lo=args.phi, phi_hi=args.phi, phi_points=1,
         merits=_merits(args), n_samples=args.samples, master_seed=args.seed,
     )
-    records = run_sweep(config).records
+    # (merit, mean, std_error) of each merit
+    points = [row[2:] for row in _sweep_rows(config, run_sweep(config).values)]
     if args.output_format == "json":
-        rows = [{"merit": r.merit, "mean": r.mean, "std_error": r.std_error,
-                 "n_samples": r.n_samples, "seed": args.seed} for r in records]
-        text = _json_text({"theta": args.theta, "phi": args.phi, "error_family": args.error,
-                           "results": rows})
+        rows = [{"merit": merit, "mean": mean, "std_error": std_error,
+                 "n_samples": args.samples, "seed": args.seed} for merit, mean, std_error in points]
+        text = "".join(_json_chunks({"theta": args.theta, "phi": args.phi,
+                                     "error_family": args.error, "results": rows}))
     else:
-        lines = ["merit,mean,std_error,n_samples,seed"]
-        for r in records:
-            lines.append(f"{r.merit},{_fmt(r.mean)},{_fmt(r.std_error)},{r.n_samples},{args.seed}")
+        lines = ["merit,mean,std_error,n_samples,seed"] + [
+            f"{merit},{_fmt(mean)},{_fmt(std_error)},{args.samples},{args.seed}"
+            for merit, mean, std_error in points]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
 

@@ -10,9 +10,12 @@ merits; every point of the draw keeps its own key.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 import math
 import operator
+import os
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,9 +48,9 @@ DEFAULT_MERITS = (MeritKind.COHERENCE_FIDELITY, MeritKind.ETA_CHI)
 # 64 MB arrays at once (the normals, and the states, whose memory first holds
 # the squares), and a larger request is far more likely a typo than a need.
 MAX_SAMPLES = 10**6
-# Ceiling on grid points: each point keeps its records (~0.47 kB) and costs
-# at least ~17 us, so 10**6 points take ~0.5 GB and ~20 s at one sample,
-# and a larger request is far more likely a typo than a need.
+# Ceiling on grid points: each point holds its key and values (~0.13 kB at
+# a run's peak) and costs at least ~17 us, so 10**6 points take ~0.13 GB and
+# ~20 s at one sample; a larger request is far more likely a typo than a need.
 MAX_GRID_POINTS = 10**6
 # Ceiling on |angle| in radians: the gates take cos and sin of small
 # multiples of an angle, which overflow to inf (and give nan) near the
@@ -118,22 +121,32 @@ class SweepConfig:
         return np.linspace(lo, hi, self.phi_points)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    theta: float
-    phi: float
-    merit: str
-    mean: float
-    std_error: float
-    n_samples: int
+# One point and merit of a sweep, as SweepResult.records lists them.
+SweepRecord = namedtuple("SweepRecord", "theta phi merit mean std_error n_samples")
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
-    """Grid of Haar averages plus the metadata to regenerate them."""
+    """A sweep's config and its grid of Haar averages, one (mean, std_error) per point and merit."""
 
     config: SweepConfig
-    records: list[SweepRecord]
+    values: np.ndarray  # float64, (theta, phi, merit, 2): values[i, j, m] is merits[m] at (i, j)
+
+    @property
+    def records(self) -> list[SweepRecord]:
+        # only perfbench's traced run reads this (it compares two runs); ROADMAP item 3 drops it
+        rows = _sweep_rows(self.config, self.values)
+        return [SweepRecord(*row, self.config.n_samples) for row in rows]
+
+
+def _sweep_rows(config: SweepConfig, values: np.ndarray, axis=float):
+    """(theta, phi, merit, mean, std_error) rows, a theta row at a time; `axis` maps theta, phi."""
+    phis = [axis(phi) for phi in config.phis().tolist()]
+    for theta, plane in zip(config.thetas().tolist(), values):
+        theta = axis(theta)
+        for phi, point in zip(phis, plane.tolist()):
+            for kind, (mean, std_error) in zip(config.merits, point):
+                yield theta, phi, kind.value, mean, std_error
 
 
 def _check_angles(angles, what: str) -> None:
@@ -156,8 +169,8 @@ def point_seed(master_seed: int, grid_index, kind: MeritKind):
     return [master_seed | operator.index(gi) << 64 for gi in grid_index]
 
 
-def _evaluate_row(task) -> list[tuple[tuple[float, float], ...]]:
-    """(mean, std_error) per phi point and merit along one theta row.
+def _evaluate_row(task) -> np.ndarray:
+    """(phi, merit, 2) array of (mean, std_error) along one theta row.
 
     The row's noisy gates are built as one stack. Consecutive points of the
     row are averaged together, as many per call as fit in STATE_BUDGET
@@ -169,12 +182,12 @@ def _evaluate_row(task) -> list[tuple[tuple[float, float], ...]]:
     noisy = ERROR_FAMILIES[family](theta, np.array(phis))
     hamiltonian = local_hamiltonian_2q()
     step = max(1, STATE_BUDGET // n_samples)
-    points = []
+    row = np.empty((len(phis), len(merits), 2))
     for start in range(0, len(phis), step):
         per_merit = haar_average(tuple(merits), u, noisy[start:start + step], hamiltonian,
                                  n_samples=n_samples, seed=keys[start:start + step])
-        points += zip(*([(a.mean, a.std_error) for a in averages] for averages in per_merit))
-    return points
+        row[start:start + step] = [[(a.mean, a.std_error) for a in pt] for pt in zip(*per_merit)]
+    return row
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
@@ -201,15 +214,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
             rows = list(pool.map(_evaluate_row, tasks))
     else:
         rows = [_evaluate_row(task) for task in tasks]
-
-    records = [
-        SweepRecord(theta=theta, phi=phi, merit=kind.value, mean=mean, std_error=std_error,
-                    n_samples=config.n_samples)
-        for theta, row in zip(thetas, rows)
-        for phi, point in zip(phis, row)
-        for kind, (mean, std_error) in zip(config.merits, point)
-    ]
-    return SweepResult(config=config, records=records)
+    return SweepResult(config=config, values=np.stack(rows))
 
 
 def preset_fig1(
@@ -353,11 +358,13 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _json_text(doc: dict) -> str:
+def _json_chunks(doc: dict):
+    """`doc` as indented JSON plus a newline, in the encoder's chunks; join them for the text."""
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        yield from json.JSONEncoder(allow_nan=False, indent=2).iterencode(doc)
     except ValueError:
         raise ValidationError("refusing to write a non-finite value as JSON") from None
+    yield "\n"
 
 
 def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body) -> list[Path]:
@@ -366,20 +373,33 @@ def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body
     The metadata block is "tool" and "version", then `metadata`. `csv_lines()`
     yields the CSV lines, header first; `json_body()` returns the JSON
     document's entries after "metadata". Only the one the format needs is
-    called, and every text is built before any file is written.
+    called. Each text streams into a temporary file beside its target, and all
+    move into place once complete; a refused value or any error deletes them.
     """
     path = Path(path)
     metadata = {"tool": "epmdiag", "version": __version__, **metadata}
     if output_format == "json":
-        texts = {path: _json_text({"metadata": metadata, **json_body()})}
+        texts = {path: _json_chunks({"metadata": metadata, **json_body()})}
     elif output_format == "csv":
-        texts = {path: "\n".join(csv_lines()) + "\n",
-                 path.with_name(path.stem + ".meta.json"): _json_text(metadata)}
+        texts = {path: (line + "\n" for line in csv_lines()),
+                 path.with_name(path.stem + ".meta.json"): _json_chunks(metadata)}
     else:
         raise ValidationError(f"unknown output format {output_format!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    for target, text in texts.items():
-        target.write_text(text, encoding="utf-8")
+    temps = []
+    try:
+        for target, chunks in texts.items():
+            temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8") as file:  # the mode write_text gives
+                temps.append(temp)
+                # joined a thousand at a time: one write per JSON token or CSV line is slower
+                for batch in iter(lambda: list(itertools.islice(chunks, 1024)), []):
+                    file.write("".join(batch))
+        for temp, target in zip(temps, texts):
+            os.replace(temp, target)
+    finally:  # only the temporary files of a failed write are still there
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     return list(texts)
 
 
@@ -394,19 +414,16 @@ def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[P
                 "merits": [m.value for m in config.merits], "n_samples": config.n_samples,
                 "master_seed": config.master_seed,
                 "grid_points": config.theta_points * config.phi_points}
+    columns = ("theta", "phi", "merit", "mean", "std_error", "n_samples")
 
     def csv_lines():
-        yield "theta,phi,merit,mean,std_error,n_samples"
-        for r in result.records:
-            yield (f"{_fmt(r.theta)},{_fmt(r.phi)},{r.merit},{_fmt(r.mean)},"
-                   f"{_fmt(r.std_error)},{r.n_samples}")
+        yield ",".join(columns)
+        for theta, phi, merit, mean, std_error in _sweep_rows(config, result.values, axis=_fmt):
+            yield f"{theta},{phi},{merit},{_fmt(mean)},{_fmt(std_error)},{config.n_samples}"
 
     def json_body():
-        return {"records": [
-            {"theta": r.theta, "phi": r.phi, "merit": r.merit, "mean": r.mean,
-             "std_error": r.std_error, "n_samples": r.n_samples}
-            for r in result.records
-        ]}
+        return {"records": [dict(zip(columns, (*row, config.n_samples)))
+                            for row in _sweep_rows(config, result.values)]}
 
     return _write_output(path, output_format, metadata, csv_lines, json_body)
 

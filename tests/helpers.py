@@ -32,11 +32,15 @@ def haar_random_unitary(key: int, dim: int) -> np.ndarray:
 
 def surface(result, kind, which: str = "mean") -> np.ndarray:
     """(theta_points, phi_points) array of a sweep's means or std errors for one merit."""
-    config = result.config
-    values = [getattr(r, which) for r in result.records if r.merit == kind.value]
-    assert len(values) == config.theta_points * config.phi_points, \
-        f"sweep does not contain a full {kind.value} surface"
-    return np.array(values).reshape(config.theta_points, config.phi_points)
+    assert kind in result.config.merits, f"sweep does not contain a {kind.value} surface"
+    return result.values[:, :, result.config.merits.index(kind), ("mean", "std_error").index(which)]
+
+
+def assert_same_values(result, expected) -> None:
+    """The two sweeps' value arrays are equal bit for bit, in dtype and shape too."""
+    assert result.values.dtype == expected.values.dtype
+    assert result.values.shape == expected.values.shape
+    assert result.values.tobytes() == expected.values.tobytes()
 
 
 def l1_coherence(rho: np.ndarray) -> float:

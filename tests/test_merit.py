@@ -22,7 +22,7 @@ from epmdiag.merit import (
     kernel_values,
 )
 from epmdiag.sweeps import SweepConfig, point_seed, run_sweep
-from helpers import child_env, haar_random_unitary, l1_coherence
+from helpers import assert_same_values, child_env, haar_random_unitary, l1_coherence
 
 H = local_hamiltonian_2q()
 BASIS = np.eye(4, dtype=complex)  # the computational basis states, as rows
@@ -416,7 +416,7 @@ def test_one_buffer_serves_every_draw_of_a_thread(monkeypatch):
     monkeypatch.setattr(sweeps, "STATE_BUDGET", 2 * config.n_samples)
     for _ in range(2):  # one thread, then a second with a buffer of its own
         draws.clear()
-        assert _in_a_fresh_thread(lambda: run_sweep(config)).records == reference.records
+        assert_same_values(_in_a_fresh_thread(lambda: run_sweep(config)), reference)
         assert draws == [(False, False), (True, True)] + [(False, True)] * 7
 
 

@@ -14,6 +14,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from epmdiag.merit import MeritKind
+from epmdiag.sweeps import SweepConfig, SweepRecord, run_sweep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -103,3 +104,21 @@ def test_perfbench_traced_spans_are_called(tmp_path, monkeypatch):
             uncalled += [(path, name) for name in sorted(names[path])
                          if layers.get(name, {}).get("calls", 0) < 1]
     assert uncalled == []
+
+
+def test_sweep_result_still_yields_the_records_perfbench_compares():
+    # the traced run compares `run_sweep(...).records` of 1 and 2 workers; the
+    # result holds one array, and `records` is derived from it for that reader
+    assert "records" in {node.attr for node in ast.walk(ast.parse((PERFBENCH / "tracing.py")
+                                                                    .read_text()))
+                         if isinstance(node, ast.Attribute)}
+    merits = (MeritKind.ETA_CHI, MeritKind.FIDELITY)
+    config = SweepConfig(theta_points=2, phi_points=3, merits=merits, n_samples=20, master_seed=3)
+    result = run_sweep(config)
+    assert all(type(record) is SweepRecord for record in result.records)
+    assert SweepRecord._fields == ("theta", "phi", "merit", "mean", "std_error", "n_samples")
+    assert [tuple(record) for record in result.records] == [
+        (theta, phi, kind.value, *result.values[i, j, m].tolist(), 20)
+        for i, theta in enumerate(config.thetas().tolist())
+        for j, phi in enumerate(config.phis().tolist())
+        for m, kind in enumerate(merits)]

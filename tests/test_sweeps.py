@@ -2,19 +2,23 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import epmdiag.merit
+from epmdiag import sweeps
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
-from epmdiag.gates import g_gate, v_axis
+from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.merit import MeritKind, haar_average
 from epmdiag.reconstruct import g_chi_from_table, gate_probability_table, load_probability_table
 from epmdiag.sweeps import (
     STATE_BUDGET,
     SweepConfig,
+    SweepResult,
     fig3_series,
     max_normalize,
     point_seed,
@@ -26,7 +30,7 @@ from epmdiag.sweeps import (
     write_reconstruction,
     write_sweep,
 )
-from helpers import surface, write_probability_table
+from helpers import assert_same_values, surface, write_probability_table
 
 
 def test_single_point_null_error():
@@ -37,9 +41,8 @@ def test_single_point_null_error():
         n_samples=300, master_seed=5,
     )
     result = run_sweep(config)
-    assert len(result.records) == 2
-    for record in result.records:
-        assert record.mean == 0.0 and record.std_error == 0.0
+    assert result.values.shape == (1, 1, 2, 2)
+    assert np.all(result.values == 0.0)
 
 
 def test_single_point_fidelity_null():
@@ -48,9 +51,7 @@ def test_single_point_fidelity_null():
         phi_lo=0.0, phi_hi=0.0, phi_points=1,
         merits=(MeritKind.FIDELITY,), n_samples=300, master_seed=5,
     )
-    result = run_sweep(config)
-    assert result.records[0].mean == 1.0
-    assert result.records[0].std_error == 0.0
+    assert run_sweep(config).values.tolist() == [[[[1.0, 0.0]]]]
 
 
 def test_sweep_surface_shape_and_bounds():
@@ -65,8 +66,7 @@ def test_sweep_surface_shape_and_bounds():
 def test_sweep_workers_do_not_change_results():
     config = SweepConfig(theta_points=3, phi_points=3, n_samples=200, master_seed=9)
     serial = run_sweep(config, workers=1)
-    parallel = run_sweep(config, workers=2)
-    assert serial.records == parallel.records
+    assert_same_values(run_sweep(config, workers=2), serial)
 
 
 def test_sweep_pool_has_at_most_one_worker_per_row(monkeypatch):
@@ -90,11 +90,11 @@ def test_sweep_pool_has_at_most_one_worker_per_row(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = SweepConfig(theta_points=3, phi_points=2, n_samples=20, master_seed=4)
     serial = run_sweep(config)
-    assert run_sweep(config, workers=64).records == serial.records
-    assert run_sweep(config, workers=2).records == serial.records
+    assert_same_values(run_sweep(config, workers=64), serial)
+    assert_same_values(run_sweep(config, workers=2), serial)
     assert asked == [3, 2]
     one_row = dataclasses.replace(config, theta_points=1)
-    assert run_sweep(one_row, workers=64).records == run_sweep(one_row).records
+    assert_same_values(run_sweep(one_row, workers=64), run_sweep(one_row))
     assert asked == [3, 2]
 
 
@@ -174,6 +174,24 @@ def test_every_merit_of_a_point_reads_the_point_key():
                                seed=point_seed(4, gi, kind))
             assert surface(both, kind)[i, j] == avg.mean, (kind, gi)
             assert surface(both, kind, "std_error")[i, j] == avg.std_error, (kind, gi)
+
+
+def test_values_hold_the_one_point_average_on_the_point_key():
+    # values[i, j, m] is merit m's one-point average on key point_seed(seed, i * len(phis) + j),
+    # bit for bit, on a non-square grid whose rows are averaged in chunks of two points
+    merits = (MeritKind.ETA_CHI, MeritKind.FIDELITY)
+    config = SweepConfig(error_family="angle", theta_points=3, phi_points=5, merits=merits,
+                         n_samples=STATE_BUDGET // 2, master_seed=7)
+    values = run_sweep(config).values
+    assert values.shape == (3, 5, 2, 2) and values.dtype == np.float64
+    phis = config.phis().tolist()
+    for i, theta in enumerate(config.thetas().tolist()):
+        for j, phi in enumerate(phis):
+            averages = haar_average(merits, g_gate(theta), v_angle(theta, phi),
+                                    local_hamiltonian_2q(), n_samples=config.n_samples,
+                                    seed=point_seed(7, i * len(phis) + j, merits[0]))
+            expected = np.array([(a.mean, a.std_error) for a in averages])
+            assert values[i, j].tobytes() == expected.tobytes(), (i, j)
 
 
 @pytest.mark.parametrize("n_samples", [1, 3000])
@@ -370,6 +388,54 @@ def test_write_sweep_json(tmp_path):
     doc = json.loads(path.read_text())
     assert len(doc["records"]) == 2 * 2 * 2
     assert doc["metadata"]["n_samples"] == 50
+
+
+def test_write_sweep_holds_one_theta_row_at_a_time(tmp_path):
+    # the lines of an 81 x 81, two-merit grid go to the file as they are made;
+    # joining them first peaked 3.2 MB above the result
+    result = SweepResult(SweepConfig(theta_points=81, phi_points=81, n_samples=100),
+                         np.random.default_rng(0).random((81, 81, 2, 2)))
+    tracemalloc.start()
+    try:
+        write_sweep(result, tmp_path / "s.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 81 * 81 * 2
+
+
+def test_a_refused_value_leaves_the_directory_as_it_was(tmp_path):
+    # a non-finite value refused part-way through the CSV, part-way through the
+    # JSON file, and in the sidecar after the CSV is complete: no temporary file
+    # stays and the earlier outputs keep their bytes
+    for name in ("r.csv", "r.meta.json", "r.json"):
+        (tmp_path / name).write_text(f"earlier {name}\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    values = np.zeros((2, 3, 2, 2))
+    values[-1, -1, -1, -1] = math.nan
+    result = SweepResult(SweepConfig(theta_points=2, phi_points=3), values)
+    writes = [lambda: write_sweep(result, tmp_path / "r.csv"),
+              lambda: write_sweep(result, tmp_path / "r.json", output_format="json"),
+              lambda: sweeps._write_output(tmp_path / "r.csv", "csv", {"bound": math.inf},
+                                           lambda: iter(["x"]), None)]
+    for write in writes:
+        with pytest.raises(ValidationError, match="non-finite"):
+            write()
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_written_files_get_the_mode_write_text_gives(tmp_path):
+    # the temporary files are created as write_text creates a file, under the umask
+    reference = tmp_path / "reference.txt"
+    reference.write_text("x")
+    result = SweepResult(SweepConfig(theta_points=1, phi_points=2), np.zeros((1, 2, 2, 2)))
+    paths = write_sweep(result, tmp_path / "r.csv") + write_sweep(result, tmp_path / "r.json",
+                                                                  output_format="json")
+    assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == \
+        [stat.S_IMODE(reference.stat().st_mode)] * 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["r.csv", "r.json", "r.meta.json", "reference.txt"]
 
 
 def test_write_fig3_long_format(tmp_path):
