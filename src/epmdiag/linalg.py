@@ -8,6 +8,7 @@ a draw's seed is its 128-bit Philox key.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import mmap
@@ -34,9 +35,14 @@ def plus_plus_state() -> np.ndarray:
     return np.full(4, 0.5, dtype=complex)
 
 
-class _Held(threading.local):  # a thread's draw buffer, and what its last draw needed
+class _Held(threading.local):  # a thread's draw buffer, what its last draw needed, its Philox
     buffer = np.empty(0)
     needed = 0
+
+    @functools.cached_property  # made at the thread's first draw, not at import
+    def philox(self) -> tuple:  # the Philox, a Generator on it, the state it starts from
+        philox = np.random.Philox(key=0)
+        return philox, np.random.Generator(philox), philox.state
 
 
 _held = _Held()
@@ -72,9 +78,12 @@ def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
     drawn, or in which order. Rows are filled in order, so row 0 equals the
     single-state draw from the same key and prefixes of a batch are
     batch-size independent. A sequence of B keys gives a (B, n, dim) stack
-    whose slice b equals the draw from key b alone. With `reuse`, the arrays,
-    the states included, come from one buffer per thread that the thread's
-    next reusing draw hands out again; otherwise they are new.
+    whose slice b equals the draw from key b alone. The states are stored
+    column-major, as a transposed view of (dim, B, n) memory, so each
+    amplitude column states[..., k], which the kernels read, is one
+    contiguous block. Each thread re-keys one Philox of its own. With `reuse`,
+    the arrays, the states included, come from one buffer per thread that
+    the thread's next reusing draw hands out again; otherwise they are new.
     """
     if dim not in SUPPORTED_DIMS:
         raise ValidationError(f"unsupported dimension {dim}, expected one of {SUPPORTED_DIMS}")
@@ -85,28 +94,27 @@ def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
     refused = [k for k in keys if not 0 <= k < 2**128]
     if refused:
         raise ValidationError(f"a Philox key lies in [0, 2**128), got {refused[0]}")
-    shape = (len(keys), n)
-    states, gauss, norms_sq, pair = _draw_arrays([shape + (2 * dim,)] * 2 + [shape] * 2, reuse)
-    states = states.view(complex)
-    # One Philox re-keyed per key: a fresh key with counter 0 and an empty
-    # buffer is the state Philox(key=...) starts from, at a fraction of the
-    # cost of building a generator per key.
-    bit_generator = np.random.Philox(key=0)
-    generator = np.random.Generator(bit_generator)
-    state = bit_generator.state
+    b = len(keys)  # the states' memory: (dim, B, 2n) floats, viewed as (dim, B, n) complex
+    columns, gauss, norms_sq, pair = _draw_arrays(
+        [(dim, b, 2 * n), (b, n, 2 * dim), (b, n), (b, n)], reuse)
+    states = columns.view(complex)
+    # Re-keying a thread's one Philox: a fresh key with counter 0 and an empty
+    # buffer is the state Philox(key=...) starts from.
+    philox, generator, start = _held.philox
     for out, k in zip(gauss, keys):
-        state["state"]["key"] = np.array([k & _MASK64, k >> 64], dtype=np.uint64)
-        bit_generator.state = state
+        start["state"]["key"] = np.array([k & _MASK64, k >> 64], dtype=np.uint64)
+        philox.state = start
         generator.standard_normal(out=out)
-    # The squares take the states' memory, which they leave before the states arrive.
-    squares = np.multiply(gauss, gauss, out=states.view(float))
+    # The squares take the states' memory, in the normals' order, until the states arrive.
+    squares = np.multiply(gauss, gauss, out=columns.reshape(gauss.shape))
     # |z_0|^2 + |z_1|^2 + ... summed left to right, as np.sum does along a row.
     np.add(squares[..., 0], squares[..., dim], out=norms_sq)
     for k in range(1, dim):
         norms_sq += np.add(squares[..., k], squares[..., dim + k], out=pair)
     # Dividing a complex array by a real one multiplies by the reciprocal, so
     # scaling the two real halves by 1/norm gives the same bits as z / norm.
-    scale = np.divide(1.0, np.sqrt(norms_sq, out=pair), out=pair)[..., None]
-    np.multiply(gauss[..., :dim], scale, out=states.real)
-    np.multiply(gauss[..., dim:], scale, out=states.imag)
-    return states[0] if single else states
+    # Each multiply writes one amplitude column at a time along its samples.
+    scale = np.divide(1.0, np.sqrt(norms_sq, out=pair), out=pair)
+    np.multiply(gauss[..., :dim].transpose(2, 0, 1), scale, out=states.real)
+    np.multiply(gauss[..., dim:].transpose(2, 0, 1), scale, out=states.imag)
+    return states[:, 0].T if single else states.transpose(1, 2, 0)

@@ -17,8 +17,13 @@ exact 0.0. `haar-avg` (CSV and JSON) and `protocol` (separable with
 waveplate settings, and straightforward) pin the two writers that are not
 `_write_output`. The digests depend on the numpy/BLAS
 build that computed them, so the test skips when numpy is a different
-version. Regenerate a digest only together with a CHANGES.md entry that
-declares the byte change.
+version. They also depend on the SIMD code numpy dispatches to, which the
+skip does not see: where the CPU has FMA (x86-64-v3 and up), numpy's
+complex multiply rounds its real part as fma(ar, br, -(ai bi)), and with
+those targets disabled (NPY_DISABLE_CPU_FEATURES) the sweep, fig3 and
+haar-avg digests come out different on the same numpy. Regenerate a
+digest only together with a CHANGES.md entry that declares the byte
+change.
 """
 import hashlib
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -75,3 +78,58 @@ def test_haar_random_unitary_is_unitary_and_deterministic():
     w2 = haar_random_unitary(1 | 2 << 64, 4)
     assert np.array_equal(w1, w2)
     assert np.max(np.abs(w1 @ w1.conj().T - np.eye(4))) < 1e-12
+
+
+def _c_order_draw(key, dim, n):
+    """The draw of one key as a C-order (n, dim) array, on a Philox made for it."""
+    gauss = np.random.Generator(np.random.Philox(key=key)).standard_normal((n, 2 * dim))
+    z = gauss[:, :dim] + 1j * gauss[:, dim:]
+    return z / np.sqrt(np.sum(z.real**2 + z.imag**2, axis=1))[:, None]
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@pytest.mark.parametrize("reuse", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 5000])
+def test_every_amplitude_column_is_contiguous(reuse, n):
+    keys = [17 | i << 64 for i in range(3)]
+    for key in ([keys[0]], keys, keys[1]):  # B = 1, B = 3 and one key
+        states = haar_pure_states(key, 4, n, reuse=reuse)
+        assert states.shape == (np.shape(key) + (n, 4)) and states.dtype == complex
+        for k in range(4):
+            assert states[..., k].flags.c_contiguous, (key, k)
+        expected = [_c_order_draw(one, 4, n) for one in np.atleast_1d(key).tolist()]
+        assert np.array_equal(_bits(states), _bits(np.reshape(expected, states.shape)))
+
+
+def test_threads_drawing_at_once_each_get_the_serial_draw():
+    # threads draw interleaved keys together, each mixing reusing and new
+    # draws of several sizes, with the interpreter switching threads often;
+    # every draw must be the serial draw of its key
+    draws = [(5 | i << 64, n, i % 3 != 0) for i in range(40) for n in (1, 700, 5000)]
+    expected = [_bits(haar_pure_states(key, 4, n)) for key, n, _ in draws]
+    workers = 4
+    start = threading.Barrier(workers)
+    mismatches = [[] for _ in range(workers)]
+
+    def run(w):
+        start.wait()
+        for i, (key, n, reuse) in enumerate(draws):
+            if i % workers == w and not np.array_equal(
+                    _bits(haar_pure_states([key], 4, n, reuse=reuse)[0]), expected[i]):
+                mismatches[w].append(i)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == [[]] * workers

@@ -314,7 +314,8 @@ def test_stacked_haar_draw_equals_single_stream_draws(seeds, index, dim, n):
     assert stacked.shape == (len(seeds), n, dim)
     for slab, key in zip(stacked, keys):
         single = haar_pure_states(key, dim, n)
-        assert np.array_equal(slab.view(np.uint64), single.view(np.uint64))
+        assert np.array_equal(np.ascontiguousarray(slab).view(np.uint64),
+                              np.ascontiguousarray(single).view(np.uint64))
 
 
 def test_stacked_haar_average_equals_single_calls():
