@@ -25,6 +25,7 @@ from .sweeps import (
     _fmt,
     _json_chunks,
     _sweep_rows,
+    _write_files,
     preset_fig1,
     preset_fig3,
     run_reconstruction,
@@ -119,9 +120,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write_files({Path(out): iter([text])})
 
 
 def _merits(args) -> tuple[MeritKind, ...]:
@@ -191,6 +190,7 @@ def _cmd_reconstruct(args) -> None:
         phis = {t.metadata["phi"] for t in tables if "phi" in t.metadata}
         phi = phis.pop() if len(phis) == 1 else None
     report = run_reconstruction(measured, ideal=ideal, phi=phi, error_family=args.error)
+    del tables, measured, ideal  # the report holds its own stack; free theirs before the write
     # flags first: they explain a non-finite value the writer refuses
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)

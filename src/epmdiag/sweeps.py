@@ -56,9 +56,9 @@ MAX_GRID_POINTS = 10**6
 # multiples of an angle, which overflow to inf (and give nan) near the
 # largest double; at 1e6 a double still resolves the angle to ~1e-10.
 MAX_ANGLE = 1e6
-# Ceiling on fig3 theta points: each point keeps its probability table and
-# report row, ~5 kB, and costs ~0.2 ms, so 10**5 points take ~0.5 GB and
-# ~20 s; a larger request is far more likely a typo than a need.
+# Ceiling on fig3 theta points: a point adds ~1.3 kB of peak RSS (~1.8 kB as
+# JSON) and ~25 us, so 10**5 points peak at ~0.16-0.21 GB and take ~2.5 s;
+# a larger request is far more likely a typo than a need.
 MAX_THETA_POINTS = 10**5
 # Most Haar states one evaluation call holds: a theta row is averaged in
 # calls of max(1, STATE_BUDGET // n_samples) consecutive points, which
@@ -256,7 +256,7 @@ class ReconstructionReport:
     """
 
     thetas: np.ndarray
-    tables: list[ProbabilityTable]
+    table: ProbabilityTable  # the five rows chi reads, as (n, 4) stacks of the measured tables
     chi_pops: np.ndarray  # (n, 4)
     g_chi_measured: np.ndarray
     g_chi_ideal: np.ndarray
@@ -276,6 +276,32 @@ def _stack(tables: list[ProbabilityTable]) -> ProbabilityTable:
     return ProbabilityTable(rows=dict(zip(CHI_LABELS, rows.reshape(5, len(tables), 4))))
 
 
+def _report(thetas: np.ndarray, measured, ideal, phi, error_family: str) -> ReconstructionReport:
+    """The report's columns, with no flags, at ascending `thetas`: `measured()` returns the
+    stacked table, and `ideal` lists the ideal tables (None: the perfect gate's). Both are
+    stacked after the coherence batch; stacking first raised the peak RSS of `reconstruct`."""
+    _check_angles([] if phi is None else [phi], "phi")
+    hamiltonian = local_hamiltonian_2q()
+    ideal_gates = g_gate(thetas)
+    # one batched kernel call over every table's (ideal, noisy) gate pair
+    coherence = None if phi is None else kernel_values(
+        MeritKind.COHERENCE_FIDELITY, np.broadcast_to(plus_plus_state(), (len(thetas), 1, 4)),
+        ideal_gates, ERROR_FAMILIES[error_family](thetas, phi))[:, 0]
+    # a flagged row may hold values whose sums overflow, and the writer refuses what is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_ideal = g_chi_from_table(gate_probability_table(ideal_gates) if ideal is None
+                                   else _stack(ideal), hamiltonian)
+        table = measured()
+        pops = chi_populations(table)
+        g_measured = g_chi_from_table(table, hamiltonian)
+        row_error = np.max([np.abs(rows.sum(axis=1) - 1.0) for rows in table.rows.values()], 0)
+    return ReconstructionReport(
+        thetas=thetas, table=table, chi_pops=pops,
+        g_chi_measured=g_measured, g_chi_ideal=g_ideal, eta_kernel=np.abs(g_measured - g_ideal),
+        coherence_kernel=coherence, max_row_sum_error=row_error, error_family=error_family,
+        phi=phi, flags=[])
+
+
 def run_reconstruction(
     measured: list[tuple[float, ProbabilityTable]],
     ideal: list[ProbabilityTable] | None = None,
@@ -293,57 +319,37 @@ def run_reconstruction(
     if error_family not in ERROR_FAMILIES:
         raise ValidationError(f"unknown error family {error_family!r}")
     _check_angles([theta for theta, _ in measured], "theta")
-    _check_angles([] if phi is None else [phi], "phi")
     if ideal is not None and len(ideal) != len(measured):
         raise ValidationError(f"{len(measured)} measured tables but {len(ideal)} ideal tables")
-    hamiltonian = local_hamiltonian_2q()
     order = sorted(range(len(measured)), key=lambda k: measured[k][0])
     thetas = [measured[k][0] for k in order]
     tables = [measured[k][1] for k in order]
     ideal_tables = None if ideal is None else [ideal[k] for k in order]
-    theta_array = np.array(thetas, dtype=float)
-    ideal_gates = g_gate(theta_array)
-    coherence = None
-    if phi is not None:
-        # one batched kernel call over every table's (ideal, noisy) gate pair
-        coherence = kernel_values(
-            MeritKind.COHERENCE_FIDELITY, np.broadcast_to(plus_plus_state(), (len(thetas), 1, 4)),
-            ideal_gates, ERROR_FAMILIES[error_family](theta_array, phi))[:, 0]
-    # stacked after the coherence batch, as before it they added 0.4 MB of peak RSS; a flagged
-    # row may hold values whose sums overflow, and the writer refuses what is not finite
+    report = _report(np.array(thetas, dtype=float), lambda: _stack(tables), ideal_tables, phi,
+                     error_family)
     with np.errstate(over="ignore", invalid="ignore"):
-        g_ideal = g_chi_from_table(gate_probability_table(ideal_gates) if ideal is None
-                                   else _stack(ideal_tables), hamiltonian)
-        stacked = _stack(tables)
-        pops = chi_populations(stacked)
-        g_measured = g_chi_from_table(stacked, hamiltonian)
-        row_error = np.max([np.abs(rows.sum(axis=1) - 1.0) for rows in stacked.rows.values()], 0)
         for i, table in enumerate(tables):
             if len(table.rows) > 5:  # its rows outside the five count too
-                row_error[i] = max(abs(float(np.sum(row)) - 1.0) for row in table.rows.values())
+                report.max_row_sum_error[i] = max(abs(float(np.sum(row)) - 1.0)
+                                                  for row in table.rows.values())
     groups = [("", tables)] + ([] if ideal is None else [("ideal ", ideal_tables)])
-    flags = [f"theta {theta!r}: {kind}{flag}"
-             for i, theta in enumerate(thetas) for kind, group in groups for flag in group[i].flags]
-    return ReconstructionReport(
-        thetas=theta_array, tables=tables, chi_pops=pops,
-        g_chi_measured=g_measured, g_chi_ideal=g_ideal, eta_kernel=np.abs(g_measured - g_ideal),
-        coherence_kernel=coherence, max_row_sum_error=row_error, error_family=error_family,
-        phi=phi, flags=flags)
+    report.flags = [f"theta {theta!r}: {kind}{flag}" for i, theta in enumerate(thetas)
+                    for kind, group in groups for flag in group[i].flags]
+    return report
 
 
 def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> ReconstructionReport:
     """Single-state diagnostics for the axis error on theta in [0, pi/4].
 
-    The reconstruction of noise-free synthetic tables: the tables' rows are
-    the conditional probabilities, and the report's kernels are the
-    |++>-state eta_chi and coherence-mismatch curves.
+    The reconstruction of noise-free synthetic tables, built as one stacked
+    table: its rows are the conditional probabilities, and the report's
+    kernels are the |++>-state eta_chi and coherence-mismatch curves.
     """
     if not 1 <= theta_points <= MAX_THETA_POINTS:
         raise ValidationError(f"theta_points must be in [1, {MAX_THETA_POINTS}], "
                               f"got {theta_points}")
-    thetas = np.linspace(0.0, math.pi / 4, theta_points).tolist()
-    return run_reconstruction([(theta, gate_probability_table(v_axis(theta, phi)))
-                               for theta in thetas], phi=phi)
+    thetas = np.linspace(0.0, math.pi / 4, theta_points)
+    return _report(thetas, lambda: gate_probability_table(v_axis(thetas, phi)), None, phi, "axis")
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +378,7 @@ def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body
 
     The metadata block is "tool" and "version", then `metadata`. `csv_lines()`
     yields the CSV lines, header first; `json_body()` returns the JSON
-    document's entries after "metadata". Only the one the format needs is
-    called. Each text streams into a temporary file beside its target, and all
-    move into place once complete; a refused value or any error deletes them.
+    document's entries after "metadata". Only the one the format needs is called.
     """
     path = Path(path)
     metadata = {"tool": "epmdiag", "version": __version__, **metadata}
@@ -385,10 +389,15 @@ def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body
                  path.with_name(path.stem + ".meta.json"): _json_chunks(metadata)}
     else:
         raise ValidationError(f"unknown output format {output_format!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    return _write_files(texts)
+
+
+def _write_files(texts: dict) -> list[Path]:
+    """Stream each target path's chunks into a temporary file beside it; move all into place."""
     temps = []
     try:
         for target, chunks in texts.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
             temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
             with open(temp, "x", encoding="utf-8") as file:  # the mode write_text gives
                 temps.append(temp)
@@ -434,7 +443,7 @@ def fig3_series(report: ReconstructionReport) -> list[tuple[str, np.ndarray]]:
     if report.coherence_kernel is None:
         raise ValidationError("fig3 series need the coherence curve of a report made with phi")
     series = [(f"p({outcome}|{label})", rows[:, col])
-              for label, rows in _stack(report.tables).rows.items()
+              for label, rows in report.table.rows.items()
               for col, outcome in enumerate(BASIS_LABELS)]
     kernels = [("eta_chi_kernel", report.eta_kernel), ("coherence_kernel", report.coherence_kernel)]
     return series + kernels + [(name + "_max_norm", max_normalize(values))
@@ -448,15 +457,15 @@ def write_fig3(report: ReconstructionReport, path, output_format: str = "csv") -
 
     def csv_lines():
         yield "theta,series,value"
-        for i, theta in enumerate(report.thetas):
-            for name, values in series:
-                yield f"{_fmt(theta)},{name},{_fmt(values[i])}"
+        # one .tolist() per theta row: the whole grid as Python floats would set the peak RSS
+        for theta, row in zip(report.thetas.tolist(), np.column_stack([v for _, v in series])):
+            theta = _fmt(theta)
+            for (name, _), value in zip(series, row.tolist()):
+                yield f"{theta},{name},{_fmt(value)}"
 
     def json_body():
-        return {
-            "thetas": report.thetas.tolist(),
-            "series": {name: [float(v) for v in values] for name, values in series},
-        }
+        return {"thetas": report.thetas.tolist(),
+                "series": {name: values.tolist() for name, values in series}}
 
     return _write_output(path, output_format, metadata, csv_lines, json_body)
 

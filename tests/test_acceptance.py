@@ -105,7 +105,7 @@ def test_criterion_3_fig1_surfaces():
         surfaces, grids = {}, {}
         for panel, kind in (("a", MeritKind.COHERENCE_FIDELITY), ("b", MeritKind.ETA_CHI),
                             ("c", MeritKind.COHERENCE_FIDELITY), ("d", MeritKind.ETA_CHI)):
-            result = preset_fig1(panel, resolution=41, n_samples=5000, seed=0)
+            result = preset_fig1(panel, resolution=41, n_samples=5000, seed=0, workers=2)
             surfaces[panel] = (surface(result, kind), surface(result, kind, "std_error"))
             grids[panel] = (result.config.thetas(), result.config.phis())
 
@@ -156,8 +156,7 @@ def test_criterion_3_fig1_surfaces():
 def test_criterion_4_fig3_theory_curves():
     with criterion(4, "conditional-probability theory curves", budget=1.0):
         report = preset_fig3(theta_points=50, phi=math.pi / 9)
-        probabilities = {label: np.array([table.rows[label] for table in report.tables])
-                         for label in report.tables[0].rows}
+        probabilities = report.table.rows
         cos_phi_sq = math.cos(math.pi / 9) ** 2
         p10 = probabilities["00"][:, 2]
         p11 = probabilities["00"][:, 3]

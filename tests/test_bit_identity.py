@@ -144,9 +144,10 @@ def test_stacked_gates_equal_the_scalar_calls_bit_for_bit():
 
 
 def _table_stacks():
-    """g_gate over THETAS, and v_axis and v_angle over the THETAS x PHIS grid."""
+    """g_gate over THETAS, v_axis and v_angle over the THETAS x PHIS grid, and fig3's stack."""
     thetas, phis = np.array(THETAS), np.array(PHIS)
-    return [g_gate(thetas), v_axis(thetas[:, None], phis), v_angle(thetas[:, None], phis)]
+    return [g_gate(thetas), v_axis(thetas[:, None], phis), v_angle(thetas[:, None], phis),
+            v_axis(np.linspace(0.0, np.pi / 4, 50), np.pi / 9)]
 
 
 def test_synthetic_tables_equal_the_per_row_builder_bit_for_bit():

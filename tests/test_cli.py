@@ -185,6 +185,11 @@ def test_unwritable_output_exit_code(tmp_path):
     blocker.write_text("not a directory")
     result = run_cli("fig3", "--theta-points", "2", "--out", str(blocker / "x.csv"))
     assert result.returncode == 3
+    # a directory at --out refuses the rename, and the temporary file goes
+    (tmp_path / "taken").mkdir()
+    argv = ["haar-avg", "--theta", "0.3", "--phi", "0.2", "--samples", "5", "--out"]
+    assert cli.main(argv + [str(tmp_path / "taken")]) == 3
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["blocker", "taken"]
 
 
 def test_protocol_command(tmp_path):

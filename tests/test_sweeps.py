@@ -253,10 +253,17 @@ def test_fig3_probability_endpoints():
     assert p10[-1] < 1e-12  # theta = pi/4
 
 
+def test_fig3_builds_one_noisy_and_one_ideal_table(monkeypatch):
+    shapes = []
+    monkeypatch.setattr(sweeps, "gate_probability_table",
+                        lambda v: shapes.append(v.shape) or gate_probability_table(v))
+    preset_fig3(theta_points=1000)
+    assert shapes == [(1000, 4, 4)] * 2
+
+
 def test_fig3_rows_sum_to_one():
     report = preset_fig3(theta_points=25)
-    for label in report.tables[0].rows:
-        values = np.array([table.rows[label] for table in report.tables])
+    for label, values in report.table.rows.items():
         assert np.max(np.abs(values.sum(axis=1) - 1.0)) < 1e-12, label
         assert values.min() >= 0.0 and values.max() <= 1.0 + 1e-12, label
 
