@@ -128,7 +128,7 @@ def _merits(args) -> tuple[MeritKind, ...]:
     return tuple(map(MeritKind, args.merit or ())) or DEFAULT_MERITS
 
 
-def _cmd_sweep(args) -> None:
+def _cmd_sweep(args) -> list[Path]:
     phi_lo, phi_hi = (args.phi_range if args.phi_range is not None else (None, None))
     config = SweepConfig(
         error_family=args.error,
@@ -137,22 +137,18 @@ def _cmd_sweep(args) -> None:
         phi_lo=phi_lo, phi_hi=phi_hi, phi_points=args.resolution,
         merits=_merits(args), n_samples=args.samples, master_seed=args.seed,
     )
-    result = run_sweep(config, workers=args.workers)
-    for path in write_sweep(result, args.out, args.output_format):
-        print(f"wrote {path}")
+    return write_sweep(run_sweep(config, workers=args.workers), args.out, args.output_format)
 
 
-def _cmd_fig1(args) -> None:
+def _cmd_fig1(args) -> list[Path]:
     result = preset_fig1(args.panel, resolution=args.resolution,
                          n_samples=args.samples, seed=args.seed, workers=args.workers)
-    for path in write_sweep(result, args.out, args.output_format):
-        print(f"wrote {path}")
+    return write_sweep(result, args.out, args.output_format)
 
 
-def _cmd_fig3(args) -> None:
+def _cmd_fig3(args) -> list[Path]:
     report = preset_fig3(theta_points=args.theta_points, phi=args.phi)
-    for path in write_fig3(report, args.out, args.output_format):
-        print(f"wrote {path}")
+    return write_fig3(report, args.out, args.output_format)
 
 
 def _load_table(path: str, args):
@@ -167,7 +163,7 @@ def _load_table(path: str, args):
     return table
 
 
-def _cmd_reconstruct(args) -> None:
+def _cmd_reconstruct(args) -> list[Path]:
     tables = [_load_table(path, args) for path in args.measured]
     if args.thetas is not None:
         if len(args.thetas) != len(tables):
@@ -194,8 +190,7 @@ def _cmd_reconstruct(args) -> None:
     # flags first: they explain a non-finite value the writer refuses
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)
-    for path in write_reconstruction(report, args.out, args.output_format):
-        print(f"wrote {path}")
+    return write_reconstruction(report, args.out, args.output_format)
 
 
 def _cmd_protocol(args) -> None:
@@ -254,9 +249,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version or a refused argv: argparse's exit code
+        return exc.code
+    try:
+        written = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -266,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    for path in written or ():  # protocol and haar-avg print their document or nothing
+        print(f"wrote {path}")
     return 0
 
 

@@ -1,10 +1,15 @@
-"""Test-only helpers: constants, samplers and writers no library path uses."""
+"""Test-only helpers: constants, samplers, writers and CLI runners no library path uses."""
+import contextlib
+import io
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from epmdiag import cli
 from epmdiag.linalg import PAULI_X, PAULI_Y
 from epmdiag.reconstruct import OUTCOME_COLUMNS
 
@@ -75,3 +80,23 @@ def child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+
+
+def run_child(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m epmdiag *args` in a new interpreter, stdout and stderr captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "epmdiag", *args],
+        capture_output=True, text=True, env=child_env(), **kwargs,
+    )
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """`cli.main(args)` in this process, reported as `run_child` reports a child.
+
+    An exception that escapes main fails the calling test, as a traceback
+    in a child's stderr would.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())

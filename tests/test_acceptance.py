@@ -3,12 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 import math
-import os
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +21,7 @@ from epmdiag.reconstruct import (
     transition_tensor_from_unitary,
 )
 from epmdiag.sweeps import preset_fig1, preset_fig3, run_reconstruction
-from helpers import haar_random_unitary, surface
+from helpers import haar_random_unitary, run_child, surface
 
 H = local_hamiltonian_2q()
 
@@ -206,20 +202,13 @@ def test_criterion_6_statistical_soundness():
 
 
 def test_criterion_7_output_determinism(tmp_path):
-    # the child finds the package in this checkout's src, installed or not, and
-    # fails on a RuntimeWarning as the pytest process does
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # each run in a new interpreter, so each worker pool starts from a clean one
     with criterion(7, "byte-identical outputs for any worker count"):
         outputs = []
         for name, workers in (("first", "1"), ("second", "2")):
             out = tmp_path / f"{name}.csv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "epmdiag", "fig1", "--panel", "b",
-                 "--seed", "7", "--workers", workers, "--out", str(out)],
-                capture_output=True, text=True, env=env,
-            )
+            proc = run_child("fig1", "--panel", "b", "--seed", "7", "--workers", workers,
+                             "--out", str(out))
             assert proc.returncode == 0, proc.stderr
             outputs.append((out.read_bytes(), (tmp_path / f"{name}.meta.json").read_bytes()))
         assert outputs[0][0] == outputs[1][0]

@@ -1,12 +1,9 @@
-import contextlib
 import csv
 import io
 import json
 import math
 import os
 import re
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,20 +18,24 @@ from epmdiag import cli
 from epmdiag.merit import MeritKind
 from epmdiag.reconstruct import gate_probability_table
 from epmdiag.gates import v_axis
-from helpers import child_env, write_probability_table
-
-
-def run_cli(*args, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "epmdiag", *args],
-        capture_output=True, text=True, env=child_env(), **kwargs,
-    )
+from helpers import run_child, run_cli, write_probability_table
 
 
 def test_version_flag():
-    result = run_cli("--version")
+    result = run_child("--version")
     assert result.returncode == 0
     assert "epmdiag" in result.stdout
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    # help, version and a refused argv come back as main's return value,
+    # not as a SystemExit raised into the caller
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out == f"epmdiag {epmdiag.__version__}\n"
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: epmdiag")
+    assert cli.main(["sweep"]) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_sweep_null_point(tmp_path):
@@ -57,8 +58,8 @@ def test_sweep_null_point(tmp_path):
 def test_fig1_deterministic_across_workers(tmp_path):
     args = ("fig1", "--panel", "b", "--resolution", "5", "--samples", "200", "--seed", "11")
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
-    r1 = run_cli(*args, "--out", str(out1), "--workers", "1")
-    r2 = run_cli(*args, "--out", str(out2), "--workers", "2")
+    r1 = run_child(*args, "--out", str(out1), "--workers", "1")
+    r2 = run_child(*args, "--out", str(out2), "--workers", "2")
     assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
     assert out1.read_bytes() == out2.read_bytes()
     meta1 = (tmp_path / "one.meta.json").read_text()
@@ -241,12 +242,13 @@ def test_haar_avg_command():
 
 
 def test_sweep_requires_out(tmp_path):
-    result = run_cli("sweep", "--resolution", "1", "--samples", "10")
+    # from a new interpreter, so argparse's refusal goes out through sys.exit(main())
+    result = run_child("sweep", "--resolution", "1", "--samples", "10")
     assert result.returncode == 2
     # rejected while parsing arguments, before any grid point is computed
     for args in (("sweep", "--resolution", "2001"), ("fig1", "--panel", "b"), ("fig3",),
                  ("reconstruct", "--measured", str(tmp_path / "t.csv"))):
-        result = run_cli(*args, timeout=10)
+        result = run_child(*args, timeout=10)
         assert result.returncode == 2, args
         assert "--out" in result.stderr
 
@@ -305,7 +307,7 @@ def test_reconstruct_non_finite_result_exit_code(tmp_path):
         table.write_text("# theta = 0.1\ninput,p00,p01,p10,p11\n" + row + "\n" + OTHER_ROWS)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         for output_format in ("csv", "json"):
-            result = run_cli("reconstruct", "--measured", str(table), *flags, "--format",
+            result = run_child("reconstruct", "--measured", str(table), *flags, "--format",
                              output_format, "--out", str(tmp_path / f"r.{output_format}"))
             assert result.returncode == 2, (row, result.stderr)
             assert "non-finite" in result.stderr and "Traceback" not in result.stderr
@@ -345,7 +347,7 @@ def test_overflowing_angle_exit_code(tmp_path):
                         (("fig3", "--theta-points", "3", "--phi", "1e300"), "1e+300"),
                         (("protocol", "--kind", "separable", "--theta", "1e300", "--phi", "0.1"),
                          "1e+300")):
-        result = run_cli(*args, "--out", str(out))
+        result = run_child(*args, "--out", str(out))
         assert result.returncode == 2, (args, result.stderr)
         assert f"{angle} is not a finite angle" in result.stderr, result.stderr
         assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
@@ -438,7 +440,7 @@ def test_absurd_sizes_exit_code(tmp_path):
                  ("fig3", "--theta-points", "0", "--out", str(out)),
                  ("fig3", "--theta-points", "-1", "--out", str(out)),
                  ("fig3", "--theta-points", "2", "--seed", "0", "--out", str(out))):
-        result = run_cli(*args, timeout=10)
+        result = run_child(*args, timeout=10)
         assert result.returncode == 2, (args, result.stderr)
         assert "Traceback" not in result.stderr
     assert not out.exists()
@@ -448,7 +450,7 @@ def test_fig3_theta_points_above_the_ceiling_exit_code(tmp_path):
     # each theta point holds two probability tables: 10**9 of them would run
     # until memory runs out, so the count is refused before any table is built
     out = tmp_path / "f.csv"
-    result = run_cli("fig3", "--theta-points", "1000000000", "--out", str(out), timeout=10)
+    result = run_child("fig3", "--theta-points", "1000000000", "--out", str(out), timeout=10)
     assert result.returncode == 2, result.stderr
     assert "theta_points" in result.stderr and "Traceback" not in result.stderr
     assert list(tmp_path.iterdir()) == []
@@ -629,14 +631,10 @@ def _assert_cli_contract(argv):
         _write_cli_inputs(work)
         argv = [str(work / arg) if arg.startswith(("tables/", "out/", "blocker/")) else arg
                 for arg in argv]
-        stdout = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse refuses the argv
-                code = exc.code
+            result = run_cli(*argv)
+        code = result.returncode
         assert code in (0, 2, 3, 4), (argv, code)
         written = sorted(p for p in (work / "out").rglob("*") if p.is_file())
         if code != 0:
@@ -645,7 +643,7 @@ def _assert_cli_contract(argv):
         output_format = "json" if argv[0] == "protocol" else \
             (argv[argv.index("--format") + 1] if "--format" in argv else "csv")
         if "--out" not in argv:  # protocol and haar-avg print to stdout
-            _assert_finite_document(stdout.getvalue(), output_format)
+            _assert_finite_document(result.stdout, output_format)
         assert written or "--out" not in argv, argv
         for path in written:
             is_json = path.name.endswith(".meta.json") or output_format == "json"

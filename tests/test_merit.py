@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -467,10 +468,14 @@ def test_fig1_rows_do_not_fault_their_arrays_in_again():
     resource = pytest.importorskip("resource")
     if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
         pytest.skip("getrusage reports no minor faults")
+    def run_probe(kind):
+        return subprocess.run([sys.executable, "-c", _FAULT_PROBE, kind.value],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:  # at most two probes alive at once
+        probes = list(pool.map(run_probe, MeritKind))
     faults = {}
-    for kind in MeritKind:
-        probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kind.value],
-                               capture_output=True, text=True, env=child_env(), timeout=120)
+    for kind, probe in zip(MeritKind, probes):
         assert probe.returncode == 0, probe.stderr
         faults[kind.value] = int(probe.stdout)
     assert all(count < 500 for count in faults.values()), faults
