@@ -95,7 +95,7 @@ def _output_rows(
     """
     shape = states.shape[:-1]
     columns = [states[..., k] for k in range(states.shape[-1])]
-    u_classes, v_classes = _classes(np.stack([u_stack, v_stack], axis=1))
+    u_classes, v_classes = _classes(u_stack), _classes(v_stack)
     same = (u_stack == v_stack).all(axis=(0, 2)).tolist()
 
     def row(stack, classes):

@@ -56,9 +56,9 @@ MAX_GRID_POINTS = 10**6
 # multiples of an angle, which overflow to inf (and give nan) near the
 # largest double; at 1e6 a double still resolves the angle to ~1e-10.
 MAX_ANGLE = 1e6
-# Ceiling on fig3 theta points: a point adds ~1.3 kB of peak RSS (~1.8 kB as
-# JSON) and ~25 us, so 10**5 points peak at ~0.16-0.21 GB and take ~2.5 s;
-# a larger request is far more likely a typo than a need.
+# Ceiling on fig3 theta points: a point adds ~1.1 kB of peak RSS, as CSV or
+# JSON, and ~25 us, so 10**5 points peak at ~0.14 GB and take ~2.5 s; a
+# larger request is far more likely a typo than a need.
 MAX_THETA_POINTS = 10**5
 # Most Haar states one evaluation call holds: a theta row is averaged in
 # calls of max(1, STATE_BUDGET // n_samples) consecutive points, which
@@ -291,6 +291,7 @@ def _report(thetas: np.ndarray, measured, ideal, phi, error_family: str) -> Reco
     with np.errstate(over="ignore", invalid="ignore"):
         g_ideal = g_chi_from_table(gate_probability_table(ideal_gates) if ideal is None
                                    else _stack(ideal), hamiltonian)
+        del ideal_gates  # freed before the measured stack is built
         table = measured()
         pops = chi_populations(table)
         g_measured = g_chi_from_table(table, hamiltonian)
@@ -365,9 +366,10 @@ def _fmt(value: float) -> str:
 
 
 def _json_chunks(doc: dict):
-    """`doc` as indented JSON plus a newline, in the encoder's chunks; join them for the text."""
+    """`doc` as indented JSON plus a newline, in the encoder's chunks; an ndarray goes as a list."""
     try:
-        yield from json.JSONEncoder(allow_nan=False, indent=2).iterencode(doc)
+        yield from json.JSONEncoder(allow_nan=False, indent=2,
+                                    default=np.ndarray.tolist).iterencode(doc)
     except ValueError:
         raise ValidationError("refusing to write a non-finite value as JSON") from None
     yield "\n"
@@ -464,8 +466,7 @@ def write_fig3(report: ReconstructionReport, path, output_format: str = "csv") -
                 yield f"{theta},{name},{_fmt(value)}"
 
     def json_body():
-        return {"thetas": report.thetas.tolist(),
-                "series": {name: values.tolist() for name, values in series}}
+        return {"thetas": report.thetas, "series": dict(series)}
 
     return _write_output(path, output_format, metadata, csv_lines, json_body)
 
@@ -489,9 +490,8 @@ def write_reconstruction(report: ReconstructionReport, path, output_format: str 
     }
 
     def csv_lines():
-        yield ("theta,p_chi_00,p_chi_01,p_chi_10,p_chi_11,g_chi_measured,g_chi_ideal,"
-               "eta_chi_kernel,eta_chi_kernel_max_norm,coherence_kernel,"
-               "coherence_kernel_max_norm,max_row_sum_error")
+        yield ",".join(columns).replace("chi_populations",
+                                        ",".join(f"p_chi_{b}" for b in BASIS_LABELS))
         for theta, pops, *rest in zip(*columns.values()):
             yield ",".join("" if v is None else _fmt(v) for v in (theta, *pops, *rest))
 

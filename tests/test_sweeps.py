@@ -422,14 +422,47 @@ def test_a_refused_value_leaves_the_directory_as_it_was(tmp_path):
     values = np.zeros((2, 3, 2, 2))
     values[-1, -1, -1, -1] = math.nan
     result = SweepResult(SweepConfig(theta_points=2, phi_points=3), values)
+    report = preset_fig3(theta_points=3)
+    report.eta_kernel[1] = math.nan  # an array the JSON encoder lists as it reaches it
     writes = [lambda: write_sweep(result, tmp_path / "r.csv"),
               lambda: write_sweep(result, tmp_path / "r.json", output_format="json"),
+              lambda: write_fig3(report, tmp_path / "r.json", output_format="json"),
               lambda: sweeps._write_output(tmp_path / "r.csv", "csv", {"bound": math.inf},
                                            lambda: iter(["x"]), None)]
     for write in writes:
         with pytest.raises(ValidationError, match="non-finite"):
             write()
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("theta_points", [1, 4, 50])
+def test_json_arrays_are_written_as_their_lists(theta_points):
+    # the encoder lists each array when it reaches it: the text equals that of
+    # the document with every array listed beforehand, 1-D and 2-D alike
+    report = preset_fig3(theta_points=theta_points)
+    doc = {"thetas": report.thetas, "series": dict(fig3_series(report)),
+           "chi_pops": report.chi_pops, "phi": report.phi}
+    materialized = {"thetas": report.thetas.tolist(),
+                    "series": {name: values.tolist() for name, values in fig3_series(report)},
+                    "chi_pops": report.chi_pops.tolist(), "phi": report.phi}
+    assert "".join(sweeps._json_chunks(doc)) == json.dumps(materialized, indent=2) + "\n"
+
+
+def test_fig3_json_write_peaks_no_higher_than_its_csv(tmp_path):
+    # the JSON encoder lists one series at a time; listing every series before
+    # encoding held them all as Python floats, 2.2x the CSV write's peak at
+    # 1000 points and ~4x at 20000, whose traced writes take ~6 s
+    report = preset_fig3(theta_points=1000)
+    peaks = {}
+    for output_format in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            write_fig3(report, tmp_path / f"fig3.{output_format}", output_format=output_format)
+            peaks[output_format] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["json"] <= peaks["csv"]
+    assert len(json.loads((tmp_path / "fig3.json").read_text())["series"]["eta_chi_kernel"]) == 1000
 
 
 def test_written_files_get_the_mode_write_text_gives(tmp_path):
