@@ -39,13 +39,21 @@ from .version import __version__
 _MERIT_NAMES = [kind.value for kind in MeritKind]
 
 
+def _out_path(text: str) -> str:
+    """An --out value, refused when it names no file ('', '.', '/'), before the command runs."""
+    if not Path(text).name:
+        raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser, samples: bool = True,
                 out_required: bool = True) -> None:
     if samples:
         parser.add_argument("--seed", type=int, default=0, help="master seed")
         parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                             help="Haar samples per grid point")
-    parser.add_argument("--out", required=out_required, default=None, help="output file path")
+    parser.add_argument("--out", type=_out_path, required=out_required, default=None,
+                        help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="output_format", help="output format")
 
@@ -104,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gate angle for waveplate settings")
     p.add_argument("--phi", type=float, default=None,
                    help="error parameter for waveplate settings")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
 
     p = sub.add_parser("haar-avg", help="Haar-averaged merits at a single (theta, phi)")
     p.add_argument("--error", choices=sorted(ERROR_FAMILIES), default="axis")

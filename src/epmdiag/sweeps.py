@@ -10,6 +10,7 @@ merits; every point of the draw keeps its own key.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import itertools
 import json
 import math
@@ -134,7 +135,7 @@ class SweepResult:
 
     @property
     def records(self) -> list[SweepRecord]:
-        # only perfbench's traced run reads this (it compares two runs); ROADMAP item 3 drops it
+        # only perfbench's traced run reads this (it compares two runs); ROADMAP item 1's PR B drops it
         rows = _sweep_rows(self.config, self.values)
         return [SweepRecord(*row, self.config.n_samples) for row in rows]
 
@@ -365,29 +366,46 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
+class _Items(list):
+    """An iterable as a list to the JSON encoder, which writes a list it finds empty as []
+    before iterating it: it holds the iterable's first item, if any, and iterating it draws
+    the rest from the iterable as the encoder writes them."""
+
+    def __init__(self, iterable):
+        self.rest = iter(iterable)
+        super().__init__(itertools.islice(self.rest, 1))
+
+    def __iter__(self):
+        return itertools.chain(super().__iter__(), self.rest)
+
+
 def _json_chunks(doc: dict):
-    """`doc` as indented JSON plus a newline, in the encoder's chunks; an ndarray goes as a list."""
+    """`doc` as indented JSON plus a newline, in the encoder's chunks. An ndarray goes as its
+    list; any other iterable, a generator say, as a list of its items, each made when written."""
     try:
-        yield from json.JSONEncoder(allow_nan=False, indent=2,
-                                    default=np.ndarray.tolist).iterencode(doc)
+        yield from json.JSONEncoder(
+            allow_nan=False, indent=2,
+            default=lambda value: value.tolist() if isinstance(value, np.ndarray) else _Items(value),
+        ).iterencode(doc)
     except ValueError:
         raise ValidationError("refusing to write a non-finite value as JSON") from None
     yield "\n"
 
 
-def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body) -> list[Path]:
+def _write_output(path, output_format: str, metadata: dict, lines, body: dict) -> list[Path]:
     """Write one result as CSV plus a `.meta.json` sidecar, or as one JSON file.
 
-    The metadata block is "tool" and "version", then `metadata`. `csv_lines()`
-    yields the CSV lines, header first; `json_body()` returns the JSON
-    document's entries after "metadata". Only the one the format needs is called.
+    The metadata block is "tool" and "version", then `metadata`. `lines` yields the
+    CSV lines, header first, and `body` holds the JSON document's entries after
+    "metadata", as arrays and generators the encoder lists as it writes them. Both
+    are lazy, so nothing is made of the format that is not asked for.
     """
     path = Path(path)
     metadata = {"tool": "epmdiag", "version": __version__, **metadata}
     if output_format == "json":
-        texts = {path: _json_chunks({"metadata": metadata, **json_body()})}
+        texts = {path: _json_chunks({"metadata": metadata, **body})}
     elif output_format == "csv":
-        texts = {path: (line + "\n" for line in csv_lines()),
+        texts = {path: (line + "\n" for line in lines),
                  path.with_name(path.stem + ".meta.json"): _json_chunks(metadata)}
     else:
         raise ValidationError(f"unknown output format {output_format!r}")
@@ -395,12 +413,17 @@ def _write_output(path, output_format: str, metadata: dict, csv_lines, json_body
 
 
 def _write_files(texts: dict) -> list[Path]:
-    """Stream each target path's chunks into a temporary file beside it; move all into place."""
+    """Stream each target path's chunks into a temporary file beside it; move all into place.
+
+    A temporary's name is random and of fixed length, so a target name near the
+    longest one the file system allows is not refused for its temporary's sake."""
     temps = []
     try:
         for target, chunks in texts.items():
             target.parent.mkdir(parents=True, exist_ok=True)
-            temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+            with contextlib.suppress(FileNotFoundError):  # a name too long fails here, before any move
+                os.lstat(target)
+            temp = target.with_name(f".{os.urandom(6).hex()}.tmp")
             with open(temp, "x", encoding="utf-8") as file:  # the mode write_text gives
                 temps.append(temp)
                 # joined a thousand at a time: one write per JSON token or CSV line is slower
@@ -426,17 +449,12 @@ def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[P
                 "master_seed": config.master_seed,
                 "grid_points": config.theta_points * config.phi_points}
     columns = ("theta", "phi", "merit", "mean", "std_error", "n_samples")
-
-    def csv_lines():
-        yield ",".join(columns)
-        for theta, phi, merit, mean, std_error in _sweep_rows(config, result.values, axis=_fmt):
-            yield f"{theta},{phi},{merit},{_fmt(mean)},{_fmt(std_error)},{config.n_samples}"
-
-    def json_body():
-        return {"records": [dict(zip(columns, (*row, config.n_samples)))
-                            for row in _sweep_rows(config, result.values)]}
-
-    return _write_output(path, output_format, metadata, csv_lines, json_body)
+    lines = (f"{theta},{phi},{merit},{_fmt(mean)},{_fmt(std_error)},{config.n_samples}"
+             for theta, phi, merit, mean, std_error in _sweep_rows(config, result.values, axis=_fmt))
+    records = (dict(zip(columns, (*row, config.n_samples)))
+               for row in _sweep_rows(config, result.values))
+    return _write_output(path, output_format, metadata, itertools.chain([",".join(columns)], lines),
+                         {"records": records})
 
 
 def fig3_series(report: ReconstructionReport) -> list[tuple[str, np.ndarray]]:
@@ -457,7 +475,7 @@ def write_fig3(report: ReconstructionReport, path, output_format: str = "csv") -
     metadata = {"kind": "fig3", "phi": report.phi, "theta_points": len(report.thetas)}
     series = fig3_series(report)
 
-    def csv_lines():
+    def lines():
         yield "theta,series,value"
         # one .tolist() per theta row: the whole grid as Python floats would set the peak RSS
         for theta, row in zip(report.thetas.tolist(), np.column_stack([v for _, v in series])):
@@ -465,10 +483,8 @@ def write_fig3(report: ReconstructionReport, path, output_format: str = "csv") -
             for (name, _), value in zip(series, row.tolist()):
                 yield f"{theta},{name},{_fmt(value)}"
 
-    def json_body():
-        return {"thetas": report.thetas, "series": dict(series)}
-
-    return _write_output(path, output_format, metadata, csv_lines, json_body)
+    return _write_output(path, output_format, metadata, lines(),
+                         {"thetas": report.thetas, "series": dict(series)})
 
 
 def write_reconstruction(report: ReconstructionReport, path, output_format: str = "csv") -> list[Path]:
@@ -488,14 +504,10 @@ def write_reconstruction(report: ReconstructionReport, path, output_format: str 
         "coherence_kernel_max_norm": blank if coherence is None else max_normalize(coherence).tolist(),
         "max_row_sum_error": report.max_row_sum_error.tolist(),
     }
-
-    def csv_lines():
-        yield ",".join(columns).replace("chi_populations",
-                                        ",".join(f"p_chi_{b}" for b in BASIS_LABELS))
-        for theta, pops, *rest in zip(*columns.values()):
-            yield ",".join("" if v is None else _fmt(v) for v in (theta, *pops, *rest))
-
-    def json_body():
-        return {"rows": [dict(zip(columns, row)) for row in zip(*columns.values())]}
-
-    return _write_output(path, output_format, metadata, csv_lines, json_body)
+    header = ",".join(columns).replace("chi_populations",
+                                       ",".join(f"p_chi_{b}" for b in BASIS_LABELS))
+    lines = (",".join("" if v is None else _fmt(v) for v in (theta, *pops, *rest))
+             for theta, pops, *rest in zip(*columns.values()))
+    rows = (dict(zip(columns, row)) for row in zip(*columns.values()))
+    return _write_output(path, output_format, metadata, itertools.chain([header], lines),
+                         {"rows": rows})

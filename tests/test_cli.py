@@ -488,9 +488,10 @@ FORMATS = (st.sampled_from(["csv", "json"]), None)
 TABLE_FILES = [f"tables/{name}.csv" for name in ("t0", "t1", "no_theta", "malformed",
                                                   "latin1", "missing")]
 WRITABLE = st.sampled_from(["out/o.csv", "out/nested/o.json"]).map(lambda path: ["--out", path])
-BLOCKED = st.just(["--out", "blocker/o.csv"])  # a file where a directory must be
-OUT = (WRITABLE, st.one_of(st.just([]), BLOCKED))
-OPTIONAL_OUT = (st.one_of(st.just([]), WRITABLE), BLOCKED)
+# a file where a directory must be, and paths that name no file
+REFUSED_OUT = st.sampled_from(["blocker/o.csv", "", "."]).map(lambda path: ["--out", path])
+OUT = (WRITABLE, st.one_of(st.just([]), REFUSED_OUT))
+OPTIONAL_OUT = (st.one_of(st.just([]), WRITABLE), REFUSED_OUT)
 
 
 def _flag(flag, values, size=(1, 1), optional=False):

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import stat
 import tracemalloc
 
@@ -14,7 +15,13 @@ from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.merit import MeritKind, haar_average
-from epmdiag.reconstruct import g_chi_from_table, gate_probability_table, load_probability_table
+from epmdiag.reconstruct import (
+    g_chi_from_table,
+    gate_probability_table,
+    load_probability_table,
+    protocol_plan,
+    table_from_plan,
+)
 from epmdiag.sweeps import (
     STATE_BUDGET,
     SweepConfig,
@@ -399,22 +406,93 @@ def test_write_sweep_json(tmp_path):
 
 def test_write_sweep_holds_one_theta_row_at_a_time(tmp_path):
     # the lines of an 81 x 81, two-merit grid go to the file as they are made;
-    # joining them first peaked 3.2 MB above the result
+    # joining them first peaked 3.2 MB above the result. The JSON records are
+    # made as the encoder writes them; listing them all first peaked at 4.4 MB
     result = SweepResult(SweepConfig(theta_points=81, phi_points=81, n_samples=100),
                          np.random.default_rng(0).random((81, 81, 2, 2)))
-    tracemalloc.start()
-    try:
-        write_sweep(result, tmp_path / "s.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5e6
+    for output_format in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            write_sweep(result, tmp_path / f"s.{output_format}", output_format)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, output_format
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 81 * 81 * 2
+    assert len(json.loads((tmp_path / "s.json").read_text())["records"]) == 81 * 81 * 2
+
+
+def _listed_records(result: SweepResult) -> list[dict]:
+    """A sweep's JSON records, listed from its values point by point."""
+    config = result.config
+    return [{"theta": theta, "phi": phi, "merit": kind.value, "mean": mean,
+             "std_error": std_error, "n_samples": config.n_samples}
+            for i, theta in enumerate(config.thetas().tolist())
+            for j, phi in enumerate(config.phis().tolist())
+            for m, kind in enumerate(config.merits)
+            for mean, std_error in [result.values[i, j, m].tolist()]]
+
+
+def _listed_rows(report) -> list[dict]:
+    """A reconstruction's JSON rows, listed from its columns table by table."""
+    eta_norm = max_normalize(report.eta_kernel)
+    coherence = report.coherence_kernel
+    coherence_norm = None if coherence is None else max_normalize(coherence)
+    return [{"theta": float(theta), "chi_populations": report.chi_pops[k].tolist(),
+             "g_chi_measured": float(report.g_chi_measured[k]),
+             "g_chi_ideal": float(report.g_chi_ideal[k]),
+             "eta_chi_kernel": float(report.eta_kernel[k]),
+             "eta_chi_kernel_max_norm": float(eta_norm[k]),
+             "coherence_kernel": None if coherence is None else float(coherence[k]),
+             "coherence_kernel_max_norm": None if coherence is None else float(coherence_norm[k]),
+             "max_row_sum_error": float(report.max_row_sum_error[k])}
+            for k, theta in enumerate(report.thetas)]
+
+
+def test_streamed_json_is_the_text_of_the_listed_document(tmp_path):
+    # the records and rows go to the encoder as generators: the file's text
+    # equals json.dumps of the document with every record listed beforehand
+    rng = np.random.default_rng(4)
+    results = [SweepResult(SweepConfig(theta_points=1, phi_points=1, merits=(MeritKind.ETA_CHI,)),
+                           rng.random((1, 1, 1, 2))),
+               SweepResult(SweepConfig(theta_points=3, phi_points=2, merits=tuple(MeritKind)),
+                           rng.random((3, 2, len(MeritKind), 2)))]
+    measured = [(theta, gate_probability_table(v_axis(theta, 0.4))) for theta in (0.5, 0.1, 0.3)]
+    separable = table_from_plan(v_axis(0.3, 0.4), protocol_plan("separable"))
+    reports = [run_reconstruction([]), run_reconstruction(measured),
+               run_reconstruction(measured, phi=0.4), run_reconstruction([(0.3, separable)])]
+    assert len(separable.rows) == len(protocol_plan("separable").states) > 5
+    path = tmp_path / "out.json"
+    cases = [(lambda r: write_sweep(r, path, "json"), result, "records", _listed_records(result))
+             for result in results]
+    cases += [(lambda r: write_reconstruction(r, path, "json"), report, "rows",
+               _listed_rows(report)) for report in reports]
+    for write, value, key, listed in cases:
+        write(value)
+        text = path.read_text()
+        document = {"metadata": json.loads(text)["metadata"], key: listed}
+        assert text == json.dumps(document, indent=2) + "\n"
+
+
+def test_a_name_near_the_longest_legal_one_is_written(tmp_path):
+    # each temporary file has a random name of fixed length, so a legal target
+    # name is not refused because its temporary's name would be too long; a
+    # CSV of such a name, whose sidecar's name is too long, writes no file
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    json_name = "a" * (name_max - 10) + ".json"  # name_max - 5 bytes
+    csv_name = "a" * (name_max - 9) + ".csv"  # name_max - 5 bytes, its sidecar's name_max + 1
+    report = preset_fig3(theta_points=2)
+    write_fig3(report, tmp_path / json_name, output_format="json")
+    assert [path.name for path in tmp_path.iterdir()] == [json_name]
+    with pytest.raises(OSError, match="too long"):
+        write_fig3(report, tmp_path / csv_name)
+    assert [path.name for path in tmp_path.iterdir()] == [json_name]
 
 
 def test_a_refused_value_leaves_the_directory_as_it_was(tmp_path):
     # a non-finite value refused part-way through the CSV, part-way through the
-    # JSON file, and in the sidecar after the CSV is complete: no temporary file
+    # JSON file (in an array or in a streamed list of rows), and in the sidecar
+    # after the CSV is complete: no temporary file
     # stays and the earlier outputs keep their bytes
     for name in ("r.csv", "r.meta.json", "r.json"):
         (tmp_path / name).write_text(f"earlier {name}\n")
@@ -424,11 +502,17 @@ def test_a_refused_value_leaves_the_directory_as_it_was(tmp_path):
     result = SweepResult(SweepConfig(theta_points=2, phi_points=3), values)
     report = preset_fig3(theta_points=3)
     report.eta_kernel[1] = math.nan  # an array the JSON encoder lists as it reaches it
+    # rows the JSON encoder draws as it writes them: the last one is refused after
+    # earlier rows went to the temporary file
+    recon = run_reconstruction([(theta, gate_probability_table(v_axis(theta, 0.4)))
+                                for theta in np.linspace(0.0, 1.0, 100)], phi=0.4)
+    recon.max_row_sum_error[-1] = math.nan
     writes = [lambda: write_sweep(result, tmp_path / "r.csv"),
               lambda: write_sweep(result, tmp_path / "r.json", output_format="json"),
               lambda: write_fig3(report, tmp_path / "r.json", output_format="json"),
+              lambda: write_reconstruction(recon, tmp_path / "r.json", output_format="json"),
               lambda: sweeps._write_output(tmp_path / "r.csv", "csv", {"bound": math.inf},
-                                           lambda: iter(["x"]), None)]
+                                           iter(["x"]), None)]
     for write in writes:
         with pytest.raises(ValidationError, match="non-finite"):
             write()
