@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -23,9 +25,8 @@ from .sweeps import (
     SweepConfig,
     _check_angles,
     _fmt,
-    _json_chunks,
     _sweep_rows,
-    _write_files,
+    _write_output,
     preset_fig1,
     preset_fig3,
     run_reconstruction,
@@ -40,8 +41,9 @@ _MERIT_NAMES = [kind.value for kind in MeritKind]
 
 
 def _out_path(text: str) -> str:
-    """An --out value, refused when it names no file ('', '.', '/'), before the command runs."""
-    if not Path(text).name:
+    """An --out value, refused when it names no file ('', '.', '/', 'results/'), before the
+    command runs."""
+    if not Path(text).name or text.endswith((os.sep, "/")):
         raise argparse.ArgumentTypeError(f"{text!r} names no file")
     return text
 
@@ -122,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=False)
 
     return parser
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_files({Path(out): iter([text])})
 
 
 def _merits(args) -> tuple[MeritKind, ...]:
@@ -220,7 +215,7 @@ def _cmd_protocol(args) -> None:
     }
     if args.theta is not None and args.phi is not None:
         doc["waveplate_settings"] = dataclasses.asdict(waveplate_settings(args.theta, args.phi))
-    _emit("".join(_json_chunks(doc)), args.out)
+    _write_output(args.out, "json", None, None, doc)
 
 
 def _cmd_haar_avg(args) -> None:
@@ -231,19 +226,15 @@ def _cmd_haar_avg(args) -> None:
         phi_lo=args.phi, phi_hi=args.phi, phi_points=1,
         merits=_merits(args), n_samples=args.samples, master_seed=args.seed,
     )
-    # (merit, mean, std_error) of each merit
-    points = [row[2:] for row in _sweep_rows(config, run_sweep(config).values)]
-    if args.output_format == "json":
-        rows = [{"merit": merit, "mean": mean, "std_error": std_error,
-                 "n_samples": args.samples, "seed": args.seed} for merit, mean, std_error in points]
-        text = "".join(_json_chunks({"theta": args.theta, "phi": args.phi,
-                                     "error_family": args.error, "results": rows}))
-    else:
-        lines = ["merit,mean,std_error,n_samples,seed"] + [
-            f"{merit},{_fmt(mean)},{_fmt(std_error)},{args.samples},{args.seed}"
-            for merit, mean, std_error in points]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    columns = ("merit", "mean", "std_error", "n_samples", "seed")
+    rows = [(*row[2:], args.samples, args.seed)
+            for row in _sweep_rows(config, run_sweep(config).values)]
+    lines = (f"{merit},{_fmt(mean)},{_fmt(std_error)},{samples},{seed}"
+             for merit, mean, std_error, samples, seed in rows)
+    results = (dict(zip(columns, row)) for row in rows)
+    _write_output(args.out, args.output_format, None, itertools.chain([",".join(columns)], lines),
+                  {"theta": args.theta, "phi": args.phi, "error_family": args.error,
+                   "results": results})
 
 
 _COMMANDS = {

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import errno
 import itertools
 import json
 import math
 import operator
 import os
+import stat
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -392,37 +395,41 @@ def _json_chunks(doc: dict):
     yield "\n"
 
 
-def _write_output(path, output_format: str, metadata: dict, lines, body: dict) -> list[Path]:
-    """Write one result as CSV plus a `.meta.json` sidecar, or as one JSON file.
+def _write_output(path, output_format: str, metadata: dict | None, lines, body: dict) -> list[Path]:
+    """Write one result as CSV plus a `.meta.json` sidecar, or as one JSON file; with
+    `path` None, print the CSV or the JSON document, built whole before it is printed.
 
-    The metadata block is "tool" and "version", then `metadata`. `lines` yields the
-    CSV lines, header first, and `body` holds the JSON document's entries after
-    "metadata", as arrays and generators the encoder lists as it writes them. Both
-    are lazy, so nothing is made of the format that is not asked for.
+    The metadata block is "tool" and "version", then `metadata`; with `metadata` None
+    there is no block and no sidecar. `lines` yields the CSV lines, header first, and
+    `body` holds the JSON document's entries after "metadata", as arrays and generators
+    the encoder lists as it writes them. Both are lazy, so nothing is made of the format
+    that is not asked for. Each file is streamed into a temporary file beside it and all
+    are moved into place once complete. A temporary's name is random and of fixed length,
+    so a target name near the longest one the file system allows is not refused for its
+    temporary's sake.
     """
-    path = Path(path)
-    metadata = {"tool": "epmdiag", "version": __version__, **metadata}
+    sidecar = []
+    if metadata is not None:
+        metadata = {"tool": "epmdiag", "version": __version__, **metadata}
+        sidecar = [_json_chunks(metadata)]  # a generator: nothing is made unless it is written
     if output_format == "json":
-        texts = {path: _json_chunks({"metadata": metadata, **body})}
+        texts = [_json_chunks(body if metadata is None else {"metadata": metadata, **body})]
     elif output_format == "csv":
-        texts = {path: (line + "\n" for line in lines),
-                 path.with_name(path.stem + ".meta.json"): _json_chunks(metadata)}
+        texts = [(line + "\n" for line in lines), *sidecar]
     else:
         raise ValidationError(f"unknown output format {output_format!r}")
-    return _write_files(texts)
-
-
-def _write_files(texts: dict) -> list[Path]:
-    """Stream each target path's chunks into a temporary file beside it; move all into place.
-
-    A temporary's name is random and of fixed length, so a target name near the
-    longest one the file system allows is not refused for its temporary's sake."""
+    if path is None:
+        sys.stdout.write("".join(texts[0]))
+        return []
+    path = Path(path)
+    texts = dict(zip([path, path.with_name(path.stem + ".meta.json")], texts))
     temps = []
     try:
         for target, chunks in texts.items():
             target.parent.mkdir(parents=True, exist_ok=True)
             with contextlib.suppress(FileNotFoundError):  # a name too long fails here, before any move
-                os.lstat(target)
+                if stat.S_ISDIR(os.lstat(target).st_mode):  # refused before any file is moved
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
             temp = target.with_name(f".{os.urandom(6).hex()}.tmp")
             with open(temp, "x", encoding="utf-8") as file:  # the mode write_text gives
                 temps.append(temp)

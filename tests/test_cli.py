@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epmdiag
-from epmdiag import cli
+from epmdiag import cli, sweeps
 from epmdiag.merit import MeritKind
 from epmdiag.reconstruct import gate_probability_table
 from epmdiag.gates import v_axis
@@ -191,6 +192,70 @@ def test_unwritable_output_exit_code(tmp_path):
     argv = ["haar-avg", "--theta", "0.3", "--phi", "0.2", "--samples", "5", "--out"]
     assert cli.main(argv + [str(tmp_path / "taken")]) == 3
     assert sorted(path.name for path in tmp_path.rglob("*")) == ["blocker", "taken"]
+
+
+def test_a_directory_at_the_sidecar_path_replaces_no_output(tmp_path):
+    # refused before the first move: the CSV keeps its earlier bytes, no
+    # temporary file stays, and the message names the sidecar, not a temporary
+    out = tmp_path / "d" / "r.csv"
+    (tmp_path / "d" / "r.meta.json").mkdir(parents=True)
+    out.write_text("earlier r.csv\n")
+    result = run_cli("fig3", "--theta-points", "2", "--out", str(out))
+    assert result.returncode == 3
+    assert "r.meta.json" in result.stderr and not re.search(r"\.[0-9a-f]{12}\.tmp", result.stderr)
+    assert out.read_text() == "earlier r.csv\n"
+    assert sorted(path.name for path in out.parent.iterdir()) == ["r.csv", "r.meta.json"]
+
+
+def test_out_ending_in_a_separator_exit_code(tmp_path):
+    # refused before the command runs: fig3 wrote a file named after the
+    # directory, and a sweep into an existing directory failed after its grid
+    (tmp_path / "outdir").mkdir()
+    for args in (("fig3", "--theta-points", "2", "--out", str(tmp_path / "results") + os.sep),
+                 ("sweep", "--resolution", "2", "--samples", "5",
+                  "--out", str(tmp_path / "outdir") + os.sep)):
+        result = run_cli(*args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert "names no file" in result.stderr
+    assert [path.name for path in tmp_path.rglob("*")] == ["outdir"]
+
+
+def test_every_command_writes_through_one_writer(tmp_path, monkeypatch):
+    # one _write_output call a run, under every name the writer is reached by;
+    # haar-avg and protocol print their output without --out and nothing with it
+    calls = []
+    writer = sweeps._write_output
+
+    def spy(*args):
+        calls.append(args)
+        return writer(*args)
+
+    for module in [module for name, module in sys.modules.items()
+                   if name.split(".")[0] == "epmdiag"]:
+        for name, value in list(vars(module).items()):
+            if value is writer:
+                monkeypatch.setattr(module, name, spy)
+    table = tmp_path / "t.csv"
+    write_probability_table(gate_probability_table(v_axis(0.2, 0.35)), table,
+                            metadata={"theta": 0.2})
+    out = str(tmp_path / "out" / "o")
+    point = ["--theta", "0.4", "--phi", "0.7", "--samples", "5"]
+    argvs = [["sweep", "--resolution", "2", "--samples", "5", "--out", out + ".csv"],
+             ["fig1", "--panel", "a", "--resolution", "2", "--samples", "5",
+              "--format", "json", "--out", out + ".json"],
+             ["fig3", "--theta-points", "2", "--out", out + ".csv"],
+             ["reconstruct", "--measured", str(table), "--out", out + ".csv"]]
+    argvs += [["protocol", "--kind", "separable", *tail] for tail in ([], ["--out", out + ".json"])]
+    argvs += [["haar-avg", *point, "--format", output_format, *tail]
+              for output_format in ("csv", "json")
+              for tail in ([], ["--out", f"{out}.{output_format}"])]
+    for argv in argvs:
+        calls.clear()
+        result = run_cli(*argv)
+        assert result.returncode == 0, (argv, result.stderr)
+        assert len(calls) == 1, argv
+        if argv[0] in ("protocol", "haar-avg"):
+            assert (result.stdout == "") == ("--out" in argv), (argv, result.stdout)
 
 
 def test_protocol_command(tmp_path):
@@ -488,8 +553,10 @@ FORMATS = (st.sampled_from(["csv", "json"]), None)
 TABLE_FILES = [f"tables/{name}.csv" for name in ("t0", "t1", "no_theta", "malformed",
                                                   "latin1", "missing")]
 WRITABLE = st.sampled_from(["out/o.csv", "out/nested/o.json"]).map(lambda path: ["--out", path])
-# a file where a directory must be, and paths that name no file
-REFUSED_OUT = st.sampled_from(["blocker/o.csv", "", "."]).map(lambda path: ["--out", path])
+# a file where a directory must be, a CSV whose sidecar path is a directory,
+# and paths that name no file
+REFUSED_OUT = st.sampled_from(["blocker/o.csv", "out/taken.csv", "", ".", "out/"]).map(
+    lambda path: ["--out", path])
 OUT = (WRITABLE, st.one_of(st.just([]), REFUSED_OUT))
 OPTIONAL_OUT = (st.one_of(st.just([]), WRITABLE), REFUSED_OUT)
 
@@ -577,6 +644,7 @@ def _write_cli_inputs(directory: Path) -> None:
     (tables / "malformed.csv").write_text("input,p00,p01,p10,p11\n00,0.5,oops,0.2,0.1\n")
     (tables / "latin1.csv").write_bytes("# theta = 0.1 é\ninput,p00\n".encode("latin-1"))
     (directory / "blocker").write_text("a file where --out wants a directory\n")
+    (directory / "out" / "taken.meta.json").mkdir(parents=True)
 
 
 def _assert_finite_document(text: str, output_format: str) -> None:
@@ -608,11 +676,13 @@ def _assert_finite_document(text: str, output_format: str) -> None:
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
 @given(argv=st.one_of(*CLI_ARGVS.values()))
 # inputs that broke the contract before: a finite angle whose double makes
-# cos(2 theta) nan, and a nan angle that reached an SVD
+# cos(2 theta) nan, a nan angle that reached an SVD, and a CSV written before
+# its sidecar's move failed
 @example(argv=["haar-avg", "--theta", "1e308", "--phi", "0", "--samples", "1"])
 @example(argv=["sweep", "--theta-range", "0", "1e308", "--resolution", "2", "--samples", "1",
                "--out", "out/o.csv"])
 @example(argv=["protocol", "--kind", "separable", "--phase-theta", "nan"])
+@example(argv=["fig3", "--theta-points", "1", "--out", "out/taken.csv"])
 def test_cli_contract_holds_for_any_argv(argv):
     _assert_cli_contract(argv)
 
@@ -630,8 +700,9 @@ def _assert_cli_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _write_cli_inputs(work)
-        argv = [str(work / arg) if arg.startswith(("tables/", "out/", "blocker/")) else arg
-                for arg in argv]
+        # work / "out/" drops the slash, so it is put back after the path is mapped
+        argv = [str(work / arg) + (os.sep if arg.endswith("/") else "")
+                if arg.startswith(("tables/", "out/", "blocker/")) else arg for arg in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = run_cli(*argv)
