@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import itertools
 import math
 import os
@@ -253,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, --version or a refused argv: argparse's exit code
         return exc.code
     try:
+        if args.out is not None and os.path.isdir(args.out):  # refused before the command runs
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(args.out)))
         written = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -260,13 +260,17 @@ def load_probability_table(
     or non-finite values) raise ParseError with the line number, and so
     does a source that is not UTF-8 text, without one; duplicate labels
     raise ValidationError, as does a non-finite or negative `sum_tolerance`.
-    Rows are checked as Python floats and stored as views of one array.
+    Rows are read as Python floats and stored as views of one array; a row's
+    values are checked for finiteness only when its sum is not finite, as
+    nan or inf makes it (finite values only by overflow, which is flagged).
     """
     if not (math.isfinite(sum_tolerance) and sum_tolerance >= 0):
         raise ValidationError(f"sum tolerance must be finite and >= 0, got {sum_tolerance!r}")
-    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    if not isinstance(source, bytes):
+        with open(os.fspath(source), "rb") as file:  # fspath: an int is no file descriptor
+            source = file.read()
     try:
-        text = data.decode("utf-8-sig")  # drops the byte-order mark of a "CSV UTF-8" export
+        text = source.decode("utf-8-sig")  # drops the byte-order mark of a "CSV UTF-8" export
     except UnicodeDecodeError as exc:
         raise ParseError(f"the table is not UTF-8 text ({exc.reason})") from None
 
@@ -291,9 +295,9 @@ def load_probability_table(
                     raise ParseError(f"non-finite metadata value {value.strip()!r}", line=line_no)
                 metadata[key.strip()] = number
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if not header_seen:
-            expected = ["input", *OUTCOME_COLUMNS]
+            fields, expected = [f.strip() for f in fields], ["input", *OUTCOME_COLUMNS]
             if fields != expected:
                 raise ParseError(
                     f"bad header {fields!r}, expected {expected!r}", line=line_no
@@ -302,19 +306,22 @@ def load_probability_table(
             continue
         if len(fields) != 5:
             raise ParseError(f"expected 5 comma-separated fields, got {len(fields)}", line=line_no)
-        label = fields[0]
+        label = fields[0].strip()
         if label in rows:
             raise ValidationError(f"duplicate input label {label!r}")
-        try:
-            row = [float(f) for f in fields[1:]]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric probability: {exc}", line=line_no) from None
-        if not all(map(math.isfinite, row)):
+        try:  # float() strips whitespace itself, all but U+001C-U+001F, which strip() takes
+            row = list(map(float, fields[1:]))
+        except ValueError:
+            try:
+                row = [float(f.strip()) for f in fields[1:]]
+            except ValueError as exc:
+                raise ParseError(f"non-numeric probability: {exc}", line=line_no) from None
+        # numpy's bits for four values (not sum(), which compensates from 3.12); overflow is inf
+        row_sum = 0.0 + row[0] + row[1] + row[2] + row[3]
+        if not math.isfinite(row_sum) and not all(map(math.isfinite, row)):
             raise ParseError(f"non-finite probability in row {label!r}", line=line_no)
         if min(row) < -1e-9 or max(row) > 1 + 1e-9:
             flags.append(f"row {label!r} has probabilities outside [0, 1]")
-        # numpy's bits for four values (not sum(), which compensates from 3.12); overflow is inf
-        row_sum = 0.0 + row[0] + row[1] + row[2] + row[3]
         if abs(row_sum - 1.0) > sum_tolerance:
             flags.append(f"row {label!r} sums to {row_sum!r}, outside tolerance {sum_tolerance}")
         if renormalize and row_sum != 0 and abs(row_sum - 1.0) > 1e-12:

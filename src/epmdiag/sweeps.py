@@ -499,22 +499,30 @@ def write_reconstruction(report: ReconstructionReport, path, output_format: str 
     metadata = {"kind": "reconstruction", "error_family": report.error_family,
                 "phi": report.phi, "theta_points": len(report.thetas), "flags": report.flags}
     coherence = report.coherence_kernel
-    blank = [None] * len(report.thetas)
     columns = {
-        "theta": report.thetas.tolist(),
-        "chi_populations": report.chi_pops.tolist(),
-        "g_chi_measured": report.g_chi_measured.tolist(),
-        "g_chi_ideal": report.g_chi_ideal.tolist(),
-        "eta_chi_kernel": report.eta_kernel.tolist(),
-        "eta_chi_kernel_max_norm": max_normalize(report.eta_kernel).tolist(),
-        "coherence_kernel": blank if coherence is None else coherence.tolist(),
-        "coherence_kernel_max_norm": blank if coherence is None else max_normalize(coherence).tolist(),
-        "max_row_sum_error": report.max_row_sum_error.tolist(),
+        "theta": report.thetas,
+        "chi_populations": report.chi_pops,
+        "g_chi_measured": report.g_chi_measured,
+        "g_chi_ideal": report.g_chi_ideal,
+        "eta_chi_kernel": report.eta_kernel,
+        "eta_chi_kernel_max_norm": max_normalize(report.eta_kernel),
+        "coherence_kernel": coherence,
+        "coherence_kernel_max_norm": None if coherence is None else max_normalize(coherence),
+        "max_row_sum_error": report.max_row_sum_error,
     }
     header = ",".join(columns).replace("chi_populations",
                                        ",".join(f"p_chi_{b}" for b in BASIS_LABELS))
-    lines = (",".join("" if v is None else _fmt(v) for v in (theta, *pops, *rest))
-             for theta, pops, *rest in zip(*columns.values()))
-    rows = (dict(zip(columns, row)) for row in zip(*columns.values()))
-    return _write_output(path, output_format, metadata, itertools.chain([header], lines),
-                         {"rows": rows})
+
+    def lines():
+        matrix = np.column_stack([v for v in columns.values() if v is not None])
+        if not np.isfinite(matrix).all():  # one check; _fmt refuses the first in row order
+            _fmt(matrix[~np.isfinite(matrix)][0])
+        line = ",".join(["{!r}"] * 9 + ["" if coherence is None else "{!r}"] * 2 + ["{!r}"])
+        yield header
+        yield from (line.format(*row) for row in matrix.tolist())
+
+    def rows():  # lists of Python floats, made only for JSON
+        lists = [[None] * len(report.thetas) if v is None else v.tolist() for v in columns.values()]
+        yield from (dict(zip(columns, row)) for row in zip(*lists))
+
+    return _write_output(path, output_format, metadata, lines(), {"rows": rows()})

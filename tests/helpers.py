@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from epmdiag import cli
+from epmdiag.errors import ParseError, ValidationError
 from epmdiag.linalg import PAULI_X, PAULI_Y
 from epmdiag.reconstruct import OUTCOME_COLUMNS
 
@@ -66,6 +67,66 @@ def write_probability_table(table, path, metadata: dict | None = None) -> None:
     for label, values in table.rows.items():
         lines.append(label + "," + ",".join(repr(float(v)) for v in values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_table_parse(data: bytes, sum_tolerance: float = 0.02, renormalize: bool = False):
+    """(rows, metadata, flags) of a table's bytes, the loader's reading in its plainest form.
+
+    Every field is stripped, every value converted and checked for
+    finiteness one at a time, and the row sum taken after the check. The
+    library's `load_probability_table` skips work on the common path (one
+    strip, one finiteness test of the sum) and must still give these rows
+    bit for bit, these flags and metadata, and these errors, message and
+    line included.
+    """
+    text = data.decode("utf-8-sig")
+    rows, metadata, flags = {}, {}, []
+    header_seen = False
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                try:
+                    number = float(value.strip())
+                except ValueError:
+                    continue
+                if not math.isfinite(number):
+                    raise ParseError(f"non-finite metadata value {value.strip()!r}", line=line_no)
+                metadata[key.strip()] = number
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen:
+            expected = ["input", *OUTCOME_COLUMNS]
+            if fields != expected:
+                raise ParseError(f"bad header {fields!r}, expected {expected!r}", line=line_no)
+            header_seen = True
+            continue
+        if len(fields) != 5:
+            raise ParseError(f"expected 5 comma-separated fields, got {len(fields)}", line=line_no)
+        label = fields[0]
+        if label in rows:
+            raise ValidationError(f"duplicate input label {label!r}")
+        try:
+            row = [float(f) for f in fields[1:]]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric probability: {exc}", line=line_no) from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"non-finite probability in row {label!r}", line=line_no)
+        if min(row) < -1e-9 or max(row) > 1 + 1e-9:
+            flags.append(f"row {label!r} has probabilities outside [0, 1]")
+        row_sum = 0.0 + row[0] + row[1] + row[2] + row[3]
+        if abs(row_sum - 1.0) > sum_tolerance:
+            flags.append(f"row {label!r} sums to {row_sum!r}, outside tolerance {sum_tolerance}")
+        if renormalize and row_sum != 0 and abs(row_sum - 1.0) > 1e-12:
+            row = [x / row_sum for x in row]
+        rows[label] = row
+    if not header_seen:
+        raise ParseError("missing header line 'input,p00,p01,p10,p11'", line=1)
+    return rows, metadata, flags
 
 
 def child_env():

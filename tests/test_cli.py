@@ -220,6 +220,23 @@ def test_out_ending_in_a_separator_exit_code(tmp_path):
     assert [path.name for path in tmp_path.rglob("*")] == ["outdir"]
 
 
+def test_out_naming_a_directory_is_refused_before_the_command_runs(tmp_path, monkeypatch):
+    # exit 3 with the writer's message, but before any grid or curve is computed
+    calls = []
+    for name in ("run_sweep", "preset_fig1", "preset_fig3"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    (tmp_path / "sub" / "d").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path / "sub")
+    for out in ("d", "..", "./d"):
+        for args in (("fig3", "--theta-points", "2"), ("sweep", "--resolution", "2", "--samples", "5"),
+                     ("fig1", "--panel", "a", "--resolution", "2", "--samples", "5")):
+            result = run_cli(*args, "--out", out)
+            assert result.returncode == 3, (args, out, result.stderr)
+            assert result.stderr == f"error: [Errno 21] Is a directory: {str(Path(out))!r}\n"
+    assert calls == []
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["d", "sub"]
+
+
 def test_every_command_writes_through_one_writer(tmp_path, monkeypatch):
     # one _write_output call a run, under every name the writer is reached by;
     # haar-avg and protocol print their output without --out and nothing with it

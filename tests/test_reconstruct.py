@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epmdiag.element_sums import epm_char_fn
@@ -22,7 +22,7 @@ from epmdiag.reconstruct import (
     transition_tensor_from_tables,
     transition_tensor_from_unitary,
 )
-from helpers import haar_random_unitary, write_probability_table
+from helpers import haar_random_unitary, reference_table_parse, write_probability_table
 
 H = local_hamiltonian_2q()
 RHO_PP = np.outer(plus_plus_state(), plus_plus_state().conj())
@@ -347,6 +347,88 @@ def test_load_fuzz_raises_only_documented_errors(tmp_path_factory, source, renor
         load_probability_table(source, renormalize=renormalize)
     except (ParseError, ValidationError):
         pass
+
+
+# Tables near the format for comparing the loader with its plain reading: padding
+# that float() takes (tab, U+00A0) and that only strip() takes (U+001C-U+001F),
+# non-finite values, finite rows whose sum overflows or cancels, non-numeric
+# fields, wrong field counts, labels that repeat, comments and metadata.
+PADDING = ["", "", "", " ", "\t", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f", "\t\x1c"]
+PROBABILITIES = ["0", "1", "0.25", "0.5", "1.0", "0.2", "-0.02", "1.02", "1e-300", "1e308"]
+# one draw a field or label: the padded values are listed whole
+PROBABILITY = st.sampled_from([a + x + b for a in PADDING for x in PROBABILITIES for b in PADDING])
+FIELD = st.one_of(
+    PROBABILITY,
+    st.sampled_from([a + x + b for a in PADDING for b in PADDING for x in
+                     ["-1e308", "nan", "inf", "-inf", "1e999", "zero", "", "1 0", "0x1"]]),
+    st.floats().map(repr),
+)
+LABEL = st.sampled_from([a + x + b for a in PADDING for b in PADDING
+                         for x in ["00", "01", "10", "11", "++", "a", "b", "c", "d", "e", "f"]])
+ROW = st.tuples(LABEL, PROBABILITY, PROBABILITY, PROBABILITY, PROBABILITY).map(",".join)
+ODD_ROW = st.one_of(
+    st.tuples(LABEL, FIELD, FIELD, FIELD, FIELD).map(",".join),
+    st.lists(FIELD, min_size=1, max_size=7).map(",".join),
+    st.sampled_from(["00,1e308,1e308,0,0", "00,1e308,-1e308,1e-300,0", "00,1e308,1e308,-1e308,0",
+                     "++,0.25,0.25,0.25,0.25", "11,\x1c1.0,0,0,0", "10,0,0,\t1\x1f,0",
+                     "01,0,1e999,0,0", "10,-inf,0,0,1", "11,0,0,nan,1", "a,0,1,zero ,0"]),
+)
+COMMENT = st.sampled_from(
+    [f"# theta ={a}{x}{b}" for a in PADDING for x in PROBABILITIES for b in PADDING]
+    + ["# phi=0.5", "## theta = \x1c2", "# note", "#", "# a = b", "# = 1", "# x = 1 = 2"] * 50
+    + ["# theta = nan", "# phi = 1e999", "#phi=-inf"] * 15)
+HEADER = st.sampled_from(["input,p00,p01,p10,p11"] * 4 + [" input ,\x1cp00,p01,p10,p11\xa0"] * 2
+                         + ["input,p00,p01,p10", "input;p00;p01;p10;p11"])
+
+
+def _table_text(parts) -> str:
+    """The lines before the header, the header, then the body with the odd rows at `at`."""
+    before, header, body, odd, at, newline, bom = parts
+    lines = [*before, header, *body[:at], *odd, *body[at:]]
+    return bom + newline.join(lines) + newline
+
+
+# a body of distinct labels (a comment or blank line counts as a label of its
+# own) and at most one odd row at any place, which may repeat a label
+TABLE_TEXT = st.tuples(
+    st.lists(st.one_of(COMMENT, st.just("")), max_size=2), HEADER,
+    st.lists(st.one_of(ROW, ROW, ROW, COMMENT, st.just(" ")), max_size=7,
+             unique_by=lambda line: line.split(",")[0].strip()),
+    st.lists(ODD_ROW, max_size=1), st.integers(0, 7),
+    st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["", "\ufeff"]),
+).map(_table_text)
+
+
+def _load_outcome(load, *args, **kwargs):
+    """The rows' bits, the metadata and flags, or the error's type, message and line."""
+    try:
+        rows, metadata, flags = load(*args, **kwargs)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return ([(label, np.array(row, dtype=float).tobytes()) for label, row in rows.items()],
+            [(key, repr(value)) for key, value in metadata.items()], flags)
+
+
+@FUZZ_SETTINGS
+@given(text=TABLE_TEXT, renormalize=st.booleans(), tolerance=st.sampled_from([0.02, 0.0, 1e300]),
+       via=st.sampled_from(["bytes", "file"]))
+@example(text="input,p00,p01,p10,p11\n00,\x1c1.0,0,0,0\n", renormalize=False, tolerance=0.02,
+         via="bytes")
+@example(text="input,p00,p01,p10,p11\n00,1e308,-1e308,1e-300,0\n01,1e308,1e308,0,0\n",
+         renormalize=True, tolerance=0.02, via="file")
+def test_load_matches_the_reference_reading(tmp_path_factory, text, renormalize, tolerance, via):
+    data = text.encode("utf-8")
+    source = data
+    if via == "file":
+        source = tmp_path_factory.getbasetemp() / "reference_table.csv"
+        source.write_bytes(data)
+
+    def load(source):
+        table = load_probability_table(source, sum_tolerance=tolerance, renormalize=renormalize)
+        return table.rows, table.metadata, table.flags
+
+    expected = _load_outcome(reference_table_parse, data, tolerance, renormalize)
+    assert _load_outcome(load, source) == expected
 
 
 def test_load_rejects_duplicate_labels():

@@ -583,6 +583,23 @@ def test_write_reconstruction_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_write_reconstruction_csv_refuses_the_first_non_finite_value_in_row_order(tmp_path):
+    # inf in the last column of row 1 comes before nan in an earlier column of
+    # row 3; without phi the coherence cells are blank and the refusal is the same
+    thetas = [0.0, 0.1, 0.2, 0.3, 0.4]
+    measured = [(t, gate_probability_table(v_axis(t, 0.5))) for t in thetas]
+    out = tmp_path / "r.csv"
+    out.write_text("earlier r.csv\n")
+    for phi in (0.5, None):
+        report = run_reconstruction(measured, phi=phi)
+        report.max_row_sum_error[1] = math.inf
+        report.g_chi_measured[3] = math.nan
+        with pytest.raises(ValidationError, match="non-finite value inf as CSV"):
+            write_reconstruction(report, out)
+        assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
+        assert out.read_text() == "earlier r.csv\n"
+
+
 def test_synthetic_table_files_round_trip(tmp_path):
     thetas = np.linspace(0.0, math.pi / 4, 5)
     paths = [tmp_path / f"table_{i:03d}.csv" for i in range(len(thetas))]
