@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import itertools
 import math
 import os
 import sys
@@ -25,7 +24,8 @@ from .sweeps import (
     ERROR_FAMILIES,
     SweepConfig,
     _check_angles,
-    _fmt,
+    _csv_lines,
+    _sidecar,
     _sweep_rows,
     _write_output,
     preset_fig1,
@@ -185,12 +185,15 @@ def _cmd_reconstruct(args) -> list[Path]:
             thetas.append(table.metadata["theta"])
     measured = list(zip(thetas, tables))
     ideal = None if args.ideal is None else [_load_table(path, args) for path in args.ideal]
-    phi = args.phi
+    phi, phis = args.phi, []
     if phi is None:
-        phis = {t.metadata["phi"] for t in tables if "phi" in t.metadata}
-        phi = phis.pop() if len(phis) == 1 else None
+        phis = sorted({t.metadata["phi"] for t in tables if "phi" in t.metadata})
+        phi = phis[0] if len(phis) == 1 else None
     report = run_reconstruction(measured, ideal=ideal, phi=phi, error_family=args.error)
     del tables, measured, ideal  # the report holds its own stack; free theirs before the write
+    if len(phis) > 1:
+        print(f"warning: the tables' '# phi =' values differ ({', '.join(map(repr, phis))}); "
+              "the coherence curve is left out, pass --phi for it", file=sys.stderr)
     # flags first: they explain a non-finite value the writer refuses
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)
@@ -228,12 +231,12 @@ def _cmd_haar_avg(args) -> None:
         merits=_merits(args), n_samples=args.samples, master_seed=args.seed,
     )
     columns = ("merit", "mean", "std_error", "n_samples", "seed")
-    rows = [(*row[2:], args.samples, args.seed)
-            for row in _sweep_rows(config, run_sweep(config).values)]
-    lines = (f"{merit},{_fmt(mean)},{_fmt(std_error)},{samples},{seed}"
+    values = run_sweep(config).values
+    rows = [(*row[2:], args.samples, args.seed) for row in _sweep_rows(config, values)]
+    lines = (f"{merit},{mean!r},{std_error!r},{samples},{seed}"
              for merit, mean, std_error, samples, seed in rows)
     results = (dict(zip(columns, row)) for row in rows)
-    _write_output(args.out, args.output_format, None, itertools.chain([",".join(columns)], lines),
+    _write_output(args.out, args.output_format, None, _csv_lines(",".join(columns), values, lines),
                   {"theta": args.theta, "phi": args.phi, "error_family": args.error,
                    "results": results})
 
@@ -254,8 +257,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, --version or a refused argv: argparse's exit code
         return exc.code
     try:
-        if args.out is not None and os.path.isdir(args.out):  # refused before the command runs
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(args.out)))
+        if args.out is not None:  # a directory there or at a CSV's sidecar: refused before the run
+            out = Path(args.out)
+            sidecar = args.command in ("sweep", "fig1", "fig3", "reconstruct") \
+                and args.output_format == "csv"
+            for target in [out, _sidecar(out)] if sidecar else [out]:
+                if os.path.isdir(target):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         written = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -362,11 +362,15 @@ def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> Reconstruct
 # byte-identical files.
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    value = float(value)
-    if not math.isfinite(value):
+def _csv_lines(header: str, values: np.ndarray, lines):
+    """`header`, then `lines`, which print the floats of `values`; one test of `values` at the
+    first line drawn refuses the first non-finite value in row order before any line goes."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        value = values[~finite][0].item()
         raise ValidationError(f"refusing to write the non-finite value {value!r} as CSV")
-    return repr(value)
+    yield header
+    yield from lines
 
 
 class _Items(list):
@@ -393,6 +397,11 @@ def _json_chunks(doc: dict):
     except ValueError:
         raise ValidationError("refusing to write a non-finite value as JSON") from None
     yield "\n"
+
+
+def _sidecar(path: Path) -> Path:
+    """The `.meta.json` file that goes with a CSV at `path`."""
+    return path.with_name(path.stem + ".meta.json")
 
 
 def _write_output(path, output_format: str, metadata: dict | None, lines, body: dict) -> list[Path]:
@@ -422,7 +431,7 @@ def _write_output(path, output_format: str, metadata: dict | None, lines, body: 
         sys.stdout.write("".join(texts[0]))
         return []
     path = Path(path)
-    texts = dict(zip([path, path.with_name(path.stem + ".meta.json")], texts))
+    texts = dict(zip([path, _sidecar(path)], texts))
     temps = []
     try:
         for target, chunks in texts.items():
@@ -446,7 +455,7 @@ def _write_output(path, output_format: str, metadata: dict | None, lines, body: 
 
 def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[Path]:
     """Write a sweep as long-format CSV (+ JSON sidecar) or as one JSON file."""
-    config = result.config
+    config = result.config.validate()  # theta and phi go out unchecked: refuse what run_sweep would
     phi_lo, phi_hi = config.phi_bounds()
     metadata = {"kind": "sweep", "error_family": config.error_family,
                 "theta": {"lo": config.theta_lo, "hi": config.theta_hi,
@@ -456,12 +465,12 @@ def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[P
                 "master_seed": config.master_seed,
                 "grid_points": config.theta_points * config.phi_points}
     columns = ("theta", "phi", "merit", "mean", "std_error", "n_samples")
-    lines = (f"{theta},{phi},{merit},{_fmt(mean)},{_fmt(std_error)},{config.n_samples}"
-             for theta, phi, merit, mean, std_error in _sweep_rows(config, result.values, axis=_fmt))
+    lines = (f"{theta},{phi},{merit},{mean!r},{std_error!r},{config.n_samples}"
+             for theta, phi, merit, mean, std_error in _sweep_rows(config, result.values, axis=repr))
     records = (dict(zip(columns, (*row, config.n_samples)))
                for row in _sweep_rows(config, result.values))
-    return _write_output(path, output_format, metadata, itertools.chain([",".join(columns)], lines),
-                         {"records": records})
+    return _write_output(path, output_format, metadata,
+                         _csv_lines(",".join(columns), result.values, lines), {"records": records})
 
 
 def fig3_series(report: ReconstructionReport) -> list[tuple[str, np.ndarray]]:
@@ -483,12 +492,11 @@ def write_fig3(report: ReconstructionReport, path, output_format: str = "csv") -
     series = fig3_series(report)
 
     def lines():
-        yield "theta,series,value"
+        matrix = np.column_stack([report.thetas] + [v for _, v in series])
         # one .tolist() per theta row: the whole grid as Python floats would set the peak RSS
-        for theta, row in zip(report.thetas.tolist(), np.column_stack([v for _, v in series])):
-            theta = _fmt(theta)
-            for (name, _), value in zip(series, row.tolist()):
-                yield f"{theta},{name},{_fmt(value)}"
+        rows = ((repr(theta), values) for theta, *values in map(np.ndarray.tolist, matrix))
+        yield from _csv_lines("theta,series,value", matrix, (f"{theta},{name},{value!r}"
+                              for theta, values in rows for (name, _), value in zip(series, values)))
 
     return _write_output(path, output_format, metadata, lines(),
                          {"thetas": report.thetas, "series": dict(series)})
@@ -515,11 +523,8 @@ def write_reconstruction(report: ReconstructionReport, path, output_format: str 
 
     def lines():
         matrix = np.column_stack([v for v in columns.values() if v is not None])
-        if not np.isfinite(matrix).all():  # one check; _fmt refuses the first in row order
-            _fmt(matrix[~np.isfinite(matrix)][0])
         line = ",".join(["{!r}"] * 9 + ["" if coherence is None else "{!r}"] * 2 + ["{!r}"])
-        yield header
-        yield from (line.format(*row) for row in matrix.tolist())
+        yield from _csv_lines(header, matrix, (line.format(*row) for row in matrix.tolist()))
 
     def rows():  # lists of Python floats, made only for JSON
         lists = [[None] * len(report.thetas) if v is None else v.tolist() for v in columns.values()]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import epmdiag
 from epmdiag import cli, sweeps
+from epmdiag.errors import ValidationError
 from epmdiag.merit import MeritKind
 from epmdiag.reconstruct import gate_probability_table
 from epmdiag.gates import v_axis
@@ -237,6 +238,45 @@ def test_out_naming_a_directory_is_refused_before_the_command_runs(tmp_path, mon
     assert sorted(path.name for path in tmp_path.rglob("*")) == ["d", "sub"]
 
 
+def test_a_directory_at_the_sidecar_path_is_refused_before_the_command_runs(tmp_path,
+                                                                           monkeypatch):
+    # a CSV's sidecar: exit 3 with the writer's message, before any grid, curve or
+    # reconstruction is computed; as JSON, and for haar-avg and protocol, no
+    # sidecar goes there, so they run
+    calls = []
+
+    def spy(name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise ValidationError("computed")
+        return called
+
+    for name in ("run_sweep", "preset_fig1", "preset_fig3", "run_reconstruction"):
+        monkeypatch.setattr(cli, name, spy(name))
+    table = tmp_path / "t.csv"
+    write_probability_table(gate_probability_table(v_axis(0.4, 0.3)), table,
+                            metadata={"theta": 0.4})
+    sidecar = tmp_path / "d" / "r.meta.json"
+    sidecar.mkdir(parents=True)
+    out = str(sidecar.with_name("r.csv"))
+    commands = [("sweep", "--resolution", "2", "--samples", "5"),
+                ("fig1", "--panel", "a", "--resolution", "2", "--samples", "5"),
+                ("fig3", "--theta-points", "2"), ("reconstruct", "--measured", str(table))]
+    for args in commands:
+        result = run_cli(*args, "--out", out)
+        assert result.returncode == 3, (args, result.stderr)
+        assert result.stderr == f"error: [Errno 21] Is a directory: {str(sidecar)!r}\n"
+    assert calls == []
+    for args in commands + [("haar-avg", "--theta", "0.3", "--phi", "0.2")]:
+        result = run_cli(*args, "--format", "json", "--out", out)
+        assert (result.returncode, result.stderr) == (2, "error: computed\n"), args
+    assert calls == ["run_sweep", "preset_fig1", "preset_fig3", "run_reconstruction", "run_sweep"]
+    assert run_cli("haar-avg", "--theta", "0.3", "--phi", "0.2", "--out", out).returncode == 2
+    assert run_cli("protocol", "--kind", "separable", "--out", out).returncode == 0
+    assert json.loads(Path(out).read_text())["kind"] == "separable"
+    assert sorted(path.name for path in sidecar.parent.iterdir()) == ["r.csv", "r.meta.json"]
+
+
 def test_every_command_writes_through_one_writer(tmp_path, monkeypatch):
     # one _write_output call a run, under every name the writer is reached by;
     # haar-avg and protocol print their output without --out and nothing with it
@@ -351,6 +391,25 @@ def test_reconstruct_warns_of_flagged_ideal_table(tmp_path):
     flag = "theta 0.4: ideal row '00' sums to 0.5, outside tolerance 0.02"
     assert f"warning: {flag}\n" in result.stderr
     assert json.loads((tmp_path / "r.meta.json").read_text())["flags"] == [flag]
+
+
+def test_reconstruct_warns_when_the_tables_phi_values_differ(tmp_path):
+    # without --phi the coherence columns stay blank, as before, and one warning
+    # names the values; with --phi, or with one value, there is no warning
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, theta, phi in zip(paths, (0.2, 0.6), (0.5, 0.3)):
+        write_probability_table(gate_probability_table(v_axis(theta, phi)), path,
+                                metadata={"theta": theta, "phi": phi})
+    out = tmp_path / "r.csv"
+    result = run_cli("reconstruct", "--measured", *map(str, paths), "--out", str(out))
+    assert result.returncode == 0
+    assert result.stderr == ("warning: the tables' '# phi =' values differ (0.3, 0.5); "
+                             "the coherence curve is left out, pass --phi for it\n")
+    assert [line.split(",")[-3:-1] for line in out.read_text().splitlines()[1:]] == [["", ""]] * 2
+    assert json.loads((tmp_path / "r.meta.json").read_text())["phi"] is None
+    for args in (paths[:1], [*paths, "--phi", "0.4"]):
+        result = run_cli("reconstruct", "--measured", *map(str, args), "--out", str(out))
+        assert (result.returncode, result.stderr) == (0, ""), args
 
 
 def test_reconstruct_nan_value_exit_code(tmp_path):

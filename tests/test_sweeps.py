@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import epmdiag.merit
-from epmdiag import sweeps
+from epmdiag import cli, sweeps
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
@@ -37,7 +37,7 @@ from epmdiag.sweeps import (
     write_reconstruction,
     write_sweep,
 )
-from helpers import assert_same_values, surface, write_probability_table
+from helpers import assert_same_values, run_cli, surface, write_probability_table
 
 
 def test_single_point_null_error():
@@ -583,21 +583,58 @@ def test_write_reconstruction_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_write_reconstruction_csv_refuses_the_first_non_finite_value_in_row_order(tmp_path):
-    # inf in the last column of row 1 comes before nan in an earlier column of
-    # row 3; without phi the coherence cells are blank and the refusal is the same
+def test_write_reconstruction_csv_refuses_the_first_non_finite_value_in_row_order(tmp_path,
+                                                                                  monkeypatch):
+    # every CSV writer tests its values once and names the first non-finite one
+    # in row order: an inf comes before a nan that a column-major search finds
+    # first. The reconstruction's inf is in the last column of row 1, its nan in
+    # an earlier column of row 3; without phi the coherence cells are blank
     thetas = [0.0, 0.1, 0.2, 0.3, 0.4]
     measured = [(t, gate_probability_table(v_axis(t, 0.5))) for t in thetas]
     out = tmp_path / "r.csv"
     out.write_text("earlier r.csv\n")
+    writes = []
     for phi in (0.5, None):
         report = run_reconstruction(measured, phi=phi)
         report.max_row_sum_error[1] = math.inf
         report.g_chi_measured[3] = math.nan
+        writes.append(lambda report=report: write_reconstruction(report, out))
+    # a sweep's inf at an earlier (theta, phi, merit) than its nan
+    values = np.zeros((2, 3, 2, 2))
+    values[0, 2, 1, 1] = math.inf
+    values[1, 0, 0, 0] = math.nan
+    writes.append(lambda: write_sweep(SweepResult(SweepConfig(theta_points=2, phi_points=3),
+                                                  values), out))
+    # fig3's inf in a later series of an earlier theta than its nan
+    fig3 = preset_fig3(theta_points=3)
+    rows = list(fig3.table.rows.values())
+    rows[-1][1, -1] = math.inf
+    rows[0][2, 0] = math.nan
+    writes.append(lambda: write_fig3(fig3, out))
+    for write in writes:
         with pytest.raises(ValidationError, match="non-finite value inf as CSV"):
-            write_reconstruction(report, out)
+            write()
         assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
         assert out.read_text() == "earlier r.csv\n"
+    # haar-avg's inf in the std_error of its first merit, its nan in the mean of its second
+    point = np.zeros((1, 1, 2, 2))
+    point[0, 0, 0, 1] = math.inf
+    point[0, 0, 1, 0] = math.nan
+    monkeypatch.setattr(cli, "run_sweep", lambda config: SweepResult(config, point))
+    result = run_cli("haar-avg", "--theta", "0.3", "--phi", "0.2", "--merit", "eta_chi",
+                     "--merit", "fidelity", "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr == "error: refusing to write the non-finite value inf as CSV\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
+    assert out.read_text() == "earlier r.csv\n"
+    # a hand-built sweep whose config run_sweep refuses: its theta is printed
+    # unchecked, so the config is refused before anything is written
+    invalid = SweepResult(SweepConfig(theta_hi=math.nan, theta_points=2, phi_points=1),
+                          np.zeros((2, 1, 2, 2)))
+    for output_format in ("csv", "json"):
+        with pytest.raises(ValidationError, match="sweep range nan is not a finite angle"):
+            write_sweep(invalid, tmp_path / f"s.{output_format}", output_format)
+        assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
 
 
 def test_synthetic_table_files_round_trip(tmp_path):
