@@ -185,15 +185,20 @@ def _cmd_reconstruct(args) -> list[Path]:
             thetas.append(table.metadata["theta"])
     measured = list(zip(thetas, tables))
     ideal = None if args.ideal is None else [_load_table(path, args) for path in args.ideal]
-    phi, phis = args.phi, []
+    phi, phis, without = args.phi, [], []
     if phi is None:
         phis = sorted({t.metadata["phi"] for t in tables if "phi" in t.metadata})
-        phi = phis[0] if len(phis) == 1 else None
+        without = [path for path, t in zip(args.measured, tables) if "phi" not in t.metadata]
+        phi = phis[0] if len(phis) == 1 and not without else None
     report = run_reconstruction(measured, ideal=ideal, phi=phi, error_family=args.error)
     del tables, measured, ideal  # the report holds its own stack; free theirs before the write
     if len(phis) > 1:
         print(f"warning: the tables' '# phi =' values differ ({', '.join(map(repr, phis))}); "
               "the coherence curve is left out, pass --phi for it", file=sys.stderr)
+    elif phis and without:
+        print(f"warning: some tables carry '# phi =' metadata and these do not: "
+              f"{', '.join(without)}; the coherence curve is left out, pass --phi for it",
+              file=sys.stderr)
     # flags first: they explain a non-finite value the writer refuses
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)

@@ -59,7 +59,8 @@ def _draw_arrays(shapes: list[tuple[int, ...]], reuse: bool) -> list[np.ndarray]
         return [np.empty(shape) for shape in shapes]
     starts = list(itertools.accumulate((-(-math.prod(s) // 8) * 8 for s in shapes), initial=0))
     if _held.needed > _held.buffer.size:  # the buffer never shrinks
-        mapping = mmap.mmap(-1, 8 * _held.needed, access=mmap.ACCESS_COPY)  # private to a fork
+        # private, not shared: a library caller may fork, and a child's writes stay its own
+        mapping = mmap.mmap(-1, 8 * _held.needed, access=mmap.ACCESS_COPY)
         _held.buffer = np.frombuffer(mapping, float)
     _held.needed = starts[-1]
     memory = _held.buffer if _held.needed <= _held.buffer.size else np.empty(_held.needed)

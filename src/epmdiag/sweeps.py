@@ -64,6 +64,10 @@ MAX_ANGLE = 1e6
 # JSON, and ~25 us, so 10**5 points peak at ~0.14 GB and take ~2.5 s; a
 # larger request is far more likely a typo than a need.
 MAX_THETA_POINTS = 10**5
+# Ceiling on --workers: each worker is a thread with its own draw buffer and
+# malloc arena, so threads beyond the cores add memory and no speed; a larger
+# request is far more likely a typo than a need.
+MAX_WORKERS = 256
 # Most Haar states one evaluation call holds: a theta row is averaged in
 # calls of max(1, STATE_BUDGET // n_samples) consecutive points, which
 # spreads the fixed cost of a call over many points at low sample counts
@@ -173,7 +177,7 @@ def point_seed(master_seed: int, grid_index, kind: MeritKind):
     return [master_seed | operator.index(gi) << 64 for gi in grid_index]
 
 
-def _evaluate_row(task) -> np.ndarray:
+def _evaluate_row(config: SweepConfig, theta: float, keys: list[int]) -> np.ndarray:
     """(phi, merit, 2) array of (mean, std_error) along one theta row.
 
     The row's noisy gates are built as one stack. Consecutive points of the
@@ -181,15 +185,14 @@ def _evaluate_row(task) -> np.ndarray:
     states (at least one), and each call draws its points' states once for
     all the merits; each point keeps its own key.
     """
-    family, theta, phis, merits, n_samples, keys = task
     u = g_gate(theta)
-    noisy = ERROR_FAMILIES[family](theta, np.array(phis))
+    noisy = ERROR_FAMILIES[config.error_family](theta, config.phis())
     hamiltonian = local_hamiltonian_2q()
-    step = max(1, STATE_BUDGET // n_samples)
-    row = np.empty((len(phis), len(merits), 2))
-    for start in range(0, len(phis), step):
-        per_merit = haar_average(tuple(merits), u, noisy[start:start + step], hamiltonian,
-                                 n_samples=n_samples, seed=keys[start:start + step])
+    step = max(1, STATE_BUDGET // config.n_samples)
+    row = np.empty((config.phi_points, len(config.merits), 2))
+    for start in range(0, config.phi_points, step):
+        per_merit = haar_average(tuple(config.merits), u, noisy[start:start + step], hamiltonian,
+                                 n_samples=config.n_samples, seed=keys[start:start + step])
         row[start:start + step] = [[(a.mean, a.std_error) for a in pt] for pt in zip(*per_merit)]
     return row
 
@@ -197,27 +200,23 @@ def _evaluate_row(task) -> np.ndarray:
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Evaluate every requested merit on the configured (theta, phi) grid.
 
-    Workers > 1 fan theta rows out to a process pool of at most one worker
+    Workers > 1 fan theta rows out to a thread pool of at most one thread
     per row; per-point keys make the result identical for any worker count.
     """
     config.validate()
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValidationError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     thetas = config.thetas().tolist()
-    phis = config.phis().tolist()
+    n = config.phi_points
     # the merit does not enter a key, so the first one stands for all
-    keys = point_seed(config.master_seed, range(len(thetas) * len(phis)), config.merits[0])
-    tasks = [(config.error_family, theta, phis, config.merits, config.n_samples,
-              keys[i * len(phis):(i + 1) * len(phis)])
-             for i, theta in enumerate(thetas)]
-
-    # a pool forks all its workers at the first submit, so start no more than there are rows
-    workers = min(workers, len(tasks))
+    keys = point_seed(config.master_seed, range(len(thetas) * n), config.merits[0])
+    args = (itertools.repeat(config), thetas, [keys[i * n:(i + 1) * n] for i in range(len(thetas))])
+    workers = min(workers, len(thetas))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_row, tasks))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_evaluate_row, *args))
     else:
-        rows = [_evaluate_row(task) for task in tasks]
+        rows = list(map(_evaluate_row, *args))
     return SweepResult(config=config, values=np.stack(rows))
 
 

@@ -21,7 +21,7 @@ from epmdiag.reconstruct import (
     transition_tensor_from_unitary,
 )
 from epmdiag.sweeps import preset_fig1, preset_fig3, run_reconstruction
-from helpers import haar_random_unitary, run_child, surface
+from helpers import haar_random_unitary, run_cli, surface
 
 H = local_hamiltonian_2q()
 
@@ -202,13 +202,12 @@ def test_criterion_6_statistical_soundness():
 
 
 def test_criterion_7_output_determinism(tmp_path):
-    # each run in a new interpreter, so each worker pool starts from a clean one
     with criterion(7, "byte-identical outputs for any worker count"):
         outputs = []
         for name, workers in (("first", "1"), ("second", "2")):
             out = tmp_path / f"{name}.csv"
-            proc = run_child("fig1", "--panel", "b", "--seed", "7", "--workers", workers,
-                             "--out", str(out))
+            proc = run_cli("fig1", "--panel", "b", "--seed", "7", "--workers", workers,
+                           "--out", str(out))
             assert proc.returncode == 0, proc.stderr
             outputs.append((out.read_bytes(), (tmp_path / f"{name}.meta.json").read_bytes()))
         assert outputs[0][0] == outputs[1][0]

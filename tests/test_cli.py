@@ -60,8 +60,8 @@ def test_sweep_null_point(tmp_path):
 def test_fig1_deterministic_across_workers(tmp_path):
     args = ("fig1", "--panel", "b", "--resolution", "5", "--samples", "200", "--seed", "11")
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
-    r1 = run_child(*args, "--out", str(out1), "--workers", "1")
-    r2 = run_child(*args, "--out", str(out2), "--workers", "2")
+    r1 = run_cli(*args, "--out", str(out1), "--workers", "1")
+    r2 = run_cli(*args, "--out", str(out2), "--workers", "2")
     assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
     assert out1.read_bytes() == out2.read_bytes()
     meta1 = (tmp_path / "one.meta.json").read_text()
@@ -410,6 +410,17 @@ def test_reconstruct_warns_when_the_tables_phi_values_differ(tmp_path):
     for args in (paths[:1], [*paths, "--phi", "0.4"]):
         result = run_cli("reconstruct", "--measured", *map(str, args), "--out", str(out))
         assert (result.returncode, result.stderr) == (0, ""), args
+    # one table with a phi and one without: the phi is not applied to both, and the
+    # warning names the table without it
+    bare = tmp_path / "bare.csv"
+    write_probability_table(gate_probability_table(v_axis(0.4, 0.5)), bare,
+                            metadata={"theta": 0.4})
+    result = run_cli("reconstruct", "--measured", str(paths[0]), str(bare), "--out", str(out))
+    assert result.returncode == 0
+    assert result.stderr == ("warning: some tables carry '# phi =' metadata and these do not: "
+                             f"{bare}; the coherence curve is left out, pass --phi for it\n")
+    assert [line.split(",")[-3:-1] for line in out.read_text().splitlines()[1:]] == [["", ""]] * 2
+    assert json.loads((tmp_path / "r.meta.json").read_text())["phi"] is None
 
 
 def test_reconstruct_nan_value_exit_code(tmp_path):
@@ -599,9 +610,12 @@ def test_fig3_theta_points_above_the_ceiling_exit_code(tmp_path):
 
 def test_workers_below_one_exit_code(tmp_path):
     out = tmp_path / "s.csv"
+    # 100000 is refused by its ceiling; a build without one still runs a 2 x 2 grid
+    # on at most 2 threads, one per row
     for args in (("sweep", "--resolution", "2", "--samples", "10", "--workers", "0"),
                  ("fig1", "--panel", "b", "--resolution", "2", "--samples", "10",
-                  "--workers", "-3")):
+                  "--workers", "-3"),
+                 ("sweep", "--resolution", "2", "--samples", "10", "--workers", "100000")):
         result = run_cli(*args, "--out", str(out))
         assert result.returncode == 2, (args, result.stderr)
         assert "workers" in result.stderr
@@ -623,7 +637,7 @@ SEEDS = (st.sampled_from(["0", "7", "18446744073709551615"]),
          st.sampled_from(["18446744073709551616", "-1"]))
 SAMPLES = (st.sampled_from(["1", "2", "5"]), st.sampled_from(["0", "-3", "1000001"]))
 RESOLUTIONS = (st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "1001"]))
-WORKERS = (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1"]))
+WORKERS = (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "257"]))
 ERRORS = (st.sampled_from(["axis", "angle"]), None)
 FORMATS = (st.sampled_from(["csv", "json"]), None)
 TABLE_FILES = [f"tables/{name}.csv" for name in ("t0", "t1", "no_theta", "malformed",

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from epmdiag.reconstruct import (
     table_from_plan,
 )
 from epmdiag.sweeps import (
+    MAX_WORKERS,
     STATE_BUDGET,
     SweepConfig,
     SweepResult,
@@ -71,30 +73,52 @@ def test_sweep_surface_shape_and_bounds():
 
 
 def test_sweep_workers_do_not_change_results():
-    config = SweepConfig(theta_points=3, phi_points=3, n_samples=200, master_seed=9)
-    serial = run_sweep(config, workers=1)
-    assert_same_values(run_sweep(config, workers=2), serial)
+    # the second grid averages each row in calls of 2 points with a 1-point tail, all six
+    # merits, so the threads each reuse their own draw buffer while the others draw; at
+    # 3 workers there is a thread per row, and a short switch interval interleaves them
+    small = SweepConfig(theta_points=3, phi_points=3, n_samples=200, master_seed=9)
+    chunked = SweepConfig(theta_points=3, phi_points=5, merits=tuple(MeritKind), n_samples=3000,
+                          master_seed=9)
+    assert STATE_BUDGET // chunked.n_samples == 2
+    assert_same_values(run_sweep(small, workers=2), run_sweep(small, workers=1))
+    serial = run_sweep(chunked, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 3):
+            assert_same_values(run_sweep(chunked, workers=workers), serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class RecordingPool:
+    """A thread pool's stand-in: it records how many workers it was asked for
+    and maps in the calling thread."""
+
+    def __init__(self, asked, max_workers):
+        asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def _record_pools(monkeypatch) -> list[int]:
+    asked = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda max_workers: RecordingPool(asked, max_workers))
+    return asked
 
 
 def test_sweep_pool_has_at_most_one_worker_per_row(monkeypatch):
-    # a real pool forks every worker at the first submit; this one records
-    # how many it was asked for and maps in this process
-    asked = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # a thread beyond the rows would have nothing to do, so none is started;
+    # the recording pool maps in this thread
+    asked = _record_pools(monkeypatch)
     config = SweepConfig(theta_points=3, phi_points=2, n_samples=20, master_seed=4)
     serial = run_sweep(config)
     assert_same_values(run_sweep(config, workers=64), serial)
@@ -103,6 +127,18 @@ def test_sweep_pool_has_at_most_one_worker_per_row(monkeypatch):
     one_row = dataclasses.replace(config, theta_points=1)
     assert_same_values(run_sweep(one_row, workers=64), run_sweep(one_row))
     assert asked == [3, 2]
+
+
+def test_sweep_refuses_workers_above_the_ceiling(monkeypatch):
+    # refused before any pool is asked for: the count reaches no executor
+    asked = _record_pools(monkeypatch)
+    config = SweepConfig(theta_points=MAX_WORKERS + 1, phi_points=1, n_samples=1)
+    for workers in (MAX_WORKERS + 1, 100_000):
+        with pytest.raises(ValidationError, match=f"workers must be in \\[1, {MAX_WORKERS}\\]"):
+            run_sweep(config, workers=workers)
+    assert asked == []
+    run_sweep(config, workers=MAX_WORKERS)
+    assert asked == [MAX_WORKERS]
 
 
 def test_sweep_validation():
