@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,21 +121,23 @@ def _form_difference(u_stack: np.ndarray, v_stack: np.ndarray,
     """M = V^dag e^-H V - U^dag e^-H U for each pair of a (G, dim, dim) gate stack.
 
     M_kl = sum_m e^-E_m (conj(V_mk) V_ml - conj(U_mk) U_ml), with `weights`
-    the e^-E_m, formed as (G, m, k, l) terms summed over m in order. The
+    the e^-E_m, formed as (m, k, l) terms summed over m in order. The
     conjugate products are written out in real arithmetic, r r' + i i' and
     r i' - i r', which rounds as Python's complex multiply does; numpy's
-    complex multiply need not. Rows where V equals U add exact zeros, so M
-    is 0 when V equals U.
+    complex multiply need not. The parts are laid out as (V or U, re or im,
+    m, k, G), so every loop runs along the stack. Rows where V equals U add
+    exact zeros, so M is 0 when V equals U.
     """
-    x = np.array([v_stack, u_stack]).view(float)
-    x = x.reshape(x.shape[:-1] + (-1, 2))  # (V or U, G, m, k, re or im)
-    a = x[..., :, None, :, None] * x[..., None, :, None, :]  # x_mk,c x_ml,c' as (..., k, l, c, c')
-    products = np.empty(a.shape[:-1])
-    np.add(a[..., 0, 0], a[..., 1, 1], out=products[..., 0])
-    np.subtract(a[..., 0, 1], a[..., 1, 0], out=products[..., 1])
+    x = np.array([v_stack, u_stack])
+    x = x.view(float).reshape(x.shape + (2,)).transpose(0, 4, 2, 3, 1).copy()
+    # x_mk,c x_ml,c' as (V or U, c, c', m, k, l, G)
+    a = x[:, :, None, :, :, None] * x[:, None, :, :, None, :]
+    products = np.empty(a.shape[:1] + a.shape[2:])
+    np.add(a[:, 0, 0], a[:, 1, 1], out=products[:, 0])
+    np.subtract(a[:, 0, 1], a[:, 1, 0], out=products[:, 1])
     terms = weights[:, None, None, None] * (products[0] - products[1])
-    form = _total([terms[:, m] for m in range(terms.shape[1])], None)
-    return form.view(complex)[..., 0]
+    form = _total([terms[:, m] for m in range(terms.shape[1])], None)  # (re or im, k, l, G)
+    return np.ascontiguousarray(form.transpose(3, 1, 2, 0)).view(complex)[..., 0]
 
 
 def _s_p(diagonal: np.ndarray, pops: np.ndarray) -> np.ndarray:
@@ -263,9 +265,8 @@ def kernel_coherence_fid(psi0: np.ndarray, u_ideal: np.ndarray, v_noisy: np.ndar
     return float(kernel_values(MeritKind.COHERENCE_FIDELITY, psi0, u_ideal, v_noisy)[0])
 
 
-@dataclass(frozen=True)
-class HaarAverage:
-    """Monte Carlo estimate of a Haar-averaged merit kernel."""
+class HaarAverage(NamedTuple):
+    """Monte Carlo estimate of a Haar-averaged merit kernel, as a (mean, std_error) tuple."""
 
     mean: float
     std_error: float
@@ -285,7 +286,7 @@ def haar_average(
     linalg.haar_pure_states), drawn as one batch, so the estimate is a pure
     function of (kind, gates, n_samples, seed) and does not depend on
     evaluation order elsewhere. The standard error is the sample standard
-    deviation (ddof=1) over sqrt(n_samples).
+    deviation (ddof=1) over sqrt(n_samples), 0.0 at one sample.
 
     With a stack of B noisy gates (B, dim, dim) and a sequence of B seeds,
     returns the list of B averages, each equal to the call on its own gate
@@ -300,14 +301,16 @@ def haar_average(
     seeds = [seed] if single else seed
     states = haar_pure_states(seeds, u_ideal.shape[0], n_samples, reuse=True)
     v_stack = np.reshape(np.asarray(v_noisy, dtype=complex), (-1,) + u_ideal.shape)
-    results = []
-    for one_kind in kind if isinstance(kind, tuple) else (kind,):
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    block = np.empty((len(kinds), len(v_stack), 2))  # (kind, pair, mean or std_error)
+    for averages, one_kind in zip(block, kinds):
+        mean, error = averages[:, :1], averages[:, 1:]
         values = kernel_values(one_kind, states, u_ideal, v_stack, hamiltonian)
-        means = np.mean(values, axis=-1).tolist()
-        if n_samples > 1:
-            errors = (np.std(values, axis=-1, ddof=1) / math.sqrt(n_samples)).tolist()
-        else:
-            errors = [0.0] * len(means)
-        averages = [HaarAverage(mean=m, std_error=e) for m, e in zip(means, errors)]
-        results.append(averages[0] if single else averages)
+        # numpy's mean and std(ddof=1), ufunc for ufunc, on one sum of the
+        # values; at one sample every deviation is 0, and so is the error
+        np.divide(values.sum(axis=-1, keepdims=True), n_samples, out=mean)
+        variance = np.square(values - mean).sum(axis=-1, keepdims=True) / max(n_samples - 1, 1)
+        np.divide(np.sqrt(variance), math.sqrt(n_samples), out=error)
+    results = [HaarAverage._make(pairs[0]) if single else list(map(HaarAverage._make, pairs))
+               for pairs in block.tolist()]
     return tuple(results) if isinstance(kind, tuple) else results[0]

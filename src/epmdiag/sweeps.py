@@ -193,7 +193,9 @@ def _evaluate_row(config: SweepConfig, theta: float, keys: list[int]) -> np.ndar
     for start in range(0, config.phi_points, step):
         per_merit = haar_average(tuple(config.merits), u, noisy[start:start + step], hamiltonian,
                                  n_samples=config.n_samples, seed=keys[start:start + step])
-        row[start:start + step] = [[(a.mean, a.std_error) for a in pt] for pt in zip(*per_merit)]
+        # one run of floats, merit by merit, each a block of (mean, std_error) pairs
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.chain(*per_merit)), float)
+        row[start:start + step] = flat.reshape(len(per_merit), -1, 2).swapaxes(0, 1)
     return row
 
 

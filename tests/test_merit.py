@@ -275,6 +275,92 @@ def test_fidelity_error_bars_calibrated_against_closed_form():
     assert np.mean(z <= 1) <= 0.85, np.mean(z <= 1)
 
 
+# The two-sided 99.9 % interval of chi-square with 63 degrees of freedom,
+# scipy.stats.chi2.ppf(0.0005, 63) and chi2.ppf(0.9995, 63), written out so
+# that the suite needs no scipy.
+CHI2_63 = (32.455, 106.583)
+
+
+def test_error_bars_of_every_merit_calibrated_by_batch_means():
+    # No closed form is needed: K = 64 independent batches of 400 samples at
+    # three grid points. With calibrated error bars, the sum of the squared
+    # deviations of the K batch means from their mean, over the median
+    # std_error squared, is chi-square with K - 1 degrees of freedom; and the
+    # z-scores of the batch means, each over its own std_error, meet the
+    # FIDELITY test's bounds above, pooled per merit.
+    k, n = 64, 400
+    points = [(v_axis, 0.7, 0.9), (v_angle, 1.1, 2.0), (v_axis, 2.3, -0.4)]
+    z = {kind: [] for kind in MeritKind}
+    for p, (family, theta, phi) in enumerate(points):
+        gates = np.broadcast_to(family(theta, phi), (k, 4, 4))
+        seeds = point_seed(41 + p, range(k), MeritKind.ETA_CHI)
+        per_kind = haar_average(tuple(MeritKind), g_gate(theta), gates, H, n_samples=n,
+                                seed=seeds)
+        for kind, averages in zip(MeritKind, per_kind):
+            means, errors = np.array(averages).T
+            deviations = means - np.mean(means)
+            spread = np.sum(deviations ** 2) / np.median(errors) ** 2
+            assert CHI2_63[0] <= spread <= CHI2_63[1], (kind, p, spread)
+            # the deviation from a mean that includes the batch has variance (k - 1) / k
+            z[kind].extend(deviations / (errors * np.sqrt((k - 1) / k)))
+    for kind, scores in z.items():
+        scores = np.abs(scores)
+        assert np.mean(scores <= 2) >= 0.9, (kind, np.sort(scores)[-10:])
+        assert np.max(scores) <= 5, (kind, np.max(scores))
+        assert np.mean(scores <= 1) <= 0.85, (kind, np.mean(scores <= 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 100, 5000])
+def test_haar_average_reduces_as_numpy_mean_and_std(monkeypatch, n):
+    # the one-sum reduction gives numpy's mean and std(ddof=1) / sqrt(n) bit
+    # for bit, on values of mixed scale that haar_average is handed in place
+    # of a kernel's; all-zero values, as at the phi = 0 null, give exactly
+    # 0.0 for both, and one sample gives the error 0.0
+    gen = np.random.default_rng(n)
+    values = gen.random((7, n)) * 10.0 ** gen.integers(-12, 3, (7, 1))
+    values[3] = 0.0
+    monkeypatch.setattr(merit, "kernel_values", lambda *args: values)
+    averages = haar_average(MeritKind.ETA_CHI, g_gate(0.4), v_axis(0.4, np.zeros(7)), H,
+                            n_samples=n, seed=list(range(7)))
+    means, errors = np.array(averages).T
+    assert np.array_equal(means.view(np.uint64), np.mean(values, -1).view(np.uint64))
+    if n > 1:
+        expected = np.std(values, -1, ddof=1) / np.sqrt(n)
+        assert np.array_equal(errors.view(np.uint64), expected.view(np.uint64))
+    else:
+        assert errors.tolist() == [0.0] * 7
+    assert np.array_equal(np.array([means[3], errors[3]]).view(np.uint64), np.zeros(2, np.uint64))
+
+
+def _m_by_matrix_products(u, v):
+    """V^dag diag(e^-E) V - U^dag diag(e^-E) U for each gate pair, by `@`."""
+    weights = np.diag(H.exp_diag(-1.0))
+    return (v.conj().swapaxes(-1, -2) @ weights @ v) - (u.conj().swapaxes(-1, -2) @ weights @ u)
+
+
+@pytest.mark.parametrize("g", [1, 41, 81])
+def test_form_difference_of_a_stack_against_its_definition(g):
+    # M of a stack equals the calls on each pair alone bit for bit, signed
+    # zeros included, and its definition by matrix products to 1e-12: on
+    # Haar-random dense pairs and on the axis and angle gate families, with
+    # one ideal gate for the row and with an ideal gate per pair
+    gen = np.random.default_rng(g)
+    thetas, phis = gen.uniform(0, np.pi, g), np.linspace(0.0, 2 * np.pi, g)
+    stacks = [(np.stack([haar_random_unitary(5000 + 2 * i, 4) for i in range(g)]),
+               np.stack([haar_random_unitary(5001 + 2 * i, 4) for i in range(g)]))]
+    for family in (v_axis, v_angle):
+        stacks += [(np.broadcast_to(g_gate(0.7), (g, 4, 4)), family(0.7, phis)),
+                   (g_gate(thetas), family(thetas, phis))]
+    weights = H.exp_diag(-1.0)
+    for u, v in stacks:
+        form = merit._form_difference(u, v, weights)
+        assert form.shape == (g, 4, 4)
+        for i in range(g):
+            alone = merit._form_difference(u[i:i + 1], v[i:i + 1], weights)
+            assert np.array_equal(form[i:i + 1].view(np.uint64), alone.view(np.uint64)), i
+        assert np.max(np.abs(form - _m_by_matrix_products(u, v))) <= 1e-12
+
+
 # Batched evaluation: slice b of a stacked call equals the call on gate b
 # alone, compared as raw 64-bit words so that signed zeros count.
 ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 4, np.pi / 2]),
@@ -334,9 +420,10 @@ def test_stacked_haar_average_equals_single_calls():
 
 def _bits(averages):
     """The exact bits of one HaarAverage, a list of them, or a tuple of either (one per kind)."""
-    if isinstance(averages, tuple):
+    if isinstance(averages, HaarAverage):  # a tuple itself, so tested first
+        averages = [averages]
+    elif isinstance(averages, tuple):
         return [_bits(per_kind) for per_kind in averages]
-    averages = averages if isinstance(averages, list) else [averages]
     return [(a.mean.hex(), a.std_error.hex()) for a in averages]
 
 
