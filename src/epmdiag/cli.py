@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import math
 import os
 import sys
@@ -24,6 +23,7 @@ from .sweeps import (
     ERROR_FAMILIES,
     SweepConfig,
     _check_angles,
+    _check_target,
     _csv_lines,
     _sidecar,
     _sweep_rows,
@@ -262,13 +262,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, --version or a refused argv: argparse's exit code
         return exc.code
     try:
-        if args.out is not None:  # a directory there or at a CSV's sidecar: refused before the run
+        if args.out is not None:  # anything but a regular file there or at a CSV's sidecar: refused first
             out = Path(args.out)
             sidecar = args.command in ("sweep", "fig1", "fig3", "reconstruct") \
                 and args.output_format == "csv"
             for target in [out, _sidecar(out)] if sidecar else [out]:
-                if os.path.isdir(target):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+                _check_target(target)
         written = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,6 @@ merits; every point of the draw keeps its own key.
 """
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
 import errno
 import itertools
 import json
@@ -215,6 +213,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     args = (itertools.repeat(config), thetas, [keys[i * n:(i + 1) * n] for i in range(len(thetas))])
     workers = min(workers, len(thetas))
     if workers > 1:
+        import concurrent.futures  # here, not at the top: it loads logging, which a serial run skips
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_row, *args))
     else:
@@ -405,6 +405,19 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def _check_target(target: Path) -> None:
+    """Refuse an output path that exists and is not a regular file, symlinks followed:
+    the move would put a file in place of a directory, a FIFO, a socket or a device."""
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        return
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    if not stat.S_ISREG(mode):
+        raise OSError(f"refusing to replace {str(target)!r}, which is not a regular file")
+
+
 def _write_output(path, output_format: str, metadata: dict | None, lines, body: dict) -> list[Path]:
     """Write one result as CSV plus a `.meta.json` sidecar, or as one JSON file; with
     `path` None, print the CSV or the JSON document, built whole before it is printed.
@@ -437,9 +450,7 @@ def _write_output(path, output_format: str, metadata: dict | None, lines, body: 
     try:
         for target, chunks in texts.items():
             target.parent.mkdir(parents=True, exist_ok=True)
-            with contextlib.suppress(FileNotFoundError):  # a name too long fails here, before any move
-                if stat.S_ISDIR(os.lstat(target).st_mode):  # refused before any file is moved
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            _check_target(target)  # before any file is moved; a name too long fails here too
             temp = target.with_name(f".{os.urandom(6).hex()}.tmp")
             with open(temp, "x", encoding="utf-8") as file:  # the mode write_text gives
                 temps.append(temp)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 import warnings
@@ -236,6 +237,33 @@ def test_out_naming_a_directory_is_refused_before_the_command_runs(tmp_path, mon
             assert result.stderr == f"error: [Errno 21] Is a directory: {str(Path(out))!r}\n"
     assert calls == []
     assert sorted(path.name for path in tmp_path.rglob("*")) == ["d", "sub"]
+
+
+def test_an_out_that_is_not_a_regular_file_is_refused_before_the_command_runs(tmp_path,
+                                                                             monkeypatch):
+    # a FIFO at --out, behind a symlink to one, or at a CSV's sidecar: exit 3
+    # before anything is computed, and the FIFO stays a FIFO (a device node would
+    # be refused the same way; a test must never name a real one)
+    calls = []
+    for name in ("run_sweep", "preset_fig3"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    fifos = [tmp_path / "p.csv", tmp_path / "r.meta.json"]
+    for fifo in fifos:
+        os.mkfifo(fifo)
+    (tmp_path / "link.csv").symlink_to("p.csv")
+    cases = [(("haar-avg", "--theta", "0.4", "--phi", "0.7", "--samples", "10"), "p.csv", "p.csv"),
+             (("haar-avg", "--theta", "0.4", "--phi", "0.7", "--samples", "10"), "link.csv",
+              "link.csv"),
+             (("protocol", "--kind", "separable"), "p.csv", "p.csv"),
+             (("fig3", "--theta-points", "2"), "r.csv", "r.meta.json")]
+    for args, out, refused in cases:
+        result = run_cli(*args, "--out", str(tmp_path / out))
+        assert result.returncode == 3, (args, out, result.stderr)
+        assert result.stderr == (f"error: refusing to replace {str(tmp_path / refused)!r}, "
+                                 "which is not a regular file\n")
+    assert calls == []
+    assert all(stat.S_ISFIFO(fifo.lstat().st_mode) for fifo in fifos)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "p.csv", "r.meta.json"]
 
 
 def test_a_directory_at_the_sidecar_path_is_refused_before_the_command_runs(tmp_path,
@@ -538,6 +566,13 @@ def test_public_api_is_what_cli_or_readme_uses():
     used = (root / "src" / "epmdiag" / "cli.py").read_text() + (root / "README.md").read_text()
     unused = [name for name in epmdiag.__all__ if not re.search(rf"\b{name}\b", used)]
     assert unused == []
+    # each name, loaded on first use, is the object its home module defines
+    for name in epmdiag.__all__:
+        value = getattr(epmdiag, name)
+        home = "epmdiag.version" if name == "__version__" else value.__module__
+        assert home.startswith("epmdiag.") and getattr(sys.modules[home], name) is value, name
+    with pytest.raises(AttributeError, match="module 'epmdiag' has no attribute 'no_such_name'"):
+        epmdiag.no_such_name
 
 
 def test_reconstruct_bad_sum_tolerance_exit_code(tmp_path):

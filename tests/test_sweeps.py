@@ -525,6 +525,22 @@ def test_a_name_near_the_longest_legal_one_is_written(tmp_path):
     assert [path.name for path in tmp_path.iterdir()] == [json_name]
 
 
+def test_the_writer_refuses_a_target_that_is_not_a_regular_file_before_any_move(tmp_path):
+    # a FIFO at the CSV, at its sidecar or behind a symlink: refused before any
+    # file is moved, so the CSV written before its sidecar is not put in place
+    # either, and the FIFO stays a FIFO
+    report = preset_fig3(theta_points=2)
+    fifo = tmp_path / "r.meta.json"
+    os.mkfifo(fifo)
+    (tmp_path / "link.json").symlink_to(fifo.name)
+    for path, refused in (("r.csv", "r.meta.json"), ("r.meta.json", "r.meta.json"),
+                          ("link.json", "link.json")):
+        with pytest.raises(OSError, match=f"refusing to replace .*{refused}'.* not a regular file"):
+            write_fig3(report, tmp_path / path, output_format="json" if "json" in path else "csv")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "r.meta.json"]
+
+
 def test_a_refused_value_leaves_the_directory_as_it_was(tmp_path):
     # a non-finite value refused part-way through the CSV, part-way through the
     # JSON file (in an array or in a streamed list of rows), and in the sidecar
