@@ -42,6 +42,10 @@ class MeritKind(enum.Enum):
 
 
 ETA_KINDS = (MeritKind.ETA_TPM, MeritKind.ETA_P, MeritKind.ETA_EPM, MeritKind.ETA_CHI)
+# Most Haar states one draw holds: haar_average averages a gate stack in chunks of max(1,
+# STATE_BUDGET // n_samples) consecutive gates, which spreads the fixed cost of a draw over
+# many gates at low sample counts and keeps a chunk's arrays to a few hundred kB.
+STATE_BUDGET = 8192
 
 
 def _total(arrays: list[np.ndarray], shape) -> np.ndarray:
@@ -279,38 +283,42 @@ def haar_average(
     hamiltonian: LocalHamiltonian | None = None,
     n_samples: int = 5000,
     seed: int | Sequence[int] = 0,
-) -> HaarAverage | list[HaarAverage] | tuple:
+) -> HaarAverage | np.ndarray:
     """Average a merit kernel over Haar-random pure inputs.
 
-    All samples come from the Philox stream whose key is `seed` (see
-    linalg.haar_pure_states), drawn as one batch, so the estimate is a pure
-    function of (kind, gates, n_samples, seed) and does not depend on
-    evaluation order elsewhere. The standard error is the sample standard
-    deviation (ddof=1) over sqrt(n_samples), 0.0 at one sample.
+    One noisy gate (dim, dim) takes one int key as `seed`, a stack of B gates
+    (B, dim, dim) a sequence of B keys; a gate's samples come from the Philox
+    stream of its key (linalg.haar_pure_states). The standard error is the
+    sample standard deviation (ddof=1) over sqrt(n_samples), 0.0 at one sample.
 
-    With a stack of B noisy gates (B, dim, dim) and a sequence of B seeds,
-    returns the list of B averages, each equal to the call on its own gate
-    and seed; the B draws, kernels and reductions run as one batch. With a
-    tuple of kinds, the states are drawn once and every kind's kernel runs
-    on them; the result is a tuple with one entry per kind, each equal to
-    the call with that kind alone. The draw reuses its thread's buffer
-    (linalg.haar_pure_states), so a row's calls allocate its arrays once.
+    The call fills a float64 (B, K, 2) array, one gate counting as B = 1 and
+    one kind as K = 1: entry [b, k] is the (mean, std_error) of kind k on gate
+    b and key b, bit for bit the call on that gate, key and kind alone. One
+    kind on one gate returns its entry as a HaarAverage of two floats, any
+    other call the array. The stack is averaged in chunks of STATE_BUDGET
+    states, one draw per chunk from the thread's buffer, read by every kind.
     """
+    if n_samples < 1:
+        raise ValidationError(f"sample count must be >= 1, got {n_samples}")
     u_ideal = np.asarray(u_ideal, dtype=complex)
     single = np.ndim(v_noisy) == 2
-    seeds = [seed] if single else seed
-    states = haar_pure_states(seeds, u_ideal.shape[0], n_samples, reuse=True)
     v_stack = np.reshape(np.asarray(v_noisy, dtype=complex), (-1,) + u_ideal.shape)
+    keys = [seed] if single else seed
+    if np.shape(keys) != (len(v_stack),):  # so one gate's key is one int, not a sequence
+        raise ValidationError(f"{len(v_stack)} gate(s) take one int key each, got {seed!r}")
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    block = np.empty((len(kinds), len(v_stack), 2))  # (kind, pair, mean or std_error)
-    for averages, one_kind in zip(block, kinds):
-        mean, error = averages[:, :1], averages[:, 1:]
-        values = kernel_values(one_kind, states, u_ideal, v_stack, hamiltonian)
-        # numpy's mean and std(ddof=1), ufunc for ufunc, on one sum of the
-        # values; at one sample every deviation is 0, and so is the error
-        np.divide(values.sum(axis=-1, keepdims=True), n_samples, out=mean)
-        variance = np.square(values - mean).sum(axis=-1, keepdims=True) / max(n_samples - 1, 1)
-        np.divide(np.sqrt(variance), math.sqrt(n_samples), out=error)
-    results = [HaarAverage._make(pairs[0]) if single else list(map(HaarAverage._make, pairs))
-               for pairs in block.tolist()]
-    return tuple(results) if isinstance(kind, tuple) else results[0]
+    block = np.empty((len(v_stack), len(kinds), 2))  # (gate, kind, mean or std_error)
+    step = max(1, STATE_BUDGET // n_samples)
+    for start in range(0, len(v_stack), step):
+        chunk = slice(start, start + step)
+        states = haar_pure_states(keys[chunk], u_ideal.shape[0], n_samples, reuse=True)
+        for k, one_kind in enumerate(kinds):
+            mean, error = block[chunk, k, :1], block[chunk, k, 1:]
+            values = kernel_values(one_kind, states, u_ideal, v_stack[chunk], hamiltonian)
+            # numpy's mean and std(ddof=1), ufunc for ufunc, on one sum of the
+            # values; at one sample every deviation is 0, and so is the error
+            np.divide(values.sum(axis=-1, keepdims=True), n_samples, out=mean)
+            variance = np.square(values - mean).sum(axis=-1, keepdims=True) / max(n_samples - 1, 1)
+            np.divide(np.sqrt(variance), math.sqrt(n_samples), out=error)
+        del states  # a first draw's new arrays are freed before the next draw maps the buffer
+    return HaarAverage(*block[0, 0].tolist()) if single and isinstance(kind, MeritKind) else block

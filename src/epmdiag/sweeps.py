@@ -3,9 +3,9 @@
 A sweep evaluates Haar-averaged merits on a rectangular grid of ideal gate
 angle theta and error parameter phi. Randomness is derived per grid point
 from the master seed, so results are independent of worker count and
-scheduling, and output files are byte-identical across runs. A row is
-averaged in chunks of points with one Haar draw per chunk, shared by the
-merits; every point of the draw keeps its own key.
+scheduling, and output files are byte-identical across runs. Each theta
+row is one haar_average call over the row's gate stack, every point on its
+own key.
 """
 from __future__ import annotations
 
@@ -66,11 +66,6 @@ MAX_THETA_POINTS = 10**5
 # malloc arena, so threads beyond the cores add memory and no speed; a larger
 # request is far more likely a typo than a need.
 MAX_WORKERS = 256
-# Most Haar states one evaluation call holds: a theta row is averaged in
-# calls of max(1, STATE_BUDGET // n_samples) consecutive points, which
-# spreads the fixed cost of a call over many points at low sample counts
-# and keeps a call's arrays to a few hundred kB.
-STATE_BUDGET = 8192
 
 FIG1_PANELS = {
     "a": ("axis", MeritKind.COHERENCE_FIDELITY),
@@ -98,6 +93,8 @@ class SweepConfig:
     def validate(self) -> "SweepConfig":
         if self.error_family not in ERROR_FAMILIES:
             raise ValidationError(f"unknown error family {self.error_family!r}")
+        for name in ("theta_points", "phi_points", "n_samples", "master_seed"):
+            _check_integer(getattr(self, name), name)
         if self.theta_points < 1 or self.phi_points < 1:
             raise ValidationError("grid point counts must be >= 1")
         if self.theta_points * self.phi_points > MAX_GRID_POINTS:
@@ -155,6 +152,13 @@ def _sweep_rows(config: SweepConfig, values: np.ndarray, axis=float):
                 yield theta, phi, kind.value, mean, std_error
 
 
+def _check_integer(value, name: str) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_angles(angles, what: str) -> None:
     for angle in angles:
         if not abs(angle) <= MAX_ANGLE:  # also refuses nan
@@ -170,31 +174,10 @@ def point_seed(master_seed: int, grid_index, kind: MeritKind):
     SweepConfig.validate keeps the master seed below 2**64, so no two points
     share a key. An int index gives an int key, a sequence a list of keys.
     """
+    master_seed = operator.index(master_seed)  # a numpy integer would overflow the shift
     if isinstance(grid_index, (int, np.integer)):
         return master_seed | operator.index(grid_index) << 64
     return [master_seed | operator.index(gi) << 64 for gi in grid_index]
-
-
-def _evaluate_row(config: SweepConfig, theta: float, keys: list[int]) -> np.ndarray:
-    """(phi, merit, 2) array of (mean, std_error) along one theta row.
-
-    The row's noisy gates are built as one stack. Consecutive points of the
-    row are averaged together, as many per call as fit in STATE_BUDGET
-    states (at least one), and each call draws its points' states once for
-    all the merits; each point keeps its own key.
-    """
-    u = g_gate(theta)
-    noisy = ERROR_FAMILIES[config.error_family](theta, config.phis())
-    hamiltonian = local_hamiltonian_2q()
-    step = max(1, STATE_BUDGET // config.n_samples)
-    row = np.empty((config.phi_points, len(config.merits), 2))
-    for start in range(0, config.phi_points, step):
-        per_merit = haar_average(tuple(config.merits), u, noisy[start:start + step], hamiltonian,
-                                 n_samples=config.n_samples, seed=keys[start:start + step])
-        # one run of floats, merit by merit, each a block of (mean, std_error) pairs
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.chain(*per_merit)), float)
-        row[start:start + step] = flat.reshape(len(per_merit), -1, 2).swapaxes(0, 1)
-    return row
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
@@ -206,19 +189,24 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     config.validate()
     if not 1 <= workers <= MAX_WORKERS:
         raise ValidationError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    thetas = config.thetas().tolist()
-    n = config.phi_points
+    thetas, phis, n = config.thetas().tolist(), config.phis(), config.phi_points
     # the merit does not enter a key, so the first one stands for all
     keys = point_seed(config.master_seed, range(len(thetas) * n), config.merits[0])
-    args = (itertools.repeat(config), thetas, [keys[i * n:(i + 1) * n] for i in range(len(thetas))])
+
+    def row(i: int) -> np.ndarray:  # (phi, merit, 2)
+        return haar_average(tuple(config.merits), g_gate(thetas[i]),
+                            ERROR_FAMILIES[config.error_family](thetas[i], phis),
+                            local_hamiltonian_2q(), n_samples=config.n_samples,
+                            seed=keys[i * n:(i + 1) * n])
+
     workers = min(workers, len(thetas))
     if workers > 1:
         import concurrent.futures  # here, not at the top: it loads logging, which a serial run skips
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_row, *args))
+            rows = list(pool.map(row, range(len(thetas))))
     else:
-        rows = list(map(_evaluate_row, *args))
+        rows = list(map(row, range(len(thetas))))
     return SweepResult(config=config, values=np.stack(rows))
 
 
@@ -351,6 +339,7 @@ def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> Reconstruct
     table: its rows are the conditional probabilities, and the report's
     kernels are the |++>-state eta_chi and coherence-mismatch curves.
     """
+    _check_integer(theta_points, "theta_points")
     if not 1 <= theta_points <= MAX_THETA_POINTS:
         raise ValidationError(f"theta_points must be in [1, {MAX_THETA_POINTS}], "
                               f"got {theta_points}")
@@ -388,12 +377,12 @@ class _Items(list):
 
 
 def _json_chunks(doc: dict):
-    """`doc` as indented JSON plus a newline, in the encoder's chunks. An ndarray goes as its
-    list; any other iterable, a generator say, as a list of its items, each made when written."""
+    """`doc` as indented JSON plus a newline, in the encoder's chunks. An ndarray or numpy
+    scalar goes as its .tolist(); any other iterable as a list of its items, made when written."""
     try:
         yield from json.JSONEncoder(
             allow_nan=False, indent=2,
-            default=lambda value: value.tolist() if isinstance(value, np.ndarray) else _Items(value),
+            default=lambda v: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else _Items(v),
         ).iterencode(doc)
     except ValueError:
         raise ValidationError("refusing to write a non-finite value as JSON") from None
@@ -468,6 +457,8 @@ def _write_output(path, output_format: str, metadata: dict | None, lines, body: 
 def write_sweep(result: SweepResult, path, output_format: str = "csv") -> list[Path]:
     """Write a sweep as long-format CSV (+ JSON sidecar) or as one JSON file."""
     config = result.config.validate()  # theta and phi go out unchecked: refuse what run_sweep would
+    if np.shape(result.values) != (config.theta_points, config.phi_points, len(config.merits), 2):
+        raise ValidationError(f"values of shape {np.shape(result.values)} do not fit the config")
     phi_lo, phi_hi = config.phi_bounds()
     metadata = {"kind": "sweep", "error_family": config.error_family,
                 "theta": {"lo": config.theta_lo, "hi": config.theta_hi,

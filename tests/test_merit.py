@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epmdiag import linalg, merit, sweeps
+from epmdiag import linalg, merit
 from epmdiag.element_sums import element_sum_coherence_fid, element_sum_kernel
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
@@ -254,6 +254,20 @@ def test_haar_average_rejects_zero_samples():
         haar_average(MeritKind.FIDELITY, g_gate(0.1), g_gate(0.1), H, n_samples=0, seed=0)
 
 
+def test_haar_average_takes_one_int_key_for_one_gate_and_one_key_per_gate_of_a_stack(
+        monkeypatch):
+    # an int key or too few or too many keys for a stack, and a sequence of
+    # keys for one gate, are refused before anything is drawn
+    draws = []
+    monkeypatch.setattr(merit, "haar_pure_states", lambda *args, **kwargs: draws.append(args))
+    u, stack = g_gate(0.4), v_axis(0.4, np.array([0.0, 0.5, 1.0]))
+    for v, seed in [(stack, 5), (stack, [5]), (stack, [5, 6]), (stack, [5, 6, 7, 8]),
+                    (stack[0], [5]), (stack[0], [5, 6]), (stack[:1], 5)]:
+        with pytest.raises(ValidationError, match="take one int key each"):
+            haar_average(MeritKind.ETA_CHI, u, v, H, n_samples=10, seed=seed)
+    assert draws == []
+
+
 def test_fidelity_error_bars_calibrated_against_closed_form():
     # Haar average of |<psi|U^dag V|psi>|^2 over d = 4 is (|Tr U^dag V|^2 + 4) / 20
     # (Horodecki et al. 1999; Nielsen 2002). z = (mean - exact) / std_error at
@@ -294,10 +308,9 @@ def test_error_bars_of_every_merit_calibrated_by_batch_means():
     for p, (family, theta, phi) in enumerate(points):
         gates = np.broadcast_to(family(theta, phi), (k, 4, 4))
         seeds = point_seed(41 + p, range(k), MeritKind.ETA_CHI)
-        per_kind = haar_average(tuple(MeritKind), g_gate(theta), gates, H, n_samples=n,
-                                seed=seeds)
-        for kind, averages in zip(MeritKind, per_kind):
-            means, errors = np.array(averages).T
+        block = haar_average(tuple(MeritKind), g_gate(theta), gates, H, n_samples=n, seed=seeds)
+        for m, kind in enumerate(MeritKind):
+            means, errors = block[:, m].T
             deviations = means - np.mean(means)
             spread = np.sum(deviations ** 2) / np.median(errors) ** 2
             assert CHI2_63[0] <= spread <= CHI2_63[1], (kind, p, spread)
@@ -315,14 +328,16 @@ def test_haar_average_reduces_as_numpy_mean_and_std(monkeypatch, n):
     # the one-sum reduction gives numpy's mean and std(ddof=1) / sqrt(n) bit
     # for bit, on values of mixed scale that haar_average is handed in place
     # of a kernel's; all-zero values, as at the phi = 0 null, give exactly
-    # 0.0 for both, and one sample gives the error 0.0
+    # 0.0 for both, and one sample gives the error 0.0. The fake kernel
+    # returns the values of all 7 gates, so the 7 must make one chunk.
     gen = np.random.default_rng(n)
     values = gen.random((7, n)) * 10.0 ** gen.integers(-12, 3, (7, 1))
     values[3] = 0.0
     monkeypatch.setattr(merit, "kernel_values", lambda *args: values)
+    monkeypatch.setattr(merit, "STATE_BUDGET", 7 * n)
     averages = haar_average(MeritKind.ETA_CHI, g_gate(0.4), v_axis(0.4, np.zeros(7)), H,
                             n_samples=n, seed=list(range(7)))
-    means, errors = np.array(averages).T
+    means, errors = averages[:, 0].T
     assert np.array_equal(means.view(np.uint64), np.mean(values, -1).view(np.uint64))
     if n > 1:
         expected = np.std(values, -1, ddof=1) / np.sqrt(n)
@@ -405,49 +420,72 @@ def test_stacked_haar_draw_equals_single_stream_draws(seeds, index, dim, n):
                               np.ascontiguousarray(single).view(np.uint64))
 
 
-def test_stacked_haar_average_equals_single_calls():
+def _bits(averages):
+    """The exact bits of a HaarAverage, or of an array of (mean, std_error) pairs, as
+    nested lists of 64-bit words."""
+    return np.asarray(averages, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_stacked_haar_average_equals_single_calls(monkeypatch):
+    # a stack's entries equal the single calls bit for bit, drawn in one
+    # chunk and, with STATE_BUDGET at 3 n states, in chunks of 3 gates and a
+    # 1-gate tail: one draw per chunk, of at most STATE_BUDGET // n keys
     u = g_gate(0.7)
     phis = [0.0, 0.4, -0.0, 2.1]
     gates = np.stack([v_angle(0.7, phi) for phi in phis])
     seeds = [0, 5, 2**63 + 1, 2**64 - 1]
+    draws, draw, default = [], merit.haar_pure_states, merit.STATE_BUDGET
+
+    def counted(keys, *args, **kwargs):
+        draws.append(list(keys))
+        return draw(keys, *args, **kwargs)
+
+    monkeypatch.setattr(merit, "haar_pure_states", counted)
     for kind in MeritKind:
         for n_samples in (1, 2, 37):
-            stacked = haar_average(kind, u, gates, H, n_samples=n_samples, seed=seeds)
-            singles = [haar_average(kind, u, v, H, n_samples=n_samples, seed=s)
+            singles = [_bits(haar_average(kind, u, v, H, n_samples=n_samples, seed=s))
                        for v, s in zip(gates, seeds)]
-            assert stacked == singles
-
-
-def _bits(averages):
-    """The exact bits of one HaarAverage, a list of them, or a tuple of either (one per kind)."""
-    if isinstance(averages, HaarAverage):  # a tuple itself, so tested first
-        averages = [averages]
-    elif isinstance(averages, tuple):
-        return [_bits(per_kind) for per_kind in averages]
-    return [(a.mean.hex(), a.std_error.hex()) for a in averages]
+            for budget, chunks in ((default, [seeds]), (3 * n_samples, [seeds[:3], seeds[3:]])):
+                monkeypatch.setattr(merit, "STATE_BUDGET", budget)
+                draws.clear()
+                stacked = haar_average(kind, u, gates, H, n_samples=n_samples, seed=seeds)
+                assert draws == chunks
+                assert all(len(keys) <= budget // n_samples for keys in draws)
+                assert stacked.shape == (4, 1, 2) and stacked.dtype == np.float64
+                assert _bits(stacked[:, 0]) == singles, (kind, n_samples, budget)
+            monkeypatch.setattr(merit, "STATE_BUDGET", default)
 
 
 def test_haar_average_of_a_tuple_of_kinds_equals_the_single_kind_calls():
-    # one draw for every kind of the tuple, each result bit-equal to the call
-    # with that kind alone: on a stack and on one pair, at the phi = 0 null,
-    # at one sample, and with a kind repeated
+    # the two result forms: one kind on one gate gives a HaarAverage of two
+    # floats, and every other call a float64 (B, K, 2) array whose entry
+    # [b, k] is bit-equal to the call on gate b, key b and kind k alone. A
+    # tuple of kinds draws once for every kind: on a stack and on one pair,
+    # at the phi = 0 null, at one sample, with a kind repeated and with a
+    # tuple of one kind; one kind on a stack gives K = 1
     u = g_gate(0.7)
     gates = v_axis(0.7, np.array([0.0, 0.4, 2.1]))
     seeds = point_seed(3, range(3), MeritKind.ETA_CHI)
-    cases = [(gates, seeds), (gates[1], seeds[1]), (gates[0], seeds[0])]
-    for kinds in (tuple(MeritKind), (MeritKind.ETA_CHI, MeritKind.FIDELITY, MeritKind.ETA_CHI)):
-        for v, seed in cases:
-            for n_samples in (1, 2, 300):
+    cases = [(gates, seeds, [0, 1, 2]), (gates[1], seeds[1], [1]), (gates[0], seeds[0], [0])]
+    for n_samples in (1, 2, 300):
+        alone = {(b, kind): haar_average(kind, u, gates[b], H, n_samples=n_samples, seed=seeds[b])
+                 for b in range(3) for kind in MeritKind}
+        assert all(isinstance(a, HaarAverage) and type(a.mean) is float
+                   and type(a.std_error) is float for a in alone.values())
+        for kinds in (tuple(MeritKind), (MeritKind.ETA_CHI, MeritKind.FIDELITY, MeritKind.ETA_CHI),
+                      (MeritKind.ETA_CHI,), MeritKind.ETA_CHI):
+            as_tuple = kinds if isinstance(kinds, tuple) else (kinds,)
+            for v, seed, gate_indices in cases if isinstance(kinds, tuple) else cases[:1]:
                 together = haar_average(kinds, u, v, H, n_samples=n_samples, seed=seed)
-                assert isinstance(together, tuple) and len(together) == len(kinds)
-                alone = [haar_average(kind, u, v, H, n_samples=n_samples, seed=seed)
-                         for kind in kinds]
-                assert _bits(together) == [_bits(average) for average in alone], (kinds, seed)
+                assert together.dtype == np.float64
+                assert together.shape == (len(gate_indices), len(as_tuple), 2)
+                assert _bits(together) == [[_bits(alone[b, kind]) for kind in as_tuple]
+                                           for b in gate_indices], (kinds, seed)
     null = haar_average(tuple(MeritKind), u, gates[0], H, n_samples=300, seed=seeds[0])
-    assert [a.mean for a in null] == [1.0 if kind is MeritKind.FIDELITY else 0.0
+    assert null[0, :, 0].tolist() == [1.0 if kind is MeritKind.FIDELITY else 0.0
                                       for kind in MeritKind]
     single = haar_average(MeritKind.ETA_CHI, u, gates[1], H, n_samples=300, seed=seeds[1])
-    assert isinstance(single, HaarAverage)
+    assert isinstance(single, HaarAverage) and type(single.mean) is float
 
 
 def _in_a_fresh_thread(fn):
@@ -502,7 +540,7 @@ def test_one_buffer_serves_every_draw_of_a_thread(monkeypatch):
         return states
 
     monkeypatch.setattr(merit, "haar_pure_states", counting_draw)
-    monkeypatch.setattr(sweeps, "STATE_BUDGET", 2 * config.n_samples)
+    monkeypatch.setattr(merit, "STATE_BUDGET", 2 * config.n_samples)
     for _ in range(2):  # one thread, then a second with a buffer of its own
         draws.clear()
         assert_same_values(_in_a_fresh_thread(lambda: run_sweep(config)), reference)

@@ -15,7 +15,7 @@ from epmdiag import cli, sweeps
 from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.errors import ValidationError
 from epmdiag.gates import g_gate, v_angle, v_axis
-from epmdiag.merit import MeritKind, haar_average
+from epmdiag.merit import STATE_BUDGET, MeritKind, haar_average
 from epmdiag.reconstruct import (
     g_chi_from_table,
     gate_probability_table,
@@ -25,7 +25,6 @@ from epmdiag.reconstruct import (
 )
 from epmdiag.sweeps import (
     MAX_WORKERS,
-    STATE_BUDGET,
     SweepConfig,
     SweepResult,
     fig3_series,
@@ -168,6 +167,27 @@ def test_sweep_validation():
                 theta_lo=-1e6, theta_hi=1e6).validate()
 
 
+def test_non_integer_counts_and_seeds_are_refused_by_name(tmp_path):
+    # a float count or seed is refused with its field's name before it reaches
+    # numpy or the key; numpy integers pass and give the Python integers' result
+    for field, value in (("theta_points", 2.0), ("phi_points", 3.5), ("n_samples", 5.5),
+                         ("master_seed", 1.5)):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
+            SweepConfig(**{field: value}).validate()
+    with pytest.raises(ValidationError, match="^theta_points must be an integer, got 2.5$"):
+        preset_fig3(theta_points=2.5)
+    config = SweepConfig(theta_points=2, phi_points=3, n_samples=20, master_seed=3)
+    numpy_integers = SweepConfig(theta_points=np.int64(2), phi_points=np.int32(3),
+                                 n_samples=np.int64(20), master_seed=np.uint64(3))
+    assert_same_values(run_sweep(numpy_integers), run_sweep(config))
+    for output_format in ("csv", "json"):
+        paths = [write_sweep(run_sweep(c), tmp_path / f"{i}.{output_format}", output_format)
+                 for i, c in enumerate((numpy_integers, config))]
+        assert [p.read_bytes() for p in paths[0]] == [p.read_bytes() for p in paths[1]]
+    assert np.array_equal(preset_fig3(theta_points=np.int64(3)).eta_kernel,
+                          preset_fig3(theta_points=3).eta_kernel)
+
+
 SEED_MASTERS = (0, 1, 2**32, 2**64 - 1)
 SEED_INDICES = (0, 1, 40, 6560, 2**32, 2**63)
 
@@ -233,8 +253,8 @@ def test_values_hold_the_one_point_average_on_the_point_key():
             averages = haar_average(merits, g_gate(theta), v_angle(theta, phi),
                                     local_hamiltonian_2q(), n_samples=config.n_samples,
                                     seed=point_seed(7, i * len(phis) + j, merits[0]))
-            expected = np.array([(a.mean, a.std_error) for a in averages])
-            assert values[i, j].tobytes() == expected.tobytes(), (i, j)
+            assert averages.shape == (1, 2, 2)
+            assert values[i, j].tobytes() == averages[0].tobytes(), (i, j)
 
 
 @pytest.mark.parametrize("n_samples", [1, 3000])
@@ -687,6 +707,16 @@ def test_write_reconstruction_csv_refuses_the_first_non_finite_value_in_row_orde
         with pytest.raises(ValidationError, match="sweep range nan is not a finite angle"):
             write_sweep(invalid, tmp_path / f"s.{output_format}", output_format)
         assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
+    # values that do not fill the config's grid and merits, which the rows would cut
+    # short under a sidecar that claims the whole grid: refused the same way
+    config = SweepConfig(theta_points=3, phi_points=3, n_samples=20)
+    values = run_sweep(config).values
+    for mismatched in (values[:2, :, :1], values[:, :, :1], values[None]):
+        for output_format in ("csv", "json"):
+            with pytest.raises(ValidationError, match="do not fit the config"):
+                write_sweep(SweepResult(config, mismatched), tmp_path / f"s.{output_format}",
+                            output_format)
+            assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
 
 
 def test_synthetic_table_files_round_trip(tmp_path):
