@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class ValidationError(ValueError):
@@ -16,3 +18,11 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def check_integer(value, name: str) -> int:
+    """`value` as an int: a numpy integer passes, a value that is not an integer is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None

@@ -12,13 +12,12 @@ import functools
 import itertools
 import math
 import mmap
-import operator
 import threading
 from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -88,10 +87,10 @@ def haar_pure_states(key: int | Sequence[int], dim: int, n: int, *,
     """
     if dim not in SUPPORTED_DIMS:
         raise ValidationError(f"unsupported dimension {dim}, expected one of {SUPPORTED_DIMS}")
-    if n < 1:
+    if check_integer(n, "sample count") < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
-    single = isinstance(key, (int, np.integer))
-    keys = [operator.index(key)] if single else list(map(operator.index, key))
+    single = not isinstance(key, (Sequence, np.ndarray))
+    keys = [check_integer(k, "a Philox key") for k in ([key] if single else key)]
     refused = [k for k in keys if not 0 <= k < 2**128]
     if refused:
         raise ValidationError(f"a Philox key lies in [0, 2**128), got {refused[0]}")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energetics import LocalHamiltonian
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .linalg import haar_pure_states
 
 
@@ -298,7 +298,7 @@ def haar_average(
     other call the array. The stack is averaged in chunks of STATE_BUDGET
     states, one draw per chunk from the thread's buffer, read by every kind.
     """
-    if n_samples < 1:
+    if check_integer(n_samples, "n_samples") < 1:
         raise ValidationError(f"sample count must be >= 1, got {n_samples}")
     u_ideal = np.asarray(u_ideal, dtype=complex)
     single = np.ndim(v_noisy) == 2
@@ -306,6 +306,7 @@ def haar_average(
     keys = [seed] if single else seed
     if np.shape(keys) != (len(v_stack),):  # so one gate's key is one int, not a sequence
         raise ValidationError(f"{len(v_stack)} gate(s) take one int key each, got {seed!r}")
+    keys = [check_integer(key, "each key") for key in keys]  # all refused before any draw
     kinds = kind if isinstance(kind, tuple) else (kind,)
     block = np.empty((len(v_stack), len(kinds), 2))  # (gate, kind, mean or std_error)
     step = max(1, STATE_BUDGET // n_samples)

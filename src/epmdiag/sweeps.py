@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .energetics import local_hamiltonian_2q
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .gates import g_gate, v_angle, v_axis
 from .linalg import plus_plus_state
 # kernel_coherence_fid is not called here; perfbench/tracing.py patches it by this name.
@@ -94,7 +94,7 @@ class SweepConfig:
         if self.error_family not in ERROR_FAMILIES:
             raise ValidationError(f"unknown error family {self.error_family!r}")
         for name in ("theta_points", "phi_points", "n_samples", "master_seed"):
-            _check_integer(getattr(self, name), name)
+            check_integer(getattr(self, name), name)
         if self.theta_points < 1 or self.phi_points < 1:
             raise ValidationError("grid point counts must be >= 1")
         if self.theta_points * self.phi_points > MAX_GRID_POINTS:
@@ -152,13 +152,6 @@ def _sweep_rows(config: SweepConfig, values: np.ndarray, axis=float):
                 yield theta, phi, kind.value, mean, std_error
 
 
-def _check_integer(value, name: str) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_angles(angles, what: str) -> None:
     for angle in angles:
         if not abs(angle) <= MAX_ANGLE:  # also refuses nan
@@ -187,7 +180,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     per row; per-point keys make the result identical for any worker count.
     """
     config.validate()
-    if not 1 <= workers <= MAX_WORKERS:
+    if not 1 <= check_integer(workers, "workers") <= MAX_WORKERS:
         raise ValidationError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     thetas, phis, n = config.thetas().tolist(), config.phis(), config.phi_points
     # the merit does not enter a key, so the first one stands for all
@@ -240,7 +233,7 @@ def max_normalize(values: np.ndarray) -> np.ndarray:
     return values / peak if peak > 0 else values.copy()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionReport:
     """Per-theta coherence diagnostics recovered from probability tables.
 
@@ -270,12 +263,15 @@ def _stack(tables: list[ProbabilityTable]) -> ProbabilityTable:
 
 
 def _report(thetas: np.ndarray, measured, ideal, phi, error_family: str) -> ReconstructionReport:
-    """The report's columns, with no flags, at ascending `thetas`: `measured()` returns the
-    stacked table, and `ideal` lists the ideal tables (None: the perfect gate's). Both are
-    stacked after the coherence batch; stacking first raised the peak RSS of `reconstruct`."""
+    """The finished report at ascending `thetas`, from the tables listed by position; None
+    stands for synthesized ones, the noisy gates' (which need phi) or the perfect gate's. Other
+    build orders, one noisy build shared by fig3's table and coherence batch, and a list of the
+    thetas for the flags (each is read back from its column) raised the peak RSS."""
+    if measured is None and phi is None:
+        raise ValidationError("the noise-free tables of the noisy gates need phi")
     _check_angles([] if phi is None else [phi], "phi")
     hamiltonian = local_hamiltonian_2q()
-    ideal_gates = g_gate(thetas)
+    ideal_gates = None if phi is None and ideal is not None else g_gate(thetas)
     # one batched kernel call over every table's (ideal, noisy) gate pair
     coherence = None if phi is None else kernel_values(
         MeritKind.COHERENCE_FIDELITY, np.broadcast_to(plus_plus_state(), (len(thetas), 1, 4)),
@@ -285,15 +281,22 @@ def _report(thetas: np.ndarray, measured, ideal, phi, error_family: str) -> Reco
         g_ideal = g_chi_from_table(gate_probability_table(ideal_gates) if ideal is None
                                    else _stack(ideal), hamiltonian)
         del ideal_gates  # freed before the measured stack is built
-        table = measured()
+        table = (gate_probability_table(ERROR_FAMILIES[error_family](thetas, phi))
+                 if measured is None else _stack(measured))
         pops = chi_populations(table)
         g_measured = g_chi_from_table(table, hamiltonian)
         row_error = np.max([np.abs(rows.sum(axis=1) - 1.0) for rows in table.rows.values()], 0)
+        for i, one in enumerate(measured or ()):
+            if len(one.rows) > 5:  # its rows outside the five count too
+                row_error[i] = max(abs(float(np.sum(row)) - 1.0) for row in one.rows.values())
+    groups = [(kind, tables) for kind, tables in (("", measured), ("ideal ", ideal)) if tables]
+    flags = [f"theta {float(thetas[i])!r}: {kind}{flag}" for i in range(len(thetas))
+             for kind, tables in groups for flag in tables[i].flags]
     return ReconstructionReport(
         thetas=thetas, table=table, chi_pops=pops,
         g_chi_measured=g_measured, g_chi_ideal=g_ideal, eta_kernel=np.abs(g_measured - g_ideal),
         coherence_kernel=coherence, max_row_sum_error=row_error, error_family=error_family,
-        phi=phi, flags=[])
+        phi=phi, flags=flags)
 
 
 def run_reconstruction(
@@ -304,11 +307,10 @@ def run_reconstruction(
 ) -> ReconstructionReport:
     """Recover chi populations, G_chi and the eta_chi kernel per theta point.
 
-    `measured` pairs each table with its theta. The k-th table of `ideal`
-    goes with the k-th measured table; when `ideal` is None the ideal
-    tables, of the perfect gate at every theta, are built as one stacked
-    table. Rows come out sorted by theta. A theory coherence-mismatch
-    curve is included when phi is given. The columns come from one stack.
+    `measured` pairs each table with its theta, and the k-th table of `ideal`
+    goes with the k-th measured table; `ideal` None stands for the perfect
+    gate's tables. Rows come out sorted by theta, and a theory
+    coherence-mismatch curve is included when phi is given.
     """
     if error_family not in ERROR_FAMILIES:
         raise ValidationError(f"unknown error family {error_family!r}")
@@ -316,20 +318,9 @@ def run_reconstruction(
     if ideal is not None and len(ideal) != len(measured):
         raise ValidationError(f"{len(measured)} measured tables but {len(ideal)} ideal tables")
     order = sorted(range(len(measured)), key=lambda k: measured[k][0])
-    thetas = [measured[k][0] for k in order]
-    tables = [measured[k][1] for k in order]
-    ideal_tables = None if ideal is None else [ideal[k] for k in order]
-    report = _report(np.array(thetas, dtype=float), lambda: _stack(tables), ideal_tables, phi,
-                     error_family)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, table in enumerate(tables):
-            if len(table.rows) > 5:  # its rows outside the five count too
-                report.max_row_sum_error[i] = max(abs(float(np.sum(row)) - 1.0)
-                                                  for row in table.rows.values())
-    groups = [("", tables)] + ([] if ideal is None else [("ideal ", ideal_tables)])
-    report.flags = [f"theta {theta!r}: {kind}{flag}" for i, theta in enumerate(thetas)
-                    for kind, group in groups for flag in group[i].flags]
-    return report
+    return _report(np.array([measured[k][0] for k in order], dtype=float),
+                   [measured[k][1] for k in order],
+                   None if ideal is None else [ideal[k] for k in order], phi, error_family)
 
 
 def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> ReconstructionReport:
@@ -339,12 +330,10 @@ def preset_fig3(theta_points: int = 50, phi: float = math.pi / 9) -> Reconstruct
     table: its rows are the conditional probabilities, and the report's
     kernels are the |++>-state eta_chi and coherence-mismatch curves.
     """
-    _check_integer(theta_points, "theta_points")
-    if not 1 <= theta_points <= MAX_THETA_POINTS:
+    if not 1 <= check_integer(theta_points, "theta_points") <= MAX_THETA_POINTS:
         raise ValidationError(f"theta_points must be in [1, {MAX_THETA_POINTS}], "
                               f"got {theta_points}")
-    thetas = np.linspace(0.0, math.pi / 4, theta_points)
-    return _report(thetas, lambda: gate_probability_table(v_axis(thetas, phi)), None, phi, "axis")
+    return _report(np.linspace(0.0, math.pi / 4, theta_points), None, None, phi, "axis")
 
 
 # ---------------------------------------------------------------------------

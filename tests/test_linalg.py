@@ -20,6 +20,9 @@ def test_haar_rejects_bad_inputs():
         haar_pure_states(0, 3, 1)
     with pytest.raises(ValidationError):
         haar_pure_states(0, 4, 0)
+    for key, n in ((1.5, 1), ([0, 2.5], 1), (0, 1.5)):
+        with pytest.raises(ValidationError, match="must be an integer, got [12].5$"):
+            haar_pure_states(key, 4, n)
 
 
 def test_haar_pure_states_rejects_keys_outside_128_bits():

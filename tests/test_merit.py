@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import threading
@@ -256,8 +257,9 @@ def test_haar_average_rejects_zero_samples():
 
 def test_haar_average_takes_one_int_key_for_one_gate_and_one_key_per_gate_of_a_stack(
         monkeypatch):
-    # an int key or too few or too many keys for a stack, and a sequence of
-    # keys for one gate, are refused before anything is drawn
+    # an int key or too few or too many keys for a stack, a sequence of keys
+    # for one gate, and a key or sample count that is not an integer, are
+    # refused by name before anything is drawn
     draws = []
     monkeypatch.setattr(merit, "haar_pure_states", lambda *args, **kwargs: draws.append(args))
     u, stack = g_gate(0.4), v_axis(0.4, np.array([0.0, 0.5, 1.0]))
@@ -265,7 +267,19 @@ def test_haar_average_takes_one_int_key_for_one_gate_and_one_key_per_gate_of_a_s
                     (stack[0], [5]), (stack[0], [5, 6]), (stack[:1], 5)]:
         with pytest.raises(ValidationError, match="take one int key each"):
             haar_average(MeritKind.ETA_CHI, u, v, H, n_samples=10, seed=seed)
+    for v, seed, n_samples, refused in [
+            (stack[0], 1.5, 10, "each key must be an integer, got 1.5"),
+            (stack[:2], [1.5, 2.5], 10, "each key must be an integer, got 1.5"),
+            (stack[:2], [5, np.float64(6)], 10, "each key must be an integer, got np.float64"),
+            (stack[0], 5, 5.5, "n_samples must be an integer, got 5.5")]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(refused)}"):
+            haar_average(MeritKind.ETA_CHI, u, v, H, n_samples=n_samples, seed=seed)
     assert draws == []
+    monkeypatch.undo()  # numpy integers pass and give the Python integers' result
+    assert np.array_equal(
+        haar_average(MeritKind.ETA_CHI, u, stack[:2], H, n_samples=np.int64(10),
+                     seed=[np.uint64(5), np.int32(6)]),
+        haar_average(MeritKind.ETA_CHI, u, stack[:2], H, n_samples=10, seed=[5, 6]))
 
 
 def test_fidelity_error_bars_calibrated_against_closed_form():

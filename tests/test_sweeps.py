@@ -132,8 +132,10 @@ def test_sweep_refuses_workers_above_the_ceiling(monkeypatch):
     # refused before any pool is asked for: the count reaches no executor
     asked = _record_pools(monkeypatch)
     config = SweepConfig(theta_points=MAX_WORKERS + 1, phi_points=1, n_samples=1)
-    for workers in (MAX_WORKERS + 1, 100_000):
-        with pytest.raises(ValidationError, match=f"workers must be in \\[1, {MAX_WORKERS}\\]"):
+    for workers, refused in ((MAX_WORKERS + 1, f"workers must be in \\[1, {MAX_WORKERS}\\]"),
+                             (100_000, f"workers must be in \\[1, {MAX_WORKERS}\\]"),
+                             (2.5, "workers must be an integer, got 2.5")):
+        with pytest.raises(ValidationError, match=refused):
             run_sweep(config, workers=workers)
     assert asked == []
     run_sweep(config, workers=MAX_WORKERS)
@@ -354,6 +356,8 @@ def test_fig3_series_need_phi():
     report = run_reconstruction([(0.2, gate_probability_table(v_axis(0.2, 0.3)))])
     with pytest.raises(ValidationError, match="made with phi"):
         fig3_series(report)
+    with pytest.raises(ValidationError, match="noisy gates need phi"):
+        preset_fig3(phi=None)
 
 
 def test_max_normalize_zero_curve():
@@ -426,6 +430,30 @@ def test_reconstruction_reports_the_flags_of_ideal_tables():
     assert report.flags == [f"theta 0.4: {flag}", f"theta 0.4: ideal {flag}"]
     report = run_reconstruction([(0.4, good), (0.1, good)], ideal=[off, good])
     assert report.flags == [f"theta 0.4: ideal {flag}"]
+
+
+def test_reconstruction_builds_gates_only_for_what_reads_them(monkeypatch):
+    # the coherence batch and the synthesized ideal tables read the ideal gates;
+    # given ideal tables and no phi, nothing does, and none are built
+    built = []
+    monkeypatch.setattr(sweeps, "g_gate", lambda thetas: built.append(len(thetas)) or g_gate(thetas))
+    measured = [(t, gate_probability_table(v_axis(t, 0.4))) for t in (0.2, 0.1)]
+    ideal = [gate_probability_table(g_gate(t)) for t in (0.2, 0.1)]
+    run_reconstruction(measured, ideal=ideal)
+    assert built == []
+    run_reconstruction(measured, ideal=ideal, phi=0.4)
+    run_reconstruction(measured)
+    assert built == [2, 2]
+
+
+def test_reconstruction_report_is_frozen():
+    # no field is assigned after the build; the arrays' entries stay writable
+    report = run_reconstruction([(0.2, gate_probability_table(v_axis(0.2, 0.3)))], phi=0.3)
+    for field in dataclasses.fields(report):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, field.name, getattr(report, field.name))
+    report.eta_kernel[0] = math.nan
+    assert math.isnan(report.eta_kernel[0])
 
 
 def test_reconstruction_of_no_tables_writes_the_header_alone(tmp_path):
