@@ -17,7 +17,6 @@ metadata such as the sweep angle a table belongs to).
 """
 from __future__ import annotations
 
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -267,8 +266,17 @@ def load_probability_table(
     if not (math.isfinite(sum_tolerance) and sum_tolerance >= 0):
         raise ValidationError(f"sum tolerance must be finite and >= 0, got {sum_tolerance!r}")
     if not isinstance(source, bytes):
-        with open(os.fspath(source), "rb") as file:  # fspath: an int is no file descriptor
-            source = file.read()
+        path, chunks = os.fspath(source), []  # fspath: an int is no file descriptor
+        fd = os.open(path, os.O_RDONLY)  # no file object, and so no buffer, for a file read whole
+        try:
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        except OSError as exc:  # a directory fails in os.read, whose error names no file
+            exc.filename = path
+            raise
+        finally:
+            os.close(fd)
+        source = b"".join(chunks)
     try:
         text = source.decode("utf-8-sig")  # drops the byte-order mark of a "CSV UTF-8" export
     except UnicodeDecodeError as exc:
@@ -278,12 +286,12 @@ def load_probability_table(
     metadata: dict[str, float] = {}
     flags: list[str] = []
     header_seen = False
-    # newline=None: \r\n, \r and \n all end a line, as in a file opened as text
-    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+    # \r\n, \r and \n end a line, as in a file opened as text; splitlines() would split on more
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             body = line.lstrip("#").strip()
             if "=" in body:
                 key, _, value = body.partition("=")
@@ -295,15 +303,14 @@ def load_probability_table(
                     raise ParseError(f"non-finite metadata value {value.strip()!r}", line=line_no)
                 metadata[key.strip()] = number
             continue
-        fields = line.split(",")
         if not header_seen:
-            fields, expected = [f.strip() for f in fields], ["input", *OUTCOME_COLUMNS]
-            if fields != expected:
-                raise ParseError(
-                    f"bad header {fields!r}, expected {expected!r}", line=line_no
-                )
+            if line != "input,p00,p01,p10,p11":
+                fields, expected = [f.strip() for f in line.split(",")], ["input", *OUTCOME_COLUMNS]
+                if fields != expected:
+                    raise ParseError(f"bad header {fields!r}, expected {expected!r}", line=line_no)
             header_seen = True
             continue
+        fields = line.split(",")
         if len(fields) != 5:
             raise ParseError(f"expected 5 comma-separated fields, got {len(fields)}", line=line_no)
         label = fields[0].strip()

@@ -256,9 +256,12 @@ class ReconstructionReport:
 
 def _stack(tables: list[ProbabilityTable]) -> ProbabilityTable:
     """One table whose rows, the five that chi reads, are (T, 4) stacks over `tables`."""
-    for table in tables:
-        table.require(CHI_LABELS)
-    rows = np.array([[table.rows[label] for table in tables] for label in CHI_LABELS])
+    try:
+        rows = np.array([[table.rows[label] for table in tables] for label in CHI_LABELS])
+    except KeyError:  # the first table that lacks a row names each row it lacks
+        for table in tables:
+            table.require(CHI_LABELS)
+        raise
     return ProbabilityTable(rows=dict(zip(CHI_LABELS, rows.reshape(5, len(tables), 4))))
 
 

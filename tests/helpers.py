@@ -75,6 +75,7 @@ def reference_table_parse(data: bytes, sum_tolerance: float = 0.02, renormalize:
     Every field is stripped, every value converted and checked for
     finiteness one at a time, and the row sum taken after the check. The
     library's `load_probability_table` skips work on the common path (one
+    split of the text into lines, the header compared as one string, one
     strip, one finiteness test of the sum) and must still give these rows
     bit for bit, these flags and metadata, and these errors, message and
     line included.

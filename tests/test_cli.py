@@ -175,6 +175,24 @@ def test_reconstruct_missing_row_exit_code(tmp_path):
         assert f"{path}: " in result.stderr and "++" in result.stderr, files
 
 
+def test_reconstruct_unreadable_table_exit_code(tmp_path):
+    # a missing file and a directory, as --measured or as --ideal: exit 3, and the
+    # error names the path
+    good = tmp_path / "good.csv"
+    write_probability_table(gate_probability_table(v_axis(0.2, 0.3)), good,
+                            metadata={"theta": 0.2})
+    missing, directory = tmp_path / "missing.csv", tmp_path / "directory.csv"
+    directory.mkdir()
+    out = tmp_path / "r.csv"
+    for bad, error in ((missing, "[Errno 2] No such file or directory"),
+                       (directory, "[Errno 21] Is a directory")):
+        for files in (("--measured", str(bad)), ("--measured", str(good), "--ideal", str(bad))):
+            result = run_cli("reconstruct", *files, "--out", str(out))
+            assert result.returncode == 3, files
+            assert result.stderr == f"error: {error}: {str(bad)!r}\n", files
+    assert not out.exists()
+
+
 def test_reconstruct_requires_theta(tmp_path):
     table = gate_probability_table(v_axis(0.2, 0.3))
     path = tmp_path / "no_theta.csv"

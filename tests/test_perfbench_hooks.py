@@ -13,8 +13,12 @@ import importlib
 from collections import defaultdict
 from pathlib import Path
 
+from epmdiag import cli
+from epmdiag.gates import v_axis
 from epmdiag.merit import MeritKind
+from epmdiag.reconstruct import gate_probability_table
 from epmdiag.sweeps import SweepConfig, SweepRecord, run_sweep
+from helpers import run_cli, write_probability_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -104,6 +108,25 @@ def test_perfbench_traced_spans_are_called(tmp_path, monkeypatch):
             uncalled += [(path, name) for name in sorted(names[path])
                          if layers.get(name, {}).get("calls", 0) < 1]
     assert uncalled == []
+
+
+def test_reconstruct_loads_each_file_through_the_cli_name_once(tmp_path, monkeypatch):
+    # the traced run wraps `epmdiag.cli.load_probability_table`, and
+    # `reconstruct.load_table_us` divides its time by the calls: one per
+    # --measured and per --ideal file, each in the order given
+    measured = [tmp_path / f"m{k}.csv" for k in range(3)]
+    ideal = [tmp_path / f"i{k}.csv" for k in range(3)]
+    for k, (path, ideal_path) in enumerate(zip(measured, ideal)):
+        table = gate_probability_table(v_axis(0.1 * k, 0.3))
+        write_probability_table(table, path, metadata={"theta": 0.1 * k})
+        write_probability_table(table, ideal_path)
+    load, calls = cli.load_probability_table, []
+    monkeypatch.setattr(cli, "load_probability_table",
+                        lambda path, **kwargs: calls.append(path) or load(path, **kwargs))
+    result = run_cli("reconstruct", "--measured", *map(str, measured),
+                     "--ideal", *map(str, ideal), "--out", str(tmp_path / "r.csv"))
+    assert result.returncode == 0, result.stderr
+    assert calls == [*map(str, measured), *map(str, ideal)]
 
 
 def test_sweep_result_still_yields_the_records_perfbench_compares():

@@ -431,6 +431,72 @@ def test_load_matches_the_reference_reading(tmp_path_factory, text, renormalize,
     assert _load_outcome(load, source) == expected
 
 
+# characters that str.splitlines() takes as line ends; in a table only \n, \r\n
+# and \r end a line, and these stay inside it
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def _text_with_other_breaks(draw) -> str:
+    """Comments, a header and rows with other break characters put anywhere in them,
+    each line ended by its own draw of \\n, \\r\\n or \\r."""
+    lines = draw(st.lists(st.one_of(ROW, ROW, COMMENT), max_size=6))
+    lines.insert(draw(st.integers(0, len(lines))), draw(HEADER))
+    text = ""
+    for line in lines:
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(OTHER_BREAKS)) + line[at:]
+        text += line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return text
+
+
+@FUZZ_SETTINGS
+@given(text=_text_with_other_breaks(), via=st.sampled_from(["bytes", "file"]))
+@example(text="# theta = 0.5\x85\r\ninput,p00,p01,p10,p11\f\r00\u2028,1,0,0,0\n", via="bytes")
+@example(text="input,p00,p01,p10,p11\v00,1,0,0,0\r\n01,0,1,0,0\n", via="file")
+@example(text="# note\u2029theta = 0.2\rinput,p00,p01,p10,p11\n++,\x1c0.25,0.25,\x1d0.25,0.25\x1e\r",
+         via="file")
+def test_load_ends_lines_only_at_newlines(tmp_path_factory, text, via):
+    data = text.encode("utf-8")
+    source = data
+    if via == "file":
+        source = tmp_path_factory.getbasetemp() / "break_table.csv"
+        source.write_bytes(data)
+
+    def load(source):
+        table = load_probability_table(source)
+        return table.rows, table.metadata, table.flags
+
+    assert _load_outcome(load, source) == _load_outcome(reference_table_parse, data)
+
+
+def test_load_reads_a_file_as_its_bytes_past_one_chunk_and_when_empty(tmp_path):
+    # more than 256 KiB of comments (multi-byte characters among them) before
+    # the rows, so the read takes many chunks; an empty file has no header
+
+    def load(source):
+        table = load_probability_table(source)
+        return table.rows, table.metadata, table.flags
+
+    comments = [f"# note {k} " + "\u03b1\u03b2-" * 700 for k in range(100)]
+    rows = ["01,0,1,0,0", "10,0,0,1,0", "11,0,0,0,0.9", "++,0.25,0.25,0.25,0.25"]
+    text = "\r\n".join(comments + ["# theta = 0.3", "input,p00,p01,p10,p11", "00,1,0,0,0"]
+                       + comments[:10] + rows) + "\r\n"
+    path = tmp_path / "large.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert path.stat().st_size > 256 * 1024
+    outcome = _load_outcome(load, path)
+    assert outcome == _load_outcome(load, text.encode("utf-8"))
+    assert outcome[1:] == ([("theta", "0.3")], ["row '11' sums to 0.9, outside tolerance 0.02"])
+    assert [label for label, _ in outcome[0]] == ["00", *[row[:2] for row in rows]]
+
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    missing_header = (ParseError, "line 1: missing header line 'input,p00,p01,p10,p11'", 1)
+    assert _load_outcome(load, empty) == _load_outcome(load, b"") == missing_header
+
+
 def test_load_rejects_duplicate_labels():
     text = "input,p00,p01,p10,p11\n00,1,0,0,0\n00,0,1,0,0\n"
     with pytest.raises(ValidationError, match="duplicate"):

@@ -432,6 +432,24 @@ def test_reconstruction_reports_the_flags_of_ideal_tables():
     assert report.flags == [f"theta 0.4: ideal {flag}"]
 
 
+def test_reconstruction_names_the_rows_a_table_lacks():
+    # the CLI checks each table's rows as it loads it; a library caller's tables
+    # are checked as they are stacked, and the first table in theta order that
+    # lacks a row names each row it lacks, though a later one lacks an earlier row
+    complete = gate_probability_table(v_axis(0.3, 0.4))
+    no_plus = gate_probability_table(v_axis(0.1, 0.4))
+    del no_plus.rows["++"]
+    no_basis = gate_probability_table(v_axis(0.2, 0.4))
+    del no_basis.rows["00"], no_basis.rows["11"]
+    cases = [([(0.2, no_basis), (0.3, complete), (0.1, no_plus)], None, "['++']"),
+             ([(0.2, no_basis), (0.3, complete)], None, "['00', '11']"),
+             ([(0.2, complete), (0.1, complete)], [no_basis, no_plus], "['++']")]
+    for measured, ideal, missing in cases:
+        with pytest.raises(ValidationError) as info:
+            run_reconstruction(measured, ideal=ideal)
+        assert str(info.value) == f"probability table is missing required row(s) {missing}"
+
+
 def test_reconstruction_builds_gates_only_for_what_reads_them(monkeypatch):
     # the coherence batch and the synthesized ideal tables read the ideal gates;
     # given ideal tables and no phi, nothing does, and none are built
