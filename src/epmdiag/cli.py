@@ -112,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("straightforward", "separable"), required=True)
     p.add_argument("--phase-theta", type=float, default=math.pi / 2)
     p.add_argument("--theta", type=float, default=None,
-                   help="gate angle for waveplate settings")
+                   help="gate angle for waveplate settings (with --phi)")
     p.add_argument("--phi", type=float, default=None,
-                   help="error parameter for waveplate settings")
+                   help="error parameter for waveplate settings (with --theta)")
     p.add_argument("--out", type=_out_path, default=None)
 
     p = sub.add_parser("haar-avg", help="Haar-averaged merits at a single (theta, phi)")
@@ -206,6 +206,8 @@ def _cmd_reconstruct(args) -> list[Path]:
 
 
 def _cmd_protocol(args) -> None:
+    if (args.theta is None) != (args.phi is None):
+        raise ValidationError("waveplate settings need both --theta and --phi")
     _check_angles([x for x in (args.phase_theta, args.theta, args.phi) if x is not None],
                   "protocol angle")
     plan = protocol_plan(args.kind, phase_theta=args.phase_theta)
@@ -220,10 +222,9 @@ def _cmd_protocol(args) -> None:
             }
             for label, state in plan.states
         ],
-        "waveplate_settings": None,
+        "waveplate_settings": None if args.theta is None
+        else dataclasses.asdict(waveplate_settings(args.theta, args.phi)),
     }
-    if args.theta is not None and args.phi is not None:
-        doc["waveplate_settings"] = dataclasses.asdict(waveplate_settings(args.theta, args.phi))
     _write_output(args.out, "json", None, None, doc)
 
 

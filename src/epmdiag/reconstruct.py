@@ -6,10 +6,7 @@ gate, the kind of data a counting experiment produces. From a handful of
 input states these probabilities determine
 
   * the populations of the evolved coherence part chi (five-row tables),
-  * the coherence contribution to the EPM characteristic function at u=i,
-  * the full transition tensor <j| V^dag P_a V |i>, which allows the
-    final-energy moment of ANY input state to be evaluated afterwards in
-    post-processing.
+  * the coherence contribution to the EPM characteristic function at u=i.
 
 Tables travel as CSV with header ``input,p00,p01,p10,p11``, one row per
 input label, ``#`` comment lines allowed (used for ``# key = value``
@@ -52,27 +49,19 @@ class ProbabilityTable:
             raise ValidationError(f"probability table is missing required row(s) {missing}")
 
 
-def _synthetic_table(v: np.ndarray, labels, states: np.ndarray) -> ProbabilityTable:
-    """Rows p(kq | psi) = |<kq| V |psi>|^2, one per labelled row psi of `states`,
-    from one product; for a (..., 4, 4) stack of gates V, a row is (..., 4)."""
+def gate_probability_table(v: np.ndarray) -> ProbabilityTable:
+    """Synthetic five-row table (four basis inputs plus |++>) for a gate, or
+    one table of (..., 4) rows for a (..., 4, 4) stack of gates.
+
+    Rows p(kq | psi) = |<kq| V |psi>|^2 come from one product for all five.
+    """
     v = np.asarray(v, dtype=complex)
     if v.shape[-2:] != (4, 4):
         raise ValidationError(f"expected a 4x4 unitary or a stack of them, got shape {v.shape}")
-    # einsum, not matmul: a BLAS matrix product would allocate its buffers and raise peak RSS
-    out = np.einsum("...kj,sj->...sk", v, states)  # (..., rows, 4)
-    return ProbabilityTable(rows=dict(zip(labels, np.moveaxis(out.real**2 + out.imag**2, -2, 0))))
-
-
-def gate_probability_table(v: np.ndarray) -> ProbabilityTable:
-    """Synthetic five-row table (four basis inputs plus |++>) for a gate, or
-    one table of (..., 4) rows for a (..., 4, 4) stack of gates."""
     states = np.vstack([np.eye(4, dtype=complex), plus_plus_state()])
-    return _synthetic_table(v, CHI_LABELS, states)
-
-
-def table_from_plan(v: np.ndarray, plan: "ProtocolPlan") -> ProbabilityTable:
-    """Synthetic table with one row per protocol-plan state."""
-    return _synthetic_table(v, plan.labels, np.array([state for _, state in plan.states]))
+    # einsum, not matmul: a BLAS matrix product would allocate its buffers and raise peak RSS
+    out = np.einsum("...kj,sj->...sk", v, states)  # (..., 5, 4)
+    return ProbabilityTable(rows=dict(zip(CHI_LABELS, np.moveaxis(out.real**2 + out.imag**2, -2, 0))))
 
 
 def chi_populations(table: ProbabilityTable) -> np.ndarray:
@@ -111,10 +100,6 @@ class ProtocolPlan:
     kind: str
     states: tuple[tuple[str, np.ndarray], ...]
     phase_theta: float
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.states)
 
 
 def _pair_state(i: int, j: int, coefficient: complex) -> np.ndarray:
@@ -157,90 +142,6 @@ def protocol_plan(kind: str, phase_theta: float = math.pi / 2) -> ProtocolPlan:
     else:
         raise ValidationError(f"unknown protocol kind {kind!r}")
     return ProtocolPlan(kind=kind, states=tuple(states), phase_theta=phase_theta)
-
-
-@dataclass(frozen=True)
-class TransitionTensor:
-    """The 64 numbers <j| V^dag P_a V |i> for the four outcome projectors.
-
-    entries[a, j, i] is Hermitian in (j, i) for each a, the diagonals are
-    outcome probabilities of basis inputs and the tensor sums to the
-    identity over a. `residual` is the worst least-squares residual norm
-    of the reconstruction (zero for exact synthetic data); `flags` names
-    entries the reconstruction could not pin down.
-    """
-
-    entries: np.ndarray
-    residual: float = 0.0
-    flags: tuple[str, ...] = ()
-
-
-def transition_tensor_from_unitary(v: np.ndarray) -> TransitionTensor:
-    """Direct tensor of a known unitary: entries[a, j, i] = conj(V[a, j]) V[a, i]."""
-    return TransitionTensor(entries=np.conj(v)[:, :, None] * np.asarray(v, complex)[:, None, :])
-
-
-def _complete_rank_one(m: np.ndarray, flags: list[str]) -> None:
-    """Fill the two imaginary parts the separable plan cannot observe.
-
-    For a unitary gate each outcome matrix is the rank-1 outer product of a
-    row of V, so |u_p|^2 T[i, j] = T[i, p] T[p, j] for any pivot p. The
-    separable input states determine everything except Im T[0, 3] and
-    Im T[1, 2]; those follow from the pivot relation using the larger of
-    the two admissible pivot diagonals.
-    """
-    for (i, j), pivots in (((0, 3), (1, 2)), ((1, 2), (0, 3))):
-        p = max(pivots, key=lambda q: m[q, q].real)
-        weight = m[p, p].real
-        if weight <= 1e-12:
-            flags.append(
-                f"pivot populations vanish for entry ({i},{j}); imaginary part left at 0"
-            )
-            continue
-        imag = (m[i, p] * m[p, j]).imag / weight
-        m[i, j] = m[i, j].real + 1j * imag
-        m[j, i] = np.conj(m[i, j])
-
-
-def transition_tensor_from_tables(plan: ProtocolPlan, table: ProbabilityTable) -> TransitionTensor:
-    """Solve one linear system relating plan states to all four outcome columns.
-
-    <psi| M |psi> is linear in the 16 real parameters of Hermitian M. Basis
-    rows pin the diagonals, the two-term superpositions pin real and
-    imaginary parts of the off-diagonals, and (for the separable plan) the
-    |++> and phase rows pin the sum and difference of the two remaining
-    real parts; the matching imaginary parts are completed through the
-    rank-1 structure of unitary dynamics. Inconsistent tables are resolved
-    by least squares and the largest column residual is reported.
-    The input table is not modified.
-    """
-    table.require(plan.labels)
-    amplitudes = np.array([state for _, state in plan.states])
-    i, j = np.triu_indices(4, 1)  # the six entries above the diagonal
-    cross = amplitudes[:, i].conj() * amplitudes[:, j]
-    design = np.hstack([amplitudes.real**2 + amplitudes.imag**2, 2 * cross.real, -2 * cross.imag])
-    outcomes = np.array([table.rows[label] for label in plan.labels])
-    x = np.linalg.lstsq(design, outcomes, rcond=None)[0]
-    residual = float(np.linalg.norm(design @ x - outcomes, axis=0).max())
-    entries = np.zeros((4, 4, 4), dtype=complex)
-    diagonal = np.arange(4)
-    entries[:, diagonal, diagonal] = x[:4].T
-    entries[:, i, j] = (x[4:10] + 1j * x[10:]).T
-    entries[:, j, i] = (x[4:10] - 1j * x[10:]).T
-    flags: list[str] = []
-    if plan.kind == "separable":
-        for m in entries:
-            _complete_rank_one(m, flags)
-    return TransitionTensor(entries=entries, residual=residual, flags=tuple(flags))
-
-
-def char_fn_from_tensor(
-    psi0: np.ndarray, tensor: TransitionTensor, hamiltonian: LocalHamiltonian
-) -> float:
-    """Final-energy moment sum_a e^{-E_a} <psi0| V^dag P_a V |psi0> by post-processing."""
-    a = np.asarray(psi0, dtype=complex)
-    moment = np.einsum("a,j,aji,i->", hamiltonian.exp_diag(-1.0), a.conj(), tensor.entries, a)
-    return float(moment.real)
 
 
 def load_probability_table(

@@ -1,18 +1,28 @@
-"""Test-only helpers: constants, samplers, writers and CLI runners no library path uses."""
+"""Test-only helpers: constants, samplers, writers and CLI runners no library path uses.
+
+It also holds the transition-tensor solver. From the tables of a protocol
+plan's input states (the plans `epmdiag protocol` exports) it solves for
+the 64 numbers <j| V^dag P_a V |i>, and from them the final-energy moment
+of any input state follows in post-processing. No command reads such
+tables; the solver shows that the exported plans determine the tensor
+(acceptance criterion 5).
+"""
 import contextlib
 import io
 import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from epmdiag import cli
+from epmdiag.energetics import LocalHamiltonian
 from epmdiag.errors import ParseError, ValidationError
 from epmdiag.linalg import PAULI_X, PAULI_Y
-from epmdiag.reconstruct import OUTCOME_COLUMNS
+from epmdiag.reconstruct import OUTCOME_COLUMNS, ProbabilityTable, ProtocolPlan
 
 SIGMA_PLUS = (PAULI_X + 1j * PAULI_Y) / 2
 SIGMA_MINUS = (PAULI_X - 1j * PAULI_Y) / 2
@@ -34,6 +44,101 @@ def haar_random_unitary(key: int, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def table_from_plan(v: np.ndarray, plan: ProtocolPlan) -> ProbabilityTable:
+    """Synthetic table with one row per protocol-plan state, from the product of
+    `gate_probability_table`: rows p(kq | psi) = |<kq| V |psi>|^2."""
+    v = np.asarray(v, dtype=complex)
+    states = np.array([state for _, state in plan.states])
+    out = np.einsum("...kj,sj->...sk", v, states)  # (..., rows, 4)
+    rows = np.moveaxis(out.real**2 + out.imag**2, -2, 0)
+    return ProbabilityTable(rows=dict(zip([label for label, _ in plan.states], rows)))
+
+
+@dataclass(frozen=True)
+class TransitionTensor:
+    """The 64 numbers <j| V^dag P_a V |i> for the four outcome projectors.
+
+    entries[a, j, i] is Hermitian in (j, i) for each a, the diagonals are
+    outcome probabilities of basis inputs and the tensor sums to the
+    identity over a. `residual` is the worst least-squares residual norm
+    of the reconstruction (zero for exact synthetic data); `flags` names
+    entries the reconstruction could not pin down.
+    """
+
+    entries: np.ndarray
+    residual: float = 0.0
+    flags: tuple[str, ...] = ()
+
+
+def transition_tensor_from_unitary(v: np.ndarray) -> TransitionTensor:
+    """Direct tensor of a known unitary: entries[a, j, i] = conj(V[a, j]) V[a, i]."""
+    return TransitionTensor(entries=np.conj(v)[:, :, None] * np.asarray(v, complex)[:, None, :])
+
+
+def _complete_rank_one(m: np.ndarray, flags: list[str]) -> None:
+    """Fill the two imaginary parts the separable plan cannot observe.
+
+    For a unitary gate each outcome matrix is the rank-1 outer product of a
+    row of V, so |u_p|^2 T[i, j] = T[i, p] T[p, j] for any pivot p. The
+    separable input states determine everything except Im T[0, 3] and
+    Im T[1, 2]; those follow from the pivot relation using the larger of
+    the two admissible pivot diagonals.
+    """
+    for (i, j), pivots in (((0, 3), (1, 2)), ((1, 2), (0, 3))):
+        p = max(pivots, key=lambda q: m[q, q].real)
+        weight = m[p, p].real
+        if weight <= 1e-12:
+            flags.append(
+                f"pivot populations vanish for entry ({i},{j}); imaginary part left at 0"
+            )
+            continue
+        imag = (m[i, p] * m[p, j]).imag / weight
+        m[i, j] = m[i, j].real + 1j * imag
+        m[j, i] = np.conj(m[i, j])
+
+
+def transition_tensor_from_tables(plan: ProtocolPlan, table: ProbabilityTable) -> TransitionTensor:
+    """Solve one linear system relating plan states to all four outcome columns.
+
+    <psi| M |psi> is linear in the 16 real parameters of Hermitian M. Basis
+    rows pin the diagonals, the two-term superpositions pin real and
+    imaginary parts of the off-diagonals, and (for the separable plan) the
+    |++> and phase rows pin the sum and difference of the two remaining
+    real parts; the matching imaginary parts are completed through the
+    rank-1 structure of unitary dynamics. Inconsistent tables are resolved
+    by least squares and the largest column residual is reported.
+    The input table is not modified.
+    """
+    labels = [label for label, _ in plan.states]
+    table.require(labels)
+    amplitudes = np.array([state for _, state in plan.states])
+    i, j = np.triu_indices(4, 1)  # the six entries above the diagonal
+    cross = amplitudes[:, i].conj() * amplitudes[:, j]
+    design = np.hstack([amplitudes.real**2 + amplitudes.imag**2, 2 * cross.real, -2 * cross.imag])
+    outcomes = np.array([table.rows[label] for label in labels])
+    x = np.linalg.lstsq(design, outcomes, rcond=None)[0]
+    residual = float(np.linalg.norm(design @ x - outcomes, axis=0).max())
+    entries = np.zeros((4, 4, 4), dtype=complex)
+    diagonal = np.arange(4)
+    entries[:, diagonal, diagonal] = x[:4].T
+    entries[:, i, j] = (x[4:10] + 1j * x[10:]).T
+    entries[:, j, i] = (x[4:10] - 1j * x[10:]).T
+    flags: list[str] = []
+    if plan.kind == "separable":
+        for m in entries:
+            _complete_rank_one(m, flags)
+    return TransitionTensor(entries=entries, residual=residual, flags=tuple(flags))
+
+
+def char_fn_from_tensor(
+    psi0: np.ndarray, tensor: TransitionTensor, hamiltonian: LocalHamiltonian
+) -> float:
+    """Final-energy moment sum_a e^{-E_a} <psi0| V^dag P_a V |psi0> by post-processing."""
+    a = np.asarray(psi0, dtype=complex)
+    moment = np.einsum("a,j,aji,i->", hamiltonian.exp_diag(-1.0), a.conj(), tensor.entries, a)
+    return float(moment.real)
 
 
 def surface(result, kind, which: str = "mean") -> np.ndarray:

@@ -13,15 +13,16 @@ from epmdiag.energetics import local_hamiltonian_2q
 from epmdiag.gates import g_gate, v_angle, v_axis
 from epmdiag.linalg import haar_pure_states, plus_plus_state
 from epmdiag.merit import MeritKind, haar_average, kernel_values
-from epmdiag.reconstruct import (
-    gate_probability_table,
-    protocol_plan,
+from epmdiag.reconstruct import gate_probability_table, protocol_plan
+from epmdiag.sweeps import preset_fig1, preset_fig3, run_reconstruction
+from helpers import (
+    haar_random_unitary,
+    run_cli,
+    surface,
     table_from_plan,
     transition_tensor_from_tables,
     transition_tensor_from_unitary,
 )
-from epmdiag.sweeps import preset_fig1, preset_fig3, run_reconstruction
-from helpers import haar_random_unitary, run_cli, surface
 
 H = local_hamiltonian_2q()
 
@@ -176,6 +177,7 @@ def test_criterion_5_reconstruction_round_trip():
             direct = kernel_values(MeritKind.ETA_CHI, psi_pp, u, v, H)[0]
             assert abs(via_tables - direct) < 1e-10
 
+        # the plans `epmdiag protocol` exports determine the transition tensor
         plans = {kind: protocol_plan(kind) for kind in ("straightforward", "separable")}
         for k in range(20):
             w = haar_random_unitary(5005 | k << 64, 4)

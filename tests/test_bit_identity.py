@@ -27,10 +27,15 @@ from epmdiag.reconstruct import (
     gate_probability_table,
     load_probability_table,
     protocol_plan,
-    table_from_plan,
 )
 from epmdiag.sweeps import MAX_ANGLE, run_reconstruction
-from helpers import SIGMA_MINUS, SIGMA_PLUS, haar_random_unitary, philox_generator
+from helpers import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    haar_random_unitary,
+    philox_generator,
+    table_from_plan,
+)
 
 
 def _bits(array):
@@ -190,10 +195,30 @@ def test_plan_tables_match_the_per_row_builder_to_rounding():
         plan = protocol_plan(kind)
         for v in gates:
             table = table_from_plan(v, plan)
-            assert list(table.rows) == list(plan.labels)
+            assert list(table.rows) == [label for label, _ in plan.states]
             for label, state in plan.states:
                 frozen = frozen_row_probabilities(v, state)
                 assert np.max(np.abs(table.rows[label] - frozen)) <= 1e-15, (kind, label)
+
+
+def test_plan_tables_share_the_gate_table_rows_bit_for_bit():
+    # a plan's basis rows (and the separable plan's ++ row) are the rows G_chi reads; built
+    # for a plan, as the golden reconstruct-extra-rows inputs are, they keep the gate table's bits
+    thetas, phis = np.array(THETAS), np.array(PHIS)
+    stacks = [g_gate(thetas), v_axis(thetas[:, None], phis), v_angle(thetas[:, None], phis),
+              np.array([haar_random_unitary(937 | k << 64, 4) for k in range(20)])]
+    for kind, shared in (("straightforward", CHI_LABELS[:4]), ("separable", CHI_LABELS)):
+        plan = protocol_plan(kind)
+        for stack in stacks:
+            expected = gate_probability_table(stack).rows
+            stacked = table_from_plan(stack, plan).rows
+            assert set(stacked) & set(expected) == set(shared)
+            for index in np.ndindex(stack.shape[:-2]):
+                single = table_from_plan(stack[index], plan).rows
+                for label in shared:
+                    bits = _bits(expected[label][index])
+                    assert np.array_equal(_bits(single[label]), bits), (kind, label, index)
+                    assert np.array_equal(_bits(stacked[label][index]), bits), (kind, label, index)
 
 
 # signed zeros, subnormals, overflowing magnitudes and values next to 1

@@ -396,6 +396,18 @@ def test_protocol_non_finite_waveplate_angle_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_protocol_refuses_a_half_given_waveplate_pair(tmp_path):
+    # one of --theta and --phi, in either order, is refused before anything is written
+    out = tmp_path / "plan.json"
+    for given in (("--theta", "0.4"), ("--phi", "0.4")):
+        for tail in ([], ["--out", str(out)]):
+            result = run_cli("protocol", "--kind", "separable", *given, *tail)
+            assert result.returncode == 2, (given, tail)
+            assert result.stderr == "error: waveplate settings need both --theta and --phi\n"
+            assert result.stdout == ""
+            assert list(tmp_path.iterdir()) == []
+
+
 def test_haar_avg_command():
     result = run_cli(
         "haar-avg", "--theta", "0.4", "--phi", "0.0", "--merit", "eta_chi",

@@ -35,7 +35,8 @@ import pytest
 from epmdiag.cli import main
 from epmdiag.gates import g_gate, v_axis
 from epmdiag.merit import MeritKind
-from epmdiag.reconstruct import protocol_plan, table_from_plan
+from epmdiag.reconstruct import protocol_plan
+from helpers import table_from_plan
 
 NUMPY_VERSION = "2.4.6"
 # the cases whose digests were made with an FMA-rounded complex multiply
@@ -174,7 +175,7 @@ def _write_plan_tables(directory):
     tables = []
     for i, theta in enumerate(TABLE_THETAS):
         rows = table_from_plan(v_axis(float(theta), TABLE_PHI), plan).rows
-        labels = [str(label) for label in rng.permutation(plan.labels)]
+        labels = [str(label) for label in rng.permutation([label for label, _ in plan.states])]
         tables.append((theta, [(label, rows[label] * (0.9 if i == 2 and label == "00+01" else 1))
                                for label in labels]))
     return _write_table_files(directory, tables)

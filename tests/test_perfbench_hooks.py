@@ -1,12 +1,14 @@
-"""The names the benchmark harness takes from `epmdiag` still exist and are still called.
+"""The names the benchmark harness takes from `epmdiag` still exist and are still called,
+and they and the reference oracles of `element_sums` are the only top-level names of
+`src/` that nothing in `src/` uses.
 
 perfbench/ imports names from the package and patches module attributes
 by name for its traced run (`instrument()` in perfbench/tracing.py), then
 reads the spans of the patched calls. A deletion in `src/` that removes
 one of the names, or a path that stops calling one, breaks
 `perfbench --trace 1` without failing any other test. The files are read
-with `ast`; the second test also imports perfbench's modules to run its
-instrument, and neither changes them.
+with `ast`; the traced-spans test also imports perfbench's modules to run
+its instrument, and none of the tests changes them.
 """
 import ast
 import importlib
@@ -21,6 +23,7 @@ from epmdiag.sweeps import SweepConfig, SweepRecord, run_sweep
 from helpers import run_cli, write_probability_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "epmdiag"
 
 
 def _imported_names(tree):
@@ -58,6 +61,59 @@ def test_perfbench_names_exist_in_the_package():
     missing = [(source, module, name) for source, module, name in references
                if name is not None and not hasattr(modules[module], name)]
     assert missing == []
+
+
+def _defined_names(statement):
+    """The names a top-level statement defines: a function, a class or constants."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def _used_names(statement):
+    """The names a statement uses: loaded names and attributes, and the keys of the
+    `_HOMES` table through which the package loads its public names. An import binds
+    a name and is no use of it."""
+    used = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif (isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_HOMES"]
+              and isinstance(node.value, ast.Dict)):
+            used.update(ast.literal_eval(key) for key in node.value.keys)
+    return used
+
+
+def test_every_top_level_name_of_the_package_is_used_in_it():
+    # a name that only tests reach belongs with the tests; the exceptions are the
+    # names perfbench imports or patches, and the reference oracles of element_sums,
+    # which only tests and perfbench read
+    statements = [(path.stem, statement) for path in sorted(SRC.glob("*.py"))
+                  for statement in ast.parse(path.read_text()).body]
+    # by name alone: perfbench patches a name where it is imported, not where it is defined
+    exempt = {name for path in sorted(PERFBENCH.glob("*.py"))
+              for _, name in _imported_names(ast.parse(path.read_text()))}
+    exempt.update(name for _, name in
+                  _patched_names(ast.parse((PERFBENCH / "tracing.py").read_text())))
+    used = [_used_names(statement) for _, statement in statements]
+    unused = []
+    for index, (module, statement) in enumerate(statements):
+        for name in _defined_names(statement):
+            if (module == "element_sums" or (name.startswith("__") and name.endswith("__"))
+                    or name in exempt):
+                continue
+            if not any(name in names for k, names in enumerate(used) if k != index):
+                unused.append(f"{module}.{name}")
+    assert unused == []
 
 
 def _span_names_read(tree):

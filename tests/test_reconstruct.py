@@ -11,18 +11,22 @@ from epmdiag.errors import ParseError, ValidationError
 from epmdiag.gates import v_axis
 from epmdiag.linalg import haar_pure_states, plus_plus_state
 from epmdiag.reconstruct import (
-    char_fn_from_tensor,
     chi_populations,
     g_chi_from_table,
     gate_probability_table,
     load_probability_table,
     protocol_plan,
     schmidt_rank,
+)
+from helpers import (
+    char_fn_from_tensor,
+    haar_random_unitary,
+    reference_table_parse,
     table_from_plan,
     transition_tensor_from_tables,
     transition_tensor_from_unitary,
+    write_probability_table,
 )
-from helpers import haar_random_unitary, reference_table_parse, write_probability_table
 
 H = local_hamiltonian_2q()
 RHO_PP = np.outer(plus_plus_state(), plus_plus_state().conj())
@@ -87,7 +91,7 @@ def test_g_chi_matches_char_fn_component():
 def test_straightforward_plan_contents():
     plan = protocol_plan("straightforward")
     assert len(plan.states) == 16
-    assert len(set(plan.labels)) == 16
+    assert len(set([label for label, _ in plan.states])) == 16
     for _, state in plan.states:
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
     ranks = {label: schmidt_rank(state) for label, state in plan.states}

@@ -21,7 +21,6 @@ from epmdiag.reconstruct import (
     gate_probability_table,
     load_probability_table,
     protocol_plan,
-    table_from_plan,
 )
 from epmdiag.sweeps import (
     MAX_WORKERS,
@@ -38,7 +37,13 @@ from epmdiag.sweeps import (
     write_reconstruction,
     write_sweep,
 )
-from helpers import assert_same_values, run_cli, surface, write_probability_table
+from helpers import (
+    assert_same_values,
+    run_cli,
+    surface,
+    table_from_plan,
+    write_probability_table,
+)
 
 
 def test_single_point_null_error():
